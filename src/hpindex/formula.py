@@ -1,22 +1,35 @@
 """Closed-form index for trees and its conjectural block-chain extension.
 
 For a tree that is not a path, the index equals a min-max over leaf-to-leaf
-paths: pick an endpath carrying a pair of branches whose joint absorption time
-is maximal, then pay for the heaviest branch left off that endpath. Path
-graphs cost nothing.
+paths (endpaths): pick an endpath carrying a pair of branches whose joint
+absorption time is maximal, then pay for the heaviest branch left off that
+endpath. Path graphs cost nothing.
+
+The min-max is evaluated without listing endpaths. The branches are the
+edges of the junction tree, whose nodes are the vertices of degree != 2.
+Any two branches share an endpath, so the maximal pairs are the pairs of the
+two largest weights, and the best endpath through a pair extends the pair's
+hull as cheaply as it can at both ends; sweeps over the junction tree give
+those costs for both directions of every branch (see _evaluate). Ties break
+as a scan of every endpath in leaf-pair order would break them. The work is
+O(n) plus the hull lengths of the maximal pairs, where listing endpaths
+cost O(leaves^2 * n).
 
 The conjectural extension contracts every bridgeless piece of a general graph
 to a point (all such pieces must have a spanning cycle for the formula to
 apply), evaluates the same min-max on the resulting tree, and keeps branch
-weights as measured in the original graph. Results carry a `conjectural` flag;
-compare_formula_oracle pits them against the exact stage loop.
+weights as measured in the original graph. A bridge branch stays inside one
+branch of the contracted tree, so the same evaluator applies. Results carry
+a `conjectural` flag; compare_formula_oracle pits them against the exact
+stage loop.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .branches import Branch, absorption_time, branches, endpaths
+from .branches import Branch, absorption_time, branches
 from .canon import graph_key
 from .errors import CappedError, EmptyCandidateError, PreconditionError
 from .graphs import Graph, blocks_and_cuts, is_connected, is_path, is_tree
@@ -60,8 +73,29 @@ class _WeightedPath:
     """A path on the evaluation tree with the weight it contributes."""
 
     walk: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
     weight: int
+
+
+def _exits(s: list[int], f: list, combine) -> list:
+    """Best way on from a junction of degree d >= 3, for each neighbour skipped.
+
+    Entry j is the least combine(m, f[i]) over positions i != j, where m is
+    the largest s[k] over positions k other than i and j. `combine` must
+    not decrease in either argument, so only the three largest s and the
+    two least f matter: O(d) in all.
+    """
+    t0, t1, t2 = heapq.nlargest(3, range(len(s)), key=s.__getitem__)
+    g0, g1 = heapq.nsmallest(2, (i for i in range(len(s)) if i != t0),
+                             key=f.__getitem__)
+    out = []
+    for j in range(len(s)):
+        if j == t0:
+            out.append(min(combine(s[t1], f[g0 if g0 != t1 else g1]),
+                           combine(s[t2], f[t1])))
+        else:
+            out.append(min(combine(s[t0], f[g0 if g0 != j else g1]),
+                           combine(s[t1] if j != t1 else s[t2], f[t0])))
+    return out
 
 
 def _evaluate(tree: Graph, items: tuple[_WeightedPath, ...],
@@ -69,60 +103,185 @@ def _evaluate(tree: Graph, items: tuple[_WeightedPath, ...],
                          tuple[PairValue, ...]]:
     """Min-max over endpaths of the heaviest item left off the endpath.
 
-    Only endpaths containing a maximum-weight item pair compete. Ties break
-    toward the lexicographically least leaf pair, and toward the least walk
-    for the reported off-path item.
+    `tree` is a tree that is not a path, and every item lies inside one of
+    its corridors, so an endpath holds an item exactly when it runs through
+    the item's corridor. The work runs on the junction tree: its nodes are
+    the vertices of degree != 2, rooted at one of degree >= 3, and its
+    edges are the corridors, each named by its lower junction. Two
+    corridors always share an endpath, so the maximal pairs are those whose
+    weights add up to the two largest.
+
+    An endpath through a pair contains the pair's hull, the least junction
+    path holding both items. The pair's value is the heaviest of the items
+    hanging off the hull's interior, found by climbing parents from both
+    corridors, and of the cheapest ways on from each end of the hull to a
+    leaf. Those costs come from one sweep down and one up the junction tree,
+    for both directions of every corridor, with O(d) work at a junction of
+    degree d. V is the least pair value.
+
+    Ties break as a scan of all endpaths in leaf-pair order would. A second
+    sweep finds, for both directions of every corridor, the least leaf by
+    label reachable at cost at most V; the endpath joins the least such
+    leaf pair over the pairs of value V. The off-path item is the least
+    walk of weight V left off it, and pairs are listed in the order of
+    their sorted walks. The cost is O(n) plus the hull lengths of the
+    maximal pairs, without recursion.
     """
-    containment = []
-    for ep in endpaths(tree):
-        on_path = frozenset((a, b) if a <= b else (b, a)
-                            for a, b in zip(ep.vertices, ep.vertices[1:]))
-        inside = frozenset(i for i, it in enumerate(items)
-                           if it.edges <= on_path)
-        containment.append((ep, inside))
-
-    best_sum = -1
-    pairs: set[frozenset[int]] = set()
-    for _, inside in containment:
-        lst = sorted(inside)
-        for a, i in enumerate(lst):
-            for j in lst[a + 1:]:
-                s = items[i].weight + items[j].weight
-                if s > best_sum:
-                    best_sum = s
-                    pairs = {frozenset((i, j))}
-                elif s == best_sum:
-                    pairs.add(frozenset((i, j)))
-
-    candidates = [(ep, inside) for ep, inside in containment
-                  if any(p <= inside for p in pairs)]
-    if not candidates:
+    if len(items) < 2:
         raise EmptyCandidateError(to_edge_list(tree))
+    adj, n = tree.adj, tree.n
+    junction = [len(a) != 2 for a in adj]
+    root = next(v for v in range(n) if len(adj[v]) > 2)
+    parent = [-1] * n
+    parent[root] = root
+    depth = [0] * n
+    order = [root]
+    for v in order:  # grows while it is read: a breadth-first order
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                order.append(w)
+    # corridor of the edge (v, parent[v]), named by its lower junction
+    low = list(range(n))
+    for v in reversed(order):
+        if not junction[v]:
+            a, b = adj[v]
+            low[v] = low[b if a == parent[v] else a]
+    jpar = [-1] * n
+    for v in order[1:]:
+        p = parent[v]
+        jpar[v] = p if junction[p] else jpar[p]
+    jorder = [v for v in order if junction[v]]
+    kids: list[list[int]] = [[] for _ in range(n)]
+    jdepth = [0] * n
+    for x in jorder[1:]:
+        kids[jpar[x]].append(x)
+        jdepth[x] = jdepth[jpar[x]] + 1
 
-    chosen = None
-    chosen_value = -1
-    for ep, inside in candidates:
-        off = [it for i, it in enumerate(items) if i not in inside]
-        value = max((it.weight for it in off), default=0)
-        if chosen is None or value < chosen_value:
-            chosen, chosen_value = (ep, off), value
-    ep, off = chosen
-    heavy = sorted((it.walk for it in off if it.weight == chosen_value))
-    off_walk = heavy[0] if off else None
+    def corridors(walk) -> set[int]:
+        return {low[a] if parent[a] == b else low[b]
+                for a, b in zip(walk, walk[1:])}
 
-    per_pair: list[PairValue] = []
-    for p in sorted(pairs, key=lambda p: sorted(items[i].walk for i in p)):
-        walks = tuple(sorted(items[i].walk for i in p))
-        vals = [max((it.weight for i2, it in enumerate(items) if i2 not in inside),
-                    default=0)
-                for _, inside in candidates if p <= inside]
-        per_pair.append(((walks[0], walks[1]), min(vals) if vals else None))
-    return chosen_value, ep.vertices, off_walk, tuple(per_pair)
+    weight = [it.weight for it in items]
+    corridor = []
+    for it in items:
+        found = corridors([tree.index(t) for t in it.walk])
+        assert len(found) == 1, "an item leaves its corridor"
+        corridor.append(found.pop())
+    cw = [0] * n  # heaviest item in the corridor above each junction
+    for c, w in zip(corridor, weight):
+        cw[c] = max(cw[c], w)
+
+    # Heaviest item on each side of the corridor above junction x: in x's
+    # subtree, that corridor included (sub[x]), and everywhere else
+    # (side[x], the parent neighbour's share as seen from x). sib[x] is the
+    # heaviest subtree of x's siblings.
+    sub = cw[:]
+    for x in reversed(jorder[1:]):
+        sub[jpar[x]] = max(sub[jpar[x]], sub[x])
+    sib, side = [0] * n, [0] * n
+    top3: list[list[int]] = [[] for _ in range(n)]
+    for p in jorder:
+        if kids[p]:
+            top3[p] = heapq.nlargest(3, kids[p], key=sub.__getitem__)
+            best = [sub[k] for k in top3[p][:2]] + [0]
+            for x in kids[p]:
+                sib[x] = best[1] if x == top3[p][0] else best[0]
+                side[x] = max(cw[x], side[p], sib[x])
+
+    def sweep(combine, leaf_value) -> tuple[list, list]:
+        # down[x]: going on from x away from its parent junction;
+        # upward[x]: going on from x's parent junction away from x
+        down, upward = [None] * n, [None] * n
+        for x in reversed(jorder[1:]):
+            down[x] = (min(combine(sib[k], down[k]) for k in kids[x])
+                       if kids[x] else leaf_value(x))
+        for p in jorder:
+            ks = kids[p]
+            if not ks:
+                continue
+            s = [sub[k] for k in ks]
+            f = [down[k] for k in ks]
+            if p != root:
+                s.append(side[p])
+                f.append(upward[p])
+            for x, v in zip(ks, _exits(s, f, combine)):
+                upward[x] = v
+        return down, upward
+
+    cost_down, cost_up = sweep(max, lambda x: 0)
+
+    def hull(cx: int, cy: int) -> tuple[int, tuple[int, bool], tuple[int, bool]]:
+        """Heaviest corridor hanging off the hull's interior, and its two
+        ends as (junction, True) to go on below the junction, or
+        (junction, False) to go on from its parent away from it."""
+        if cx == cy:
+            return 0, (cx, True), (cx, False)
+        a, b, hang = cx, cy, 0
+        while jdepth[a] > jdepth[b]:
+            hang, a = max(hang, sib[a]), jpar[a]
+        while jdepth[b] > jdepth[a]:
+            hang, b = max(hang, sib[b]), jpar[b]
+        if a == b:  # one corridor lies above the other
+            if a == cx:
+                return hang, (cy, True), (cx, False)
+            return hang, (cx, True), (cy, False)
+        while jpar[a] != jpar[b]:
+            hang = max(hang, sib[a], sib[b])
+            a, b = jpar[a], jpar[b]
+        meet = jpar[a]
+        rest = next((sub[k] for k in top3[meet] if k != a and k != b), 0)
+        return max(hang, rest, side[meet]), (cx, True), (cy, True)
+
+    ranked = sorted(range(len(items)), key=lambda i: -weight[i])
+    w1, w2 = weight[ranked[0]], weight[ranked[1]]
+    heavy = [i for i in ranked if weight[i] == w1]
+    if len(heavy) > 1:
+        pairs = [(i, j) for a, i in enumerate(heavy) for j in heavy[a + 1:]]
+    else:
+        pairs = [(heavy[0], j) for j in ranked[1:] if weight[j] == w2]
+    pairs.sort(key=lambda p: sorted((items[p[0]].walk, items[p[1]].walk)))
+
+    def cost(end: tuple[int, bool]) -> int:
+        return cost_down[end[0]] if end[1] else cost_up[end[0]]
+
+    valued = []
+    for i, j in pairs:
+        hang, ex, ey = hull(corridor[i], corridor[j])
+        valued.append((max(hang, cost(ex), cost(ey)), ex, ey))
+    value = min(v for v, _, _ in valued)
+
+    leaves = sorted((v for v in range(n) if len(adj[v]) == 1),
+                    key=lambda v: tree.labels[v])
+    rank = {v: r for r, v in enumerate(leaves)}
+    beyond = len(leaves)  # rank of no leaf: more than every real rank
+    reach_down, reach_up = sweep(lambda m, r: r if m <= value else beyond,
+                                 rank.__getitem__)
+
+    def reach(end: tuple[int, bool]) -> int:
+        return reach_down[end[0]] if end[1] else reach_up[end[0]]
+
+    ends = min(tuple(sorted((reach(ex), reach(ey))))
+               for v, ex, ey in valued if v == value)
+    x, y = leaves[ends[0]], leaves[ends[1]]
+    left, right = [x], [y]
+    while left[-1] != right[-1]:
+        deeper = left if depth[left[-1]] >= depth[right[-1]] else right
+        deeper.append(parent[deeper[-1]])
+    walk = left + right[-2::-1]
+    on_path = corridors(walk)
+    heaviest = [it.walk for it, c in zip(items, corridor)
+                if c not in on_path and it.weight == value]
+    per_pair = tuple(((min(items[i].walk, items[j].walk),
+                       max(items[i].walk, items[j].walk)), v)
+                     for (i, j), (v, _, _) in zip(pairs, valued))
+    return (value, tuple(tree.labels[v] for v in walk),
+            min(heaviest) if heaviest else None, per_pair)
 
 
 def _branch_items(brs: tuple[Branch, ...]) -> tuple[_WeightedPath, ...]:
-    return tuple(_WeightedPath(b.vertices, frozenset(b.edges()),
-                               absorption_time(b))
+    return tuple(_WeightedPath(b.vertices, absorption_time(b))
                  for b in brs if b.is_bridge_branch)
 
 
@@ -173,7 +332,11 @@ def bridge_reduction(g: Graph) -> Graph:
 
 def reduction_label_map(g: Graph) -> dict[str, str]:
     """Token of each g vertex mapped to its bridge_reduction vertex token."""
-    r = bridge_reduction(g)
+    return _label_map(bridge_reduction(g))
+
+
+def _label_map(r: Graph) -> dict[str, str]:
+    # the member tokens of a contracted piece are spelled out in its label
     out = {}
     for lab in r.labels:
         if lab.startswith("[") and lab.endswith("]"):
@@ -218,7 +381,7 @@ def hp_blockchain_conjecture(g: Graph,
     r = bridge_reduction(g)
     if is_path(r):
         return FormulaResult(0, None, None, (), True)
-    to_r = reduction_label_map(g)
+    to_r = _label_map(r)
     items = []
     for b in branches(g):
         if not b.is_bridge_branch:
@@ -226,9 +389,7 @@ def hp_blockchain_conjecture(g: Graph,
         walk = tuple(to_r[t] for t in b.vertices)
         if walk[-1] < walk[0]:
             walk = walk[::-1]
-        edges = frozenset((a, b2) if a <= b2 else (b2, a)
-                          for a, b2 in zip(walk, walk[1:]))
-        items.append(_WeightedPath(walk, edges, absorption_time(b)))
+        items.append(_WeightedPath(walk, absorption_time(b)))
     value, ep, off, per_pair = _evaluate(r, tuple(items))
     return FormulaResult(value, ep, off, per_pair, True)
 

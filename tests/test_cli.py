@@ -17,7 +17,9 @@ from hpindex import (
     cycle_graph,
     from_edge_list,
     from_graph6,
+    hp_tree,
     path_graph,
+    random_tree,
     spider,
     star_graph,
     to_edge_list,
@@ -42,10 +44,10 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
-def test_console_script_is_installed():
-    # The script an install would create is checked from its declaration in
-    # pyproject.toml, run the way pip's generated wrapper runs it, so the
-    # check needs no install; an installed `hpindex` is run as well.
+def console_script():
+    """The `hpindex` console script declared in pyproject.toml, as the
+    command pip's generated wrapper would run, and the environment to run
+    it in; needs no install."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
@@ -65,6 +67,14 @@ def test_console_script_is_installed():
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (src, env.get("PYTHONPATH")) if path
     )
+    return wrapper, env
+
+
+def test_console_script_is_installed():
+    # The script an install would create is checked from its declaration in
+    # pyproject.toml, run the way pip's generated wrapper runs it, so the
+    # check needs no install; an installed `hpindex` is run as well.
+    wrapper, env = console_script()
     commands = [wrapper]
     if shutil.which("hpindex"):
         commands.append(["hpindex"])
@@ -85,6 +95,26 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+def test_closed_form_reaches_a_20000_vertex_tree():
+    # gen tree piped into hp tree, both through the console script
+    wrapper, env = console_script()
+    gen = subprocess.Popen(wrapper + ["gen", "tree", "-n", "20000",
+                                      "--seed", "1"],
+                           stdout=subprocess.PIPE, env=env)
+    proc = subprocess.run(wrapper + ["hp", "tree", "--json", "-"],
+                          stdin=gen.stdout, capture_output=True, text=True,
+                          env=env)
+    gen.stdout.close()
+    assert gen.wait(timeout=60) == 0
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    t = random_tree(20000, 1)
+    assert out["value"] == hp_tree(t).value
+    walk = [t.index(v) for v in out["endpath"]]
+    assert [t.degree(v) for v in (walk[0], walk[-1])] == [1, 1]
+    assert all(b in t.adj[a] for a, b in zip(walk, walk[1:]))
 
 
 def test_command_is_required():

@@ -17,6 +17,7 @@ from hpindex import (
     line_graph,
     h_oracle,
     path_graph,
+    random_tree,
     spider,
     star_graph,
 )
@@ -203,3 +204,37 @@ def test_compare_capped_oracle_reports_capped():
     rec = compare_formula_oracle(path_graph(50))
     assert rec.verdict == "capped"
     assert rec.to_json_dict()["oracle_value"] == "capped"
+
+
+def test_deep_junction_tree_needs_no_recursion():
+    # a 3000-vertex spine with a pendant leaf at every spine vertex puts
+    # 3000 junctions in a row; the two 10-edge legs at s0 are the one pair
+    edges = [(f"s{i}", f"s{i + 1}") for i in range(2999)]
+    edges += [(f"s{i}", f"p{i}") for i in range(3000)]
+    for leg in "ab":
+        edges += [("s0", f"{leg}0")]
+        edges += [(f"{leg}{j}", f"{leg}{j + 1}") for j in range(9)]
+    res = hp_tree(graph_from_token_edges(edges))
+    assert res.value == 2
+    assert len(res.per_pair) == 1
+    assert res.endpath == (tuple(f"a{j}" for j in range(9, -1, -1)) + ("s0",)
+                           + tuple(f"b{j}" for j in range(10)))
+
+
+def test_hub_of_degree_20002():
+    res = hp_tree(spider(3, 2, *[1] * 20000))
+    assert res.value == 1
+    assert res.endpath == ("L0_3", "L0_2", "L0_1", "c", "L1_1", "L1_2")
+    assert res.off_path_branch == ("L10000_1", "c")
+
+
+@pytest.mark.slow
+def test_random_tree_with_100000_vertices():
+    t = random_tree(100_000, 1)
+    res = hp_tree(t)
+    assert {v for _, v in res.per_pair} == {res.value}
+    ends = [t.index(res.endpath[0]), t.index(res.endpath[-1])]
+    assert [t.degree(v) for v in ends] == [1, 1]
+    edges = set(t.label_edges())
+    assert all((min(a, b), max(a, b)) in edges
+               for a, b in zip(res.endpath, res.endpath[1:]))
