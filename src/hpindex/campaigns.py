@@ -16,7 +16,7 @@ from typing import Any
 
 from .canon import graph_key
 from .errors import CappedError, ValidationError
-from .formula import ExplorerRecord, compare_formula_oracle
+from .formula import compare_formula_oracle
 from .generators import (
     FREE_TREE_CAP,
     LABELED_GRAPH_CAP,
@@ -83,12 +83,13 @@ class CampaignReport:
         return out
 
 
-def _tally(records: list[ExplorerRecord]) -> tuple[dict[str, int], tuple[dict, ...]]:
-    records.sort(key=lambda r: r.graph_key)
+def _tally(records: list[dict[str, Any]]) -> tuple[dict[str, int], tuple[dict, ...]]:
+    """Verdict counts and the mismatch records, sorted by graph key."""
+    records.sort(key=lambda r: r["graph_key"])
     counts = {v: 0 for v in VERDICTS}
     for rec in records:
-        counts[rec.verdict] += 1
-    witnesses = tuple(r.to_json_dict() for r in records if r.verdict == "mismatch")
+        counts[rec["verdict"]] += 1
+    witnesses = tuple(r for r in records if r["verdict"] == "mismatch")
     return counts, witnesses
 
 
@@ -101,7 +102,8 @@ def verify_trees(max_n: int,
     records = []
     for n in range(1, max_n + 1):
         for i, tree in enumerate(enumerate_free_trees(n)):
-            records.append(compare_formula_oracle(tree, budget, f"T{n}.{i}"))
+            records.append(
+                compare_formula_oracle(tree, budget, f"T{n}.{i}").to_json_dict())
     counts, witnesses = _tally(records)
     return CampaignReport("verify-trees", {"max_n": max_n}, None, len(records),
                           counts, witnesses, time.monotonic() - start)
@@ -145,11 +147,7 @@ def _verify_trail_criterion(name: str, max_n: int, min_edges: int, closed: bool,
             except CappedError:
                 trail_ok = None
             records.append(_trail_record(g, f"n{n}.{i}", trail_ok, line_ok, kind))
-    records.sort(key=lambda r: r["graph_key"])
-    counts = {v: 0 for v in VERDICTS}
-    for rec in records:
-        counts[rec["verdict"]] += 1
-    witnesses = tuple(r for r in records if r["verdict"] == "mismatch")
+    counts, witnesses = _tally(records)
     return CampaignReport(name, {"max_n": max_n}, None, len(records),
                           counts, witnesses, time.monotonic() - start)
 
@@ -176,7 +174,7 @@ def explore_conclusion(params: FamilyParams,
     clean run produces an honest negative report over the family searched.
     """
     start = time.monotonic()
-    records = [compare_formula_oracle(g, budget, tag)
+    records = [compare_formula_oracle(g, budget, tag).to_json_dict()
                for g, tag in gen_hamiltonian_2block_family(params)]
     counts, witnesses = _tally(records)
     parameters = {

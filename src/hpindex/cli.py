@@ -24,15 +24,7 @@ from .campaigns import (
     verify_trees,
     verify_xiongzong,
 )
-from .errors import (
-    BudgetExceededError,
-    CappedError,
-    EdgeListParseError,
-    EdgeStarvationError,
-    PreconditionError,
-    TooLargeError,
-    ValidationError,
-)
+from .errors import CappedError, EdgeListParseError, PreconditionError, ValidationError
 from .formula import hp_blockchain_conjecture, hp_tree
 from .generators import FamilyParams, enumerate_free_trees, random_tree
 from .graphs import Graph
@@ -331,14 +323,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EdgeListParseError, ValidationError, PreconditionError,
-            EdgeStarvationError) as exc:
+    except (EdgeListParseError, ValidationError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CappedError, TooLargeError, BudgetExceededError) as exc:
+    except CappedError as exc:
         print(f"capped: {exc}", file=sys.stderr)
         return 1
 

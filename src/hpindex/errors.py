@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: parse/validation/precondition problems
-exit 2, resource caps exit 1.
+The CLI maps these onto exit codes: EdgeListParseError, ValidationError and
+the PreconditionError family (EdgeStarvationError included) exit 2; the
+CappedError family (TooLargeError and BudgetExceededError included) exits 1.
 """
 
 from __future__ import annotations
@@ -27,11 +28,15 @@ class PreconditionError(HPIndexError):
     """Input outside an operation's stated domain (disconnected, not a tree, ...)."""
 
 
-class TooLargeError(HPIndexError):
+class CappedError(HPIndexError):
+    """An exact search ran out of time or size budget. Never a wrong answer."""
+
+
+class TooLargeError(CappedError):
     """Instance exceeds a hard feasibility cap (canonicalization size, search blowup)."""
 
 
-class BudgetExceededError(HPIndexError):
+class BudgetExceededError(CappedError):
     """An iterated line graph would outgrow the configured budget."""
 
     def __init__(self, stage: int, predicted_vertices: int, predicted_edges: int,
@@ -45,16 +50,12 @@ class BudgetExceededError(HPIndexError):
         self.predicted_edges = predicted_edges
 
 
-class EdgeStarvationError(HPIndexError):
+class EdgeStarvationError(PreconditionError):
     """Iteration asked to take the line graph of an edgeless graph."""
 
     def __init__(self, stage: int):
         super().__init__(f"stage {stage}: graph has no edges left to iterate")
         self.stage = stage
-
-
-class CappedError(HPIndexError):
-    """An exact search ran out of time or size budget. Never a wrong answer."""
 
 
 class EmptyCandidateError(HPIndexError):

@@ -55,12 +55,7 @@ class Graph:
         return self._index[label]
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return (a, b) in self._edge_set()
-
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        # tiny graphs dominate our workloads; recomputing beats caching state
-        return frozenset(self.edges)
+        return v in self.adj[u]
 
     def label_edge(self, e: tuple[int, int]) -> tuple[str, str]:
         """Edge as a sorted token pair."""

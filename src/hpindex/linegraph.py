@@ -90,16 +90,24 @@ def iterate_with_provenance(
     cur = g
     chain: list[dict[str, tuple[str, str]]] = []
     for stage in range(1, n + 1):
-        if cur.m == 0:
-            raise EdgeStarvationError(stage)
-        pv, pe = predict_line_size(cur)
-        if pv > budget.max_vertices or pe > budget.max_edges:
-            raise BudgetExceededError(stage, pv, pe,
-                                      budget.max_vertices, budget.max_edges)
-        result = line_graph(cur)
+        result = iteration_step(cur, stage, budget)
         cur = result.graph
         chain.append(result.provenance)
     return cur, tuple(chain)
+
+
+def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphResult:
+    """Line graph of g as iteration stage `stage`, checked against the budget.
+
+    Raises EdgeStarvationError for an edgeless g and BudgetExceededError when
+    the predicted size is over budget, before anything is built.
+    """
+    if g.m == 0:
+        raise EdgeStarvationError(stage)
+    pv, pe = predict_line_size(g)
+    if pv > budget.max_vertices or pe > budget.max_edges:
+        raise BudgetExceededError(stage, pv, pe, budget.max_vertices, budget.max_edges)
+    return line_graph(g)
 
 
 def original_edge_support(vertex: str, chain: tuple[dict[str, tuple[str, str]], ...],

@@ -1,6 +1,18 @@
 """Exact decision procedures: hamiltonian paths and cycles, dominating trails,
-and the stage loops that compute how many line-graph iterations a graph needs
-before it becomes traceable or hamiltonian.
+and the stage loop that computes how many line-graph iterations a graph needs
+before it becomes traceable (hp_oracle) or hamiltonian (h_oracle).
+
+has_hamiltonian_path and has_hamiltonian_cycle apply their own cheap
+necessary conditions, then share one tiered search; a cycle is searched as a
+path from vertex 0 that must close back to it. The tiers, by vertex count n
+under a SearchBudget:
+
+- n > backtrack_vertex_cap (40): refused with CappedError;
+- n <= _PY_DP_CAP (12): subset table over vertex masks in pure Python;
+- n <= dp_vertex_cap (24): the same table in numpy, preceded from
+  _PREPASS_FLOOR (17) on by a backtracking prepass of prepass_nodes nodes
+  that settles easy instances before the 2^n table is built;
+- above that: pruned backtracking, capped when node_budget runs out.
 
 Every positive answer carries a witness walk and every witness is replayed
 against the graph before being returned; a failed replay raises
@@ -15,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CappedError, InternalCheckError, PreconditionError
+from .errors import (BudgetExceededError, CappedError, InternalCheckError,
+                     PreconditionError)
 from .graphs import Graph, blocks_and_cuts, is_connected, is_path
-from .linegraph import (DEFAULT_ITERATION_BUDGET, IterationBudget, line_graph,
-                        predict_line_size)
+from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
 
 # dominating-trail search keys its states by an edge bitmask
 TRAIL_EDGE_CAP = 20
@@ -261,12 +273,11 @@ def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
 
 
 def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,
-               deadline: float, close_to: int | None = None,
-               ) -> tuple[bool, list[int] | None]:
+               deadline: float, close_to: int | None) -> list[int] | None:
     """Exhaustive DFS for a hamiltonian path (or cycle when close_to is set).
 
-    Returns an exact verdict; raises _Inconclusive when the node budget runs
-    out first and CappedError on the wall-clock deadline.
+    Returns the walk, or None when there is none; raises _Inconclusive when
+    the node budget runs out first and CappedError on the wall-clock deadline.
     """
     full = (1 << n) - 1
     nodes = 0
@@ -304,8 +315,8 @@ def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,
             continue
         walk = [s]
         if dfs(s, visited, walk):
-            return True, walk
-    return False, None
+            return walk
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -334,44 +345,7 @@ def has_hamiltonian_path(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
     if len(blocks_and_cuts(g).end_blocks()) > 2:
         # every leaf block needs its own path endpoint
         return False, None
-    if g.n > budget.backtrack_vertex_cap:
-        raise CappedError(f"{g.n} vertices exceed the search cap "
-                          f"{budget.backtrack_vertex_cap}")
-    deadline = time.monotonic() + budget.time_limit_s
-    adj = _adj_masks(g)
-    full = (1 << g.n) - 1
-    if g.n <= budget.dp_vertex_cap:
-        if g.n >= _PREPASS_FLOOR:
-            try:
-                found, walk = _backtrack(adj, g.n, _path_starts(g),
-                                         budget.prepass_nodes, deadline)
-                return _path_verdict(g, found, walk)
-            except _Inconclusive:
-                pass
-        if g.n <= _PY_DP_CAP:
-            dp = _dp_table_py(adj, full)
-        else:
-            dp = _dp_table_np(adj, full, deadline)
-        ends = int(dp[full])
-        if not ends:
-            return False, None
-        end = (ends & -ends).bit_length() - 1
-        return _path_verdict(g, True, _walk_from_table(dp, adj, full, end))
-    try:
-        found, walk = _backtrack(adj, g.n, _path_starts(g),
-                                 budget.node_budget, deadline)
-    except _Inconclusive:
-        raise CappedError("backtracking node budget exhausted") from None
-    return _path_verdict(g, found, walk)
-
-
-def _path_verdict(g: Graph, found: bool, walk: list[int] | None,
-                  ) -> tuple[bool, tuple[str, ...] | None]:
-    if not found:
-        return False, None
-    toks = tuple(g.labels[v] for v in walk)
-    check_path_witness(g, toks)
-    return True, toks
+    return _hamiltonian(g, budget, cycle=False)
 
 
 def has_hamiltonian_cycle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
@@ -383,44 +357,49 @@ def has_hamiltonian_cycle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET
         return False, None
     if blocks_and_cuts(g).cut_vertices:
         return False, None
+    return _hamiltonian(g, budget, cycle=True)
+
+
+def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
+                 ) -> tuple[bool, tuple[str, ...] | None]:
+    """The tiered search behind both public tests.
+
+    A cycle is searched as a path from vertex 0 that must close back to it.
+    """
     if g.n > budget.backtrack_vertex_cap:
         raise CappedError(f"{g.n} vertices exceed the search cap "
                           f"{budget.backtrack_vertex_cap}")
     deadline = time.monotonic() + budget.time_limit_s
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
-    anchor = 0
-    if g.n <= budget.dp_vertex_cap:
-        if g.n >= _PREPASS_FLOOR:
-            try:
-                found, walk = _backtrack(adj, g.n, [anchor], budget.prepass_nodes,
-                                         deadline, close_to=anchor)
-                return _cycle_verdict(g, found, walk)
-            except _Inconclusive:
-                pass
-        if g.n <= _PY_DP_CAP:
-            dp = _dp_table_py(adj, 1 << anchor)
-        else:
-            dp = _dp_table_np(adj, 1 << anchor, deadline)
-        ends = int(dp[full]) & adj[anchor]
-        if not ends:
-            return False, None
-        end = (ends & -ends).bit_length() - 1
-        return _cycle_verdict(g, True, _walk_from_table(dp, adj, full, end))
-    try:
-        found, walk = _backtrack(adj, g.n, [anchor], budget.node_budget,
-                                 deadline, close_to=anchor)
-    except _Inconclusive:
-        raise CappedError("backtracking node budget exhausted") from None
-    return _cycle_verdict(g, found, walk)
+    table = g.n <= budget.dp_vertex_cap
+    if not table or g.n >= _PREPASS_FLOOR:
+        try:
+            walk = _backtrack(adj, g.n, [0] if cycle else _path_starts(g),
+                              budget.prepass_nodes if table else budget.node_budget,
+                              deadline, 0 if cycle else None)
+            return _verdict(g, walk, cycle)
+        except _Inconclusive:
+            if not table:
+                raise CappedError("backtracking node budget exhausted") from None
+    seed = 1 if cycle else full
+    if g.n <= _PY_DP_CAP:
+        dp = _dp_table_py(adj, seed)
+    else:
+        dp = _dp_table_np(adj, seed, deadline)
+    ends = int(dp[full]) & (adj[0] if cycle else full)
+    if not ends:
+        return False, None
+    end = (ends & -ends).bit_length() - 1
+    return _verdict(g, _walk_from_table(dp, adj, full, end), cycle)
 
 
-def _cycle_verdict(g: Graph, found: bool, walk: list[int] | None,
-                   ) -> tuple[bool, tuple[str, ...] | None]:
-    if not found:
+def _verdict(g: Graph, walk: list[int] | None, cycle: bool,
+             ) -> tuple[bool, tuple[str, ...] | None]:
+    if walk is None:
         return False, None
     toks = tuple(g.labels[v] for v in walk)
-    check_cycle_witness(g, toks)
+    (check_cycle_witness if cycle else check_path_witness)(g, toks)
     return True, toks
 
 
@@ -501,19 +480,6 @@ def has_dominating_closed_trail(g: Graph,
 # ---------------------------------------------------------------------------
 # stage loops
 
-def _iterate_once(cur: Graph, stage: int, budget: SearchBudget,
-                  ) -> tuple[Graph | None, str | None]:
-    """One line-graph step under the iteration budget; (None, reason) if capped."""
-    if cur.m == 0:
-        raise InternalCheckError("stage loop reached an edgeless graph")
-    pv, pe = predict_line_size(cur)
-    ib = budget.iteration
-    if pv > ib.max_vertices or pe > ib.max_edges:
-        return None, (f"stage {stage}: predicted size |V|={pv}, |E|={pe} "
-                      f"exceeds budget ({ib.max_vertices}, {ib.max_edges})")
-    return line_graph(cur).graph, None
-
-
 def hp_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexResult:
     """Iterate the line-graph map until the graph is traceable.
 
@@ -522,37 +488,7 @@ def hp_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexRe
     """
     if not is_connected(g):
         raise PreconditionError("the index is defined for connected graphs")
-    stages: list[StageRecord] = []
-    cur = g
-    n = 0
-    while True:
-        try:
-            ok, walk = has_hamiltonian_path(cur, budget)
-        except CappedError as exc:
-            stages.append(StageRecord(n, cur.n, cur.m, "capped"))
-            return IndexResult(None, tuple(stages), None, str(exc))
-        if n == 1 and 1 <= g.m <= TRAIL_EDGE_CAP:
-            try:
-                dom, _ = has_dominating_trail(g, budget)
-            except CappedError:
-                pass
-            else:
-                if dom != ok:
-                    raise InternalCheckError(
-                        "dominating-trail existence disagrees with "
-                        "first-iterate traceability")
-        stages.append(StageRecord(n, cur.n, cur.m,
-                                  "traceable" if ok else "not-traceable"))
-        if ok:
-            return IndexResult(n, tuple(stages), walk)
-        if n >= budget.stage_cap:
-            return IndexResult(None, tuple(stages), None,
-                               f"stage cap {budget.stage_cap} reached")
-        nxt, reason = _iterate_once(cur, n + 1, budget)
-        if nxt is None:
-            return IndexResult(None, tuple(stages), None, reason)
-        cur = nxt
-        n += 1
+    return _stage_loop(g, budget, cycle=False)
 
 
 def h_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexResult:
@@ -565,34 +501,52 @@ def h_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexRes
         raise PreconditionError("the index is defined for connected graphs")
     if is_path(g):
         raise PreconditionError("path graphs never reach a hamiltonian iterate")
+    return _stage_loop(g, budget, cycle=True)
+
+
+def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
+    """Search L^0(g), L^1(g), ... for a hamiltonian cycle or path.
+
+    The first iterate's verdict is cross-checked against a closed or open
+    dominating-trail search on g: L(g) is hamiltonian exactly when g has a
+    dominating closed trail (Harary-Nash-Williams, g with at least 3 edges)
+    and traceable exactly when g has a dominating trail (Xiong-Zong).
+    """
+    # resolved per call, not at import, so wrappers bound over these module
+    # names see every stage search
+    search = has_hamiltonian_cycle if cycle else has_hamiltonian_path
+    yes = "hamiltonian" if cycle else "traceable"
     stages: list[StageRecord] = []
     cur = g
     n = 0
     while True:
         try:
-            ok, walk = has_hamiltonian_cycle(cur, budget)
+            ok, walk = search(cur, budget)
         except CappedError as exc:
             stages.append(StageRecord(n, cur.n, cur.m, "capped"))
             return IndexResult(None, tuple(stages), None, str(exc))
-        if n == 1 and 3 <= g.m <= TRAIL_EDGE_CAP:
+        if n == 1 and (3 if cycle else 1) <= g.m <= TRAIL_EDGE_CAP:
             try:
-                dom, _ = has_dominating_trail(g, budget, closed=True)
+                dom, _ = has_dominating_trail(g, budget, closed=cycle)
             except CappedError:
                 pass
             else:
                 if dom != ok:
                     raise InternalCheckError(
                         "closed-dominating-trail existence disagrees with "
-                        "first-iterate hamiltonicity")
-        stages.append(StageRecord(n, cur.n, cur.m,
-                                  "hamiltonian" if ok else "not-hamiltonian"))
+                        "first-iterate hamiltonicity" if cycle else
+                        "dominating-trail existence disagrees with "
+                        "first-iterate traceability")
+        stages.append(StageRecord(n, cur.n, cur.m, yes if ok else "not-" + yes))
         if ok:
             return IndexResult(n, tuple(stages), walk)
         if n >= budget.stage_cap:
             return IndexResult(None, tuple(stages), None,
                                f"stage cap {budget.stage_cap} reached")
-        nxt, reason = _iterate_once(cur, n + 1, budget)
-        if nxt is None:
-            return IndexResult(None, tuple(stages), None, reason)
-        cur = nxt
+        if cur.m == 0:
+            raise InternalCheckError("stage loop reached an edgeless graph")
+        try:
+            cur = iteration_step(cur, n + 1, budget.iteration).graph
+        except BudgetExceededError as exc:
+            return IndexResult(None, tuple(stages), None, str(exc))
         n += 1

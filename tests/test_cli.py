@@ -12,6 +12,11 @@ import pytest
 
 import hpindex
 from hpindex import (
+    BudgetExceededError,
+    CappedError,
+    EdgeStarvationError,
+    PreconditionError,
+    TooLargeError,
     canonical_key,
     complete_graph,
     cycle_graph,
@@ -440,3 +445,10 @@ def test_enum_trees_bad_n_exits_2(capsys):
     capsys.readouterr()
     assert main(["enum", "trees", "-n", "15"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_capped_error_family():
+    # main() maps each family to one exit code: CappedError 1, PreconditionError 2
+    assert issubclass(TooLargeError, CappedError)
+    assert issubclass(BudgetExceededError, CappedError)
+    assert issubclass(EdgeStarvationError, PreconditionError)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hpindex import (
     CappedError,
     InternalCheckError,
+    IterationBudget,
     PreconditionError,
     SearchBudget,
     complete_graph,
@@ -87,16 +88,35 @@ def test_backtracking_solver_used_above_dp_cap():
     check_cycle_witness(g, walk)
 
 
-@pytest.mark.parametrize("seed", range(400))
-def test_dp_and_backtracking_agree(seed):
+# the path cases keep bare seed ids so their test ids stay stable
+@pytest.mark.parametrize(
+    "search, seed",
+    [pytest.param(has_hamiltonian_path, s, id=str(s)) for s in range(400)]
+    + [pytest.param(has_hamiltonian_cycle, s, id=f"cycle-{s}") for s in range(400)])
+def test_dp_and_backtracking_agree(search, seed):
     n = 2 + seed % 17
     g = random_connected_graph(n, seed % 4, seed)
-    dp_ok, _ = has_hamiltonian_path(g)
+    dp_ok, _ = search(g)
     try:
-        bt_ok, _ = has_hamiltonian_path(g, SearchBudget(dp_vertex_cap=1))
+        bt_ok, _ = search(g, SearchBudget(dp_vertex_cap=1))
     except CappedError:
         return
     assert dp_ok == bt_ok
+
+
+@pytest.mark.parametrize("search", [has_hamiltonian_path, has_hamiltonian_cycle])
+def test_prepass_table_and_backtracking_agree_in_prepass_band(search):
+    # at 17-18 vertices the default budget runs the backtracking prepass first;
+    # prepass_nodes=1 leaves the answer to the subset table, dp_vertex_cap=1
+    # to backtracking alone. Sparse graphs of this order fail the cheap
+    # filters, so these carry 12-30 edges beyond a spanning tree.
+    for n in (17, 18):
+        for extra in (12, 20, 30):
+            for seed in range(4):
+                g = random_connected_graph(n, extra, seed)
+                ok, _ = search(g)
+                assert search(g, SearchBudget(prepass_nodes=1))[0] == ok
+                assert search(g, SearchBudget(dp_vertex_cap=1))[0] == ok
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -225,3 +245,45 @@ def test_index_result_json_shape():
     d = hp_oracle(star_graph(3)).to_json_dict()
     assert set(d) == {"value", "stages", "witness"}
     assert d["stages"][0] == {"n": 0, "V": 4, "E": 3, "verdict": "not-traceable"}
+
+
+def _capped(reason, *stages):
+    return {"value": "capped", "capped_reason": reason,
+            "stages": [{"n": n, "V": v, "E": e, "verdict": verdict}
+                       for n, v, e, verdict in stages]}
+
+
+_SPIDER_222 = ((0, 7, 6), (1, 6, 6))
+_SPIDER_333 = ((0, 10, 9), (1, 9, 9), (2, 9, 12))
+
+
+@pytest.mark.parametrize("oracle, g, budget, expected", [
+    (h_oracle, spider(2, 2, 2), SearchBudget(stage_cap=1), _capped(
+        "stage cap 1 reached",
+        *[s + ("not-hamiltonian",) for s in _SPIDER_222])),
+    (hp_oracle, spider(2, 2, 2), SearchBudget(stage_cap=1), _capped(
+        "stage cap 1 reached",
+        *[s + ("not-traceable",) for s in _SPIDER_222])),
+    (h_oracle, spider(2, 2, 2),
+     SearchBudget(iteration=IterationBudget(max_vertices=6, max_edges=8)), _capped(
+        "stage 2: predicted size |V|=6, |E|=9 exceeds budget (6, 8)",
+        *[s + ("not-hamiltonian",) for s in _SPIDER_222])),
+    (hp_oracle, spider(2, 2, 2),
+     SearchBudget(iteration=IterationBudget(max_vertices=5, max_edges=100)), _capped(
+        "stage 1: predicted size |V|=6, |E|=6 exceeds budget (5, 100)",
+        (0, 7, 6, "not-traceable"))),
+    (hp_oracle, spider(3, 3, 3), SearchBudget(dp_vertex_cap=1, node_budget=1), _capped(
+        "backtracking node budget exhausted",
+        *[s + ("not-traceable",) for s in _SPIDER_333], (3, 12, 27, "capped"))),
+    (h_oracle, spider(3, 3, 3), SearchBudget(dp_vertex_cap=1, node_budget=1), _capped(
+        "backtracking node budget exhausted",
+        *[s + ("not-hamiltonian",) for s in _SPIDER_333], (3, 12, 27, "capped"))),
+    (h_oracle, cycle_graph(41), SearchBudget(), _capped(
+        "41 vertices exceed the search cap 40", (0, 41, 41, "capped"))),
+    (hp_oracle, cycle_graph(41), SearchBudget(), _capped(
+        "41 vertices exceed the search cap 40", (0, 41, 41, "capped"))),
+], ids=["h-stage", "hp-stage", "h-iteration", "hp-iteration", "hp-nodes", "h-nodes",
+        "h-vertices", "hp-vertices"])
+def test_capped_results_are_pinned(oracle, g, budget, expected):
+    # capped_reason is printed by `hp oracle --json` and parsed by callers
+    assert oracle(g, budget).to_json_dict() == expected
