@@ -9,9 +9,11 @@ under a SearchBudget:
 
 - n > backtrack_vertex_cap (40): refused with CappedError;
 - n <= _PY_DP_CAP (12): subset table over vertex masks in pure Python;
-- n <= dp_vertex_cap (24): the same table in numpy, preceded from
-  _PREPASS_FLOOR (17) on by a backtracking prepass of prepass_nodes nodes
-  that settles easy instances before the 2^n table is built;
+- n <= dp_vertex_cap (24): the same table in numpy, built by one vectorized
+  pass per popcount layer and target vertex; it holds a 2^n uint32 table
+  and 2^n uint8 popcounts, and at 24 vertices the process peaks near
+  165 MB. From _PREPASS_FLOOR (17) on, a backtracking prepass of
+  prepass_nodes nodes first settles easy instances without the table;
 - above that: pruned backtracking, capped when node_budget runs out.
 
 Every positive answer carries a witness walk and every witness is replayed
@@ -179,43 +181,31 @@ def _dp_table_py(adj: list[int], starts: int) -> list[int]:
     return dp
 
 
-def _popcount32(a: np.ndarray) -> np.ndarray:
-    a = a - ((a >> 1) & np.uint32(0x55555555))
-    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
-    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
-    return (a * np.uint32(0x01010101)) >> 24
-
-
 def _dp_table_np(adj: list[int], starts: int, deadline: float) -> np.ndarray:
+    # the push rule of _dp_table_py read from the target side: w ends a path
+    # over mask | w when w is outside mask and adjacent to an end of mask
     n = len(adj)
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    pop = _popcount32(masks).astype(np.uint8)
-    dp = np.zeros(size, dtype=np.uint32)
+    pop = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        pop = np.concatenate((pop, pop + 1))
+    dp = np.zeros(1 << n, dtype=np.uint32)
     for v in range(n):
         if starts >> v & 1:
             dp[1 << v] = np.uint32(1 << v)
     for k in range(1, n):
         if time.monotonic() > deadline:
             raise CappedError("time limit hit during subset dynamic programming")
-        layer = masks[pop == k]
-        vals = dp[layer]
-        if not vals.any():
-            continue
-        for v in range(n):
-            bit_v = np.uint32(1 << v)
-            src = layer[(vals & bit_v) != 0]
-            if src.size == 0:
-                continue
-            nb = adj[v]
-            while nb:
-                wbit = nb & -nb
-                nb ^= wbit
-                bit_w = np.uint32(wbit)
-                ext = src[(src & bit_w) == 0]
-                if ext.size:
-                    # distinct sources stay distinct targets, so fancy |= is safe
-                    dp[ext | bit_w] |= bit_w
+        src = np.flatnonzero(pop == k)
+        ends = dp[src]
+        live = ends != 0
+        src, ends = src[live], ends[live]
+        if not src.size:
+            break
+        for w in range(n):
+            bit = 1 << w
+            ext = src[((src & bit) == 0) & ((ends & adj[w]) != 0)]
+            # distinct sources stay distinct targets, so fancy |= is safe
+            dp[ext | bit] |= bit
     return dp
 
 

@@ -1,5 +1,10 @@
 """Campaign reports: tallies, determinism, and witness re-verification."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hpindex import (
@@ -148,3 +153,18 @@ def test_explore_parameter_echo():
         "random_bases": 0,
     }
     assert body["seed"] == 11
+
+
+def test_run_verifications_script():
+    # the script is the one-shot regression check; it runs from a checkout
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verifications.py"),
+         "--trees-max-n", "8", "--graphs-max-n", "4"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "verify-trees", "verify-xiongzong", "verify-hnw"]
+    assert all(", mismatch 0," in line for line in lines)
