@@ -55,7 +55,11 @@ def branches(g: Graph) -> tuple[Branch, ...]:
         raise PreconditionError("branch decomposition needs at least one edge")
     if not is_connected(g):
         raise PreconditionError("branch decomposition needs a connected graph")
-    bridges = blocks_and_cuts(g).bridges
+    return _branches(g, blocks_and_cuts(g).bridges)
+
+
+def _branches(g: Graph, bridges: frozenset[tuple[int, int]]) -> tuple[Branch, ...]:
+    """branches(g) for a connected g whose bridges are already known."""
     junctions = sorted((v for v in range(g.n) if g.degree(v) != 2),
                        key=lambda v: g.labels[v])
     claimed: set[tuple[int, int]] = set()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .canon import graph_key
@@ -83,14 +84,19 @@ class CampaignReport:
         return out
 
 
-def _tally(records: list[dict[str, Any]]) -> tuple[dict[str, int], tuple[dict, ...]]:
-    """Verdict counts and the mismatch records, sorted by graph key."""
-    records.sort(key=lambda r: r["graph_key"])
+def _tally(records) -> tuple[dict[str, int], tuple[dict, ...]]:
+    """Verdict counts and the mismatch records as JSON, sorted by graph key.
+
+    Records are objects with `verdict`, `graph_key` and `to_json_dict()`;
+    only the mismatches are keyed, and the sort is stable, so ties keep
+    their run order.
+    """
     counts = {v: 0 for v in VERDICTS}
     for rec in records:
-        counts[rec["verdict"]] += 1
-    witnesses = tuple(r for r in records if r["verdict"] == "mismatch")
-    return counts, witnesses
+        counts[rec.verdict] += 1
+    mismatches = sorted((r for r in records if r.verdict == "mismatch"),
+                        key=lambda r: r.graph_key)
+    return counts, tuple(r.to_json_dict() for r in mismatches)
 
 
 def verify_trees(max_n: int,
@@ -102,27 +108,42 @@ def verify_trees(max_n: int,
     records = []
     for n in range(1, max_n + 1):
         for i, tree in enumerate(enumerate_free_trees(n)):
-            records.append(
-                compare_formula_oracle(tree, budget, f"T{n}.{i}").to_json_dict())
+            records.append(compare_formula_oracle(tree, budget, f"T{n}.{i}"))
     counts, witnesses = _tally(records)
     return CampaignReport("verify-trees", {"max_n": max_n}, None, len(records),
                           counts, witnesses, time.monotonic() - start)
 
 
-def _trail_record(g: Graph, tag: str, trail_ok: bool | None,
-                  line_ok: bool, kind: str) -> dict[str, Any]:
-    record = {
-        "graph_key": graph_key(g),
-        "graph_edges": [list(e) for e in g.label_edges()],
-        "family_tag": tag,
-        kind: "capped" if trail_ok is None else trail_ok,
-        "line_graph_ok": line_ok,
-    }
-    if trail_ok is None:
-        record["verdict"] = "capped"
-    else:
-        record["verdict"] = "agree" if trail_ok == line_ok else "mismatch"
-    return record
+@dataclass(frozen=True)
+class _TrailRecord:
+    """One dominating-trail versus line-graph comparison; `trail_ok` is
+    None when the trail search was capped."""
+
+    graph: Graph
+    family_tag: str
+    kind: str
+    trail_ok: bool | None
+    line_ok: bool
+
+    @property
+    def verdict(self) -> str:
+        if self.trail_ok is None:
+            return "capped"
+        return "agree" if self.trail_ok == self.line_ok else "mismatch"
+
+    @cached_property
+    def graph_key(self) -> str:
+        return graph_key(self.graph)
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "graph_key": self.graph_key,
+            "graph_edges": [list(e) for e in self.graph.label_edges()],
+            "family_tag": self.family_tag,
+            self.kind: "capped" if self.trail_ok is None else self.trail_ok,
+            "line_graph_ok": self.line_ok,
+            "verdict": self.verdict,
+        }
 
 
 def _verify_trail_criterion(name: str, max_n: int, min_edges: int, closed: bool,
@@ -132,7 +153,7 @@ def _verify_trail_criterion(name: str, max_n: int, min_edges: int, closed: bool,
             f"{name} supports max_n in 2..{LABELED_GRAPH_CAP}")
     start = time.monotonic()
     kind = "dominating_closed_trail" if closed else "dominating_trail"
-    records: list[dict[str, Any]] = []
+    records = []
     for n in range(2, max_n + 1):
         for i, g in enumerate(enumerate_connected_graphs(n)):
             if g.m < min_edges:
@@ -146,7 +167,7 @@ def _verify_trail_criterion(name: str, max_n: int, min_edges: int, closed: bool,
                 trail_ok, _ = has_dominating_trail(g, budget, closed=closed)
             except CappedError:
                 trail_ok = None
-            records.append(_trail_record(g, f"n{n}.{i}", trail_ok, line_ok, kind))
+            records.append(_TrailRecord(g, f"n{n}.{i}", kind, trail_ok, line_ok))
     counts, witnesses = _tally(records)
     return CampaignReport(name, {"max_n": max_n}, None, len(records),
                           counts, witnesses, time.monotonic() - start)
@@ -174,7 +195,7 @@ def explore_conclusion(params: FamilyParams,
     clean run produces an honest negative report over the family searched.
     """
     start = time.monotonic()
-    records = [compare_formula_oracle(g, budget, tag).to_json_dict()
+    records = [compare_formula_oracle(g, budget, tag)
                for g, tag in gen_hamiltonian_2block_family(params)]
     counts, witnesses = _tally(records)
     parameters = {

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
-from .branches import Branch, absorption_time, branches
+from .branches import Branch, _branches, absorption_time, branches
 from .canon import graph_key
 from .errors import CappedError, EmptyCandidateError, PreconditionError
 from .graphs import Graph, blocks_and_cuts, is_connected, is_path, is_tree
@@ -304,7 +305,11 @@ def bridge_reduction(g: Graph) -> Graph:
     """
     if not is_connected(g):
         raise PreconditionError("bridge reduction needs a connected graph")
-    bridges = blocks_and_cuts(g).bridges
+    return _bridge_reduction(g, blocks_and_cuts(g).bridges)
+
+
+def _bridge_reduction(g: Graph, bridges: frozenset[tuple[int, int]]) -> Graph:
+    """bridge_reduction(g) for a connected g whose bridges are already known."""
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -378,12 +383,12 @@ def hp_blockchain_conjecture(g: Graph,
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "
                 "cycle block")
-    r = bridge_reduction(g)
+    r = _bridge_reduction(g, dec.bridges)
     if is_path(r):
         return FormulaResult(0, None, None, (), True)
     to_r = _label_map(r)
     items = []
-    for b in branches(g):
+    for b in _branches(g, dec.bridges):
         if not b.is_bridge_branch:
             continue
         walk = tuple(to_r[t] for t in b.vertices)
@@ -396,16 +401,34 @@ def hp_blockchain_conjecture(g: Graph,
 
 @dataclass(frozen=True)
 class ExplorerRecord:
-    """One formula-versus-oracle comparison, ready for a campaign report."""
+    """One formula-versus-oracle comparison, ready for a campaign report.
 
-    graph_key: str
-    graph_edges: tuple[tuple[str, str], ...]
+    The graph is kept as its vertex labels and index edges, the Graph's own
+    tuples, since campaigns hold every record until they tally. `graph_key`
+    is computed on first access, so a campaign keys only the records it
+    reports.
+    """
+
+    labels: tuple[str, ...]
+    edges: tuple[tuple[int, int], ...]
     family_tag: str
     formula_value: int | None
     oracle_value: int | None
     verdict: str
     formula: FormulaResult | None
     oracle: IndexResult
+
+    @property
+    def graph(self) -> Graph:
+        return Graph(self.labels, self.edges)
+
+    @cached_property
+    def graph_key(self) -> str:
+        return graph_key(self.graph)
+
+    @property
+    def graph_edges(self) -> tuple[tuple[str, str], ...]:
+        return self.graph.label_edges()
 
     def to_json_dict(self) -> dict:
         return {
@@ -438,5 +461,5 @@ def compare_formula_oracle(g: Graph,
         verdict = "capped"
     else:
         verdict = "agree" if formula_value == oracle.value else "mismatch"
-    return ExplorerRecord(graph_key(g), g.label_edges(), family_tag,
-                          formula_value, oracle.value, verdict, formula, oracle)
+    return ExplorerRecord(g.labels, g.edges, family_tag, formula_value,
+                          oracle.value, verdict, formula, oracle)

@@ -6,6 +6,8 @@ successor), filtered so each isomorphism class is emitted exactly once:
 a sequence survives iff it equals the lexicographically largest canonical
 sequence of its own tree rooted at a centroid. The classical counting
 recurrences are provided alongside as an independent check on the stream.
+The glued-cycle family dedupes by the same code, taken on the base tree
+with each vertex coloured by the cycle glued there.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .canon import graph_key
 from .errors import PreconditionError, ValidationError
 from .graphs import Graph, graph_from_token_edges, is_connected
 from .rng import SplitMix64
@@ -60,15 +61,20 @@ def _tree_from_levels(s: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _rooted_sequence(adj: list[list[int]], root: int) -> tuple[int, ...]:
-    """Canonical level sequence of the tree rooted at `root`."""
+def _rooted_sequence(adj: Sequence[Sequence[int]], root: int,
+                     colour: list[int] | None = None) -> tuple[int, ...]:
+    """Canonical level sequence of the tree rooted at `root`.
+
+    With `colour`, each vertex's depth is followed by its colour, so the
+    sequence is a canonical code of the vertex-coloured rooted tree.
+    """
 
     def sub(v: int, parent: int, depth: int) -> tuple[int, ...]:
         kids = sorted(
             (sub(w, v, depth + 1) for w in adj[v] if w != parent),
             reverse=True,
         )
-        out = [depth]
+        out = [depth] if colour is None else [depth, colour[v]]
         for k in kids:
             out.extend(k)
         return tuple(out)
@@ -76,7 +82,14 @@ def _rooted_sequence(adj: list[list[int]], root: int) -> tuple[int, ...]:
     return sub(root, -1, 1)
 
 
-def _centroids(adj: list[list[int]], n: int) -> list[int]:
+def _tree_code(adj: Sequence[Sequence[int]], n: int,
+               colour: list[int] | None = None) -> tuple[int, ...]:
+    """Isomorphism code of a free (optionally vertex-coloured) tree: the
+    largest canonical sequence over its centroids as roots."""
+    return max(_rooted_sequence(adj, c, colour) for c in _centroids(adj, n))
+
+
+def _centroids(adj: Sequence[Sequence[int]], n: int) -> list[int]:
     if n == 1:
         return [0]
     parent = [-1] * n
@@ -129,8 +142,7 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         for a, b in edges:
             adj[a].append(b)
             adj[b].append(a)
-        canon = max(_rooted_sequence(adj, c) for c in _centroids(adj, n))
-        if tuple(s) == canon:
+        if tuple(s) == _tree_code(adj, n):
             yield Graph(labels, edges)
 
 
@@ -298,11 +310,21 @@ def gen_hamiltonian_2block_family(
 
     Every glued cycle forms a 2-connected block with an obvious spanning
     cycle, so each graph meets the conjectural formula's hypothesis.
-    Isomorphic duplicates are dropped by canonical key. Tags record the
-    construction: base tree order and index, then one "+C{k}@{v}" per cycle.
+    Tags record the construction: base tree order and index, then one
+    "+C{k}@{v}" per cycle.
+
+    Isomorphic duplicates are dropped before any graph is built, by the code
+    of the base tree with each vertex coloured by the size of the cycle glued
+    there (0 if none). That code is a complete invariant of the glued graph.
+    For a base of order >= 2 the graph's bridges are exactly the tree's
+    edges, and each cycle is a block meeting the tree only at its site, one
+    cycle per site at most; so an isomorphism of glued graphs restricts to a
+    colour-preserving isomorphism of base trees, and any such tree
+    isomorphism extends to the graphs. An order-1 base gives K1 or C_k,
+    which have no bridges, so no other order produces them.
     """
     sizes = tuple(sorted(set(params.cycle_sizes)))
-    seen: set[str] = set()
+    seen: set[tuple[int, ...]] = set()
     for order in range(1, params.max_vertices + 1):
         for ti, tree in enumerate(_base_trees(params, order)):
             base_tag = f"T{order}.{ti}"
@@ -322,10 +344,12 @@ def gen_hamiltonian_2block_family(
             for assignment in attachments(0, 0):
                 if not assignment and not params.include_bases:
                     continue
-                g = _glued(tree, assignment)
-                key = graph_key(g)
+                colour = [0] * tree.n
+                for site, k in assignment:
+                    colour[tree.index(site)] = k
+                key = _tree_code(tree.adj, tree.n, colour)
                 if key in seen:
                     continue
                 seen.add(key)
                 tag = base_tag + "".join(f"+C{k}@{v}" for v, k in assignment)
-                yield g, tag
+                yield _glued(tree, assignment), tag

@@ -454,7 +454,13 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
             return False
 
         walk = [start]
-        if dfs(start, 0, incident[start], walk):
+        try:
+            found = dfs(start, 0, incident[start], walk)
+        finally:
+            # dfs reaches itself through a closure cell, a reference cycle
+            # that would keep `failed` alive until a full collection
+            del dfs
+        if found:
             toks = tuple(g.labels[v] for v in walk)
             check_trail_witness(g, toks, closed)
             return True, toks

@@ -1,5 +1,6 @@
 """Campaign reports: tallies, determinism, and witness re-verification."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,10 +16,12 @@ from hpindex import (
     compare_formula_oracle,
     explore_conclusion,
     graph_from_token_edges,
+    graph_key,
     verify_hnw,
     verify_trees,
     verify_xiongzong,
 )
+from hpindex import formula
 from hpindex.version import __version__
 
 BODY_KEYS = {"campaign", "version", "parameters", "seed", "instances",
@@ -168,3 +171,45 @@ def test_run_verifications_script():
     assert [line.split(":")[0] for line in lines] == [
         "verify-trees", "verify-xiongzong", "verify-hnw"]
     assert all(", mismatch 0," in line for line in lines)
+
+
+def test_explore_keys_only_its_witnesses(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return graph_key(g)
+
+    monkeypatch.setattr(formula, "graph_key", counting)
+    report = explore_conclusion(FamilyParams(max_vertices=6, cycle_sizes=(3,)))
+    assert report.counts["mismatch"] >= 1
+    assert len(calls) == report.counts["mismatch"]
+
+
+def _digest(report: CampaignReport) -> str:
+    return hashlib.sha256(report.body_bytes()).hexdigest()
+
+
+# SHA-256 of report bodies; a change here changes what a campaign reports
+@pytest.mark.parametrize("campaign, digest", [
+    (lambda: verify_trees(11),
+     "4bf50a8e0480954eb1f38e4a3c1f91062031d3c95e5b2bd459a6466f2e2c95dc"),
+    (lambda: verify_xiongzong(5),
+     "226609306e3a92d23423391badc23ada569885e4f961670860f68e731fdedf2a"),
+    (lambda: verify_hnw(5),
+     "c669846ce693a01a857e8ddcc769edb4597191095bd0bd4ad0cb49e76ed2fcc7"),
+    (lambda: explore_conclusion(FamilyParams(
+        max_vertices=12, base_tree_source="random", random_bases=12, seed=0)),
+     "60391f01f3d641c81509707c90f0db015c61838426df64260d993573a427f044"),
+], ids=["verify-trees-11", "verify-xiongzong-5", "verify-hnw-5",
+        "explore-random-12"])
+def test_report_body_digest_is_pinned(campaign, digest):
+    assert _digest(campaign()) == digest
+
+
+@pytest.mark.slow
+def test_explore_enumerated_body_digest_is_pinned():
+    report = explore_conclusion(FamilyParams(max_vertices=12,
+                                             cycle_sizes=(3, 4, 5), seed=0))
+    assert _digest(report) == (
+        "41380903d41752493f9a2b74ab8173004fecda084d1349ce8e182e01c2ffca5b")

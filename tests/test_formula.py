@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 
 from hpindex import (
     CappedError,
     PreconditionError,
     SearchBudget,
+    blocks_and_cuts,
     bridge_reduction,
     compare_formula_oracle,
     cycle_graph,
@@ -164,6 +167,23 @@ def test_conjecture_spider_with_triangle_at_leaf():
     res = hp_blockchain_conjecture(g)
     assert res.value == 2
     assert res.conjectural
+
+
+def test_conjecture_decomposes_the_graph_once(monkeypatch):
+    g = graph_from_token_edges(
+        list(spider(2, 2, 2).label_edges())
+        + [("L0_2", "q1"), ("q1", "q2"), ("q2", "L0_2")])
+    seen = []
+
+    def counting(h):
+        seen.append(h)
+        return blocks_and_cuts(h)
+
+    # the package re-exports functions named like these modules
+    for module in ("hpindex.formula", "hpindex.branches"):
+        monkeypatch.setattr(sys.modules[module], "blocks_and_cuts", counting)
+    assert hp_blockchain_conjecture(g).value == 2
+    assert seen == [g]
 
 
 def test_conjecture_requires_hamiltonian_two_blocks():

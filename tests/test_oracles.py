@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,21 @@ def test_dominating_closed_trail_examples():
     check_trail_witness(cycle_graph(5), walk, closed=True)
 
     assert has_dominating_closed_trail(path_graph(4)) == (False, None)
+
+
+def test_dominating_trail_search_frees_its_memo():
+    # the memo of failed states must be freed when the call returns, not
+    # left in a reference cycle for the collector
+    g = random_connected_graph(10, 8, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        for closed in (False, True):
+            ok, _ = has_dominating_trail(g, closed=closed)
+            assert ok
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dominating_trail_edge_cap():
