@@ -6,8 +6,7 @@ iterated-search oracle for general graphs, dominating-trail checks, and the
 enumeration/verification harness that compares them at scale.
 """
 
-from .branches import Branch, Endpath, absorption_time, branches, candidate_endpaths
-from .branches import endpaths, is_caterpillar, maximal_pairs
+from .branches import Branch, absorption_time, branches, is_caterpillar
 from .campaigns import (
     CampaignReport,
     explore_conclusion,
@@ -96,7 +95,6 @@ __all__ = [
     "EdgeListParseError",
     "EdgeStarvationError",
     "EmptyCandidateError",
-    "Endpath",
     "ExplorerRecord",
     "FamilyParams",
     "FormulaResult",
@@ -116,13 +114,11 @@ __all__ = [
     "blocks_and_cuts",
     "branches",
     "bridge_reduction",
-    "candidate_endpaths",
     "canonical_key",
     "compare_formula_oracle",
     "complete_graph",
     "cycle_graph",
     "double_spider",
-    "endpaths",
     "enumerate_connected_graphs",
     "enumerate_free_trees",
     "explore_conclusion",
@@ -146,7 +142,6 @@ __all__ = [
     "iterate",
     "iterate_with_provenance",
     "line_graph",
-    "maximal_pairs",
     "original_edge_support",
     "path_graph",
     "predict_line_size",

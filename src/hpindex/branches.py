@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyCandidateError, PreconditionError
-from .graphs import Graph, blocks_and_cuts, is_connected, is_path, is_tree
-from .io import to_edge_list
+from .errors import PreconditionError
+from .graphs import Graph, is_connected, is_path, is_tree
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,8 @@ def branches(g: Graph) -> tuple[Branch, ...]:
         raise PreconditionError("branch decomposition needs at least one edge")
     if not is_connected(g):
         raise PreconditionError("branch decomposition needs a connected graph")
-    return _branches(g, blocks_and_cuts(g).bridges)
-
-
-def _branches(g: Graph, bridges: frozenset[tuple[int, int]]) -> tuple[Branch, ...]:
-    """branches(g) for a connected g whose bridges are already known."""
+    # every edge of a tree is a bridge
+    bridges = frozenset(g.edges) if g.m == g.n - 1 else g.blocks.bridges
     junctions = sorted((v for v in range(g.n) if g.degree(v) != 2),
                        key=lambda v: g.labels[v])
     claimed: set[tuple[int, int]] = set()
@@ -138,8 +134,10 @@ def endpaths(t: Graph) -> tuple[Endpath, ...]:
     """All leaf-to-leaf paths of a non-path tree, in leaf-pair order.
 
     Each path is walked from its lexicographically smaller leaf. Path graphs
-    are rejected: their single trivial endpath never carries a branch pair,
-    and every caller handles paths before getting here.
+    are rejected: their single trivial endpath never carries a branch pair.
+    The package itself no longer lists endpaths (see formula._evaluate); the
+    tests' reference evaluator does, and the benchmark tracer wraps this
+    function by name, so it stays here.
     """
     if not is_tree(t):
         raise PreconditionError("endpaths are defined for trees")
@@ -162,56 +160,4 @@ def endpaths(t: Graph) -> tuple[Endpath, ...]:
                                 for a, b in zip(toks, toks[1:]))
             inside = frozenset(b for b, es in branch_edges if es <= on_path)
             out.append(Endpath((toks[0], toks[-1]), toks, inside))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CandidateEndpath:
-    """An endpath witnessing a maximum-weight branch pair."""
-
-    endpath: Endpath
-    covered_pairs: tuple[frozenset[Branch], ...]
-
-
-def _pair_key(pair: frozenset[Branch]) -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(b.vertices for b in pair))
-
-
-def _maximal_pairs(eps: tuple[Endpath, ...]) -> tuple[frozenset[Branch], ...]:
-    best = -1
-    pairs: set[frozenset[Branch]] = set()
-    for ep in eps:
-        inside = sorted(ep.contained, key=lambda b: b.vertices)
-        for i, b1 in enumerate(inside):
-            for b2 in inside[i + 1:]:
-                s = absorption_time(b1) + absorption_time(b2)
-                if s > best:
-                    best = s
-                    pairs = {frozenset((b1, b2))}
-                elif s == best:
-                    pairs.add(frozenset((b1, b2)))
-    return tuple(sorted(pairs, key=_pair_key))
-
-
-def maximal_pairs(t: Graph) -> tuple[frozenset[Branch], ...]:
-    """Branch pairs sharing an endpath whose joint absorption time is maximal."""
-    return _maximal_pairs(endpaths(t))
-
-
-def candidate_endpaths(t: Graph) -> tuple[CandidateEndpath, ...]:
-    """Endpaths containing at least one maximal branch pair.
-
-    Every non-path tree has one: each of its endpaths crosses an interior
-    junction and so carries at least two branches.
-    """
-    eps = endpaths(t)
-    pairs = _maximal_pairs(eps)
-    out = []
-    for ep in eps:
-        covered = tuple(sorted((p for p in pairs if p <= ep.contained),
-                               key=_pair_key))
-        if covered:
-            out.append(CandidateEndpath(ep, covered))
-    if not out:
-        raise EmptyCandidateError(to_edge_list(t))
     return tuple(out)

@@ -30,10 +30,10 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .branches import Branch, _branches, absorption_time, branches
+from .branches import Branch, absorption_time, branches
 from .canon import graph_key
 from .errors import CappedError, EmptyCandidateError, PreconditionError
-from .graphs import Graph, blocks_and_cuts, is_connected, is_path, is_tree
+from .graphs import Graph, block_graph, is_connected, is_path, is_tree
 from .io import to_edge_list
 from .oracles import (DEFAULT_SEARCH_BUDGET, IndexResult, SearchBudget,
                       has_hamiltonian_cycle, hp_oracle)
@@ -305,11 +305,7 @@ def bridge_reduction(g: Graph) -> Graph:
     """
     if not is_connected(g):
         raise PreconditionError("bridge reduction needs a connected graph")
-    return _bridge_reduction(g, blocks_and_cuts(g).bridges)
-
-
-def _bridge_reduction(g: Graph, bridges: frozenset[tuple[int, int]]) -> Graph:
-    """bridge_reduction(g) for a connected g whose bridges are already known."""
+    bridges = g.blocks.bridges
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -352,14 +348,6 @@ def _label_map(r: Graph) -> dict[str, str]:
     return out
 
 
-def _subgraph_from_edges(g: Graph, edge_pairs) -> Graph:
-    verts = sorted({v for e in edge_pairs for v in e},
-                   key=lambda v: g.labels[v])
-    pos = {v: i for i, v in enumerate(verts)}
-    return Graph(tuple(g.labels[v] for v in verts),
-                 [(pos[a], pos[b]) for a, b in edge_pairs])
-
-
 def hp_blockchain_conjecture(g: Graph,
                              budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
                              ) -> FormulaResult:
@@ -375,20 +363,18 @@ def hp_blockchain_conjecture(g: Graph,
         raise PreconditionError("the conjectural formula needs a connected graph")
     if is_tree(g):
         return hp_tree(g)
-    dec = blocks_and_cuts(g)
-    for bi in dec.two_blocks():
-        ok, _ = has_hamiltonian_cycle(_subgraph_from_edges(g, dec.blocks[bi]),
-                                      budget)
+    for bi in g.blocks.two_blocks():
+        ok, _ = has_hamiltonian_cycle(block_graph(g, bi), budget)
         if not ok:
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "
                 "cycle block")
-    r = _bridge_reduction(g, dec.bridges)
+    r = bridge_reduction(g)
     if is_path(r):
         return FormulaResult(0, None, None, (), True)
     to_r = _label_map(r)
     items = []
-    for b in _branches(g, dec.bridges):
+    for b in branches(g):
         if not b.is_bridge_branch:
             continue
         walk = tuple(to_r[t] for t in b.vertices)

@@ -14,10 +14,11 @@ class Graph:
     Vertices keep their construction order and are addressed internally by
     dense integer indices; ``labels[i]`` recovers the external token. The
     object is immutable by convention: all attributes are tuples and must not
-    be reassigned.
+    be reassigned. That is what lets `blocks` compute the block decomposition
+    once and keep it for the graph's lifetime.
     """
 
-    __slots__ = ("labels", "adj", "edges", "_index")
+    __slots__ = ("labels", "adj", "edges", "_index", "_blocks")
 
     def __init__(self, labels: Sequence[str], edge_pairs: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -39,6 +40,16 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj_sets)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._blocks: BlockDecomposition | None = None
+
+    @property
+    def blocks(self) -> BlockDecomposition:
+        """blocks_and_cuts(self), computed on first access and then kept."""
+        if self._blocks is None:
+            # looked up at call time, so wrappers bound over the module
+            # name see every decomposition that really runs
+            self._blocks = blocks_and_cuts(self)
+        return self._blocks
 
     @property
     def n(self) -> int:
@@ -130,7 +141,11 @@ class BlockDecomposition:
     block_vertices: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
     bridges: frozenset[tuple[int, int]]
-    is_block_chain: bool
+
+    @property
+    def is_block_chain(self) -> bool:
+        """True when the block-cut tree is a path (single vertex included)."""
+        return _chain_shaped(self.block_vertices, self.cut_vertices)
 
     def end_blocks(self) -> tuple[int, ...]:
         """Indices of blocks containing at most one cut vertex."""
@@ -147,13 +162,15 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
 
     Iterative so deep graphs (long paths, big iterates) never hit the
     recursion limit. Every edge lands in exactly one block; bridges are the
-    one-edge blocks.
+    one-edge blocks. This is the pure decomposer: it computes afresh on every
+    call, and `Graph.blocks` is the memoised view that callers share, sound
+    because a Graph never changes.
     """
     if not is_connected(g):
         raise PreconditionError("block decomposition needs a connected graph")
     n = g.n
     if n == 1:
-        return BlockDecomposition((), (), frozenset(), frozenset(), True)
+        return BlockDecomposition((), (), frozenset(), frozenset())
 
     disc = [-1] * n
     low = [0] * n
@@ -211,9 +228,25 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
 
     block_vertices = tuple(frozenset(v for e in blk for v in e) for blk in blocks)
     bridges = frozenset(e for blk in blocks if len(blk) == 1 for e in blk)
-    chain = _chain_shaped(block_vertices, frozenset(cuts))
     return BlockDecomposition(tuple(blocks), block_vertices, frozenset(cuts),
-                              bridges, chain)
+                              bridges)
+
+
+def block_graph(g: Graph, i: int) -> Graph:
+    """Block i of a connected graph as a graph of its own, labels sorted.
+
+    A block is 2-connected or a single edge, so its decomposition is known
+    without running one: one block, no cut vertices, and a bridge only when
+    the block is one edge. It is stored as the new graph's `blocks`.
+    """
+    verts = sorted(g.blocks.block_vertices[i], key=lambda v: g.labels[v])
+    pos = {v: k for k, v in enumerate(verts)}
+    h = Graph(tuple(g.labels[v] for v in verts),
+              [(pos[a], pos[b]) for a, b in g.blocks.blocks[i]])
+    edges = frozenset(h.edges)
+    h._blocks = BlockDecomposition((edges,), (frozenset(range(h.n)),), frozenset(),
+                                   edges if h.m == 1 else frozenset())
+    return h
 
 
 def _chain_shaped(block_vertices: tuple[frozenset[int], ...],
@@ -231,4 +264,4 @@ def _chain_shaped(block_vertices: tuple[frozenset[int], ...],
 
 def is_block_chain(g: Graph) -> bool:
     """True when the block-cut tree of g is a path (single vertex included)."""
-    return blocks_and_cuts(g).is_block_chain
+    return g.blocks.is_block_chain

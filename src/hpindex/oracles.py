@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, CappedError, InternalCheckError,
                      PreconditionError)
-from .graphs import Graph, blocks_and_cuts, is_connected, is_path
+from .graphs import Graph, is_connected, is_path
 from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
 
 # dominating-trail search keys its states by an edge bitmask
@@ -299,14 +299,19 @@ def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,
             walk.pop()
         return False
 
-    for s in starts:
-        visited = 1 << s
-        if n > 1 and _dead_end(s, visited, full, adj):
-            continue
-        walk = [s]
-        if dfs(s, visited, walk):
-            return walk
-    return None
+    try:
+        for s in starts:
+            visited = 1 << s
+            if n > 1 and _dead_end(s, visited, full, adj):
+                continue
+            walk = [s]
+            if dfs(s, visited, walk):
+                return walk
+        return None
+    finally:
+        # dfs reaches itself through a closure cell, a reference cycle that
+        # would keep it and `adj` alive until a full collection
+        del dfs
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +337,7 @@ def has_hamiltonian_path(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         return False, None
     if sum(1 for v in range(g.n) if g.degree(v) == 1) > 2:
         return False, None
-    if len(blocks_and_cuts(g).end_blocks()) > 2:
+    if len(g.blocks.end_blocks()) > 2:
         # every leaf block needs its own path endpoint
         return False, None
     return _hamiltonian(g, budget, cycle=False)
@@ -345,7 +350,7 @@ def has_hamiltonian_cycle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET
         return False, None
     if min(g.degree(v) for v in range(g.n)) < 2:
         return False, None
-    if blocks_and_cuts(g).cut_vertices:
+    if g.blocks.cut_vertices:
         return False, None
     return _hamiltonian(g, budget, cycle=True)
 

@@ -1,17 +1,20 @@
 """The endpath-listing min-max evaluator, kept as the reference.
 
 `hpindex.formula._evaluate` used to be exactly `_evaluate` below: it lists
-every endpath with the public `branches.endpaths`, O(leaves^2 * n) of them
+every endpath with `hpindex.branches.endpaths`, O(leaves^2 * n) of them
 with their vertex walks, and scans them all. The differential tests run it
 beside the junction-tree evaluator on the same items and compare the whole
 (value, endpath, off-path walk, per-pair values) tuple.
+
+`maximal_pairs` and `candidate_endpaths` are the branch-level form of the
+same scan, over the branches of a tree rather than evaluator items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hpindex.branches import endpaths
+from hpindex.branches import Branch, Endpath, absorption_time, endpaths
 from hpindex.errors import EmptyCandidateError
 from hpindex.formula import PairValue
 from hpindex.graphs import Graph
@@ -91,3 +94,55 @@ def _evaluate(tree: Graph, items: tuple[ReferenceItem, ...],
                 for _, inside in candidates if p <= inside]
         per_pair.append(((walks[0], walks[1]), min(vals) if vals else None))
     return chosen_value, ep.vertices, off_walk, tuple(per_pair)
+
+
+@dataclass(frozen=True)
+class CandidateEndpath:
+    """An endpath witnessing a maximum-weight branch pair."""
+
+    endpath: Endpath
+    covered_pairs: tuple[frozenset[Branch], ...]
+
+
+def _pair_key(pair: frozenset[Branch]) -> tuple[tuple[str, ...], ...]:
+    return tuple(sorted(b.vertices for b in pair))
+
+
+def _maximal_pairs(eps: tuple[Endpath, ...]) -> tuple[frozenset[Branch], ...]:
+    best = -1
+    pairs: set[frozenset[Branch]] = set()
+    for ep in eps:
+        inside = sorted(ep.contained, key=lambda b: b.vertices)
+        for i, b1 in enumerate(inside):
+            for b2 in inside[i + 1:]:
+                s = absorption_time(b1) + absorption_time(b2)
+                if s > best:
+                    best = s
+                    pairs = {frozenset((b1, b2))}
+                elif s == best:
+                    pairs.add(frozenset((b1, b2)))
+    return tuple(sorted(pairs, key=_pair_key))
+
+
+def maximal_pairs(t: Graph) -> tuple[frozenset[Branch], ...]:
+    """Branch pairs sharing an endpath whose joint absorption time is maximal."""
+    return _maximal_pairs(endpaths(t))
+
+
+def candidate_endpaths(t: Graph) -> tuple[CandidateEndpath, ...]:
+    """Endpaths containing at least one maximal branch pair.
+
+    Every non-path tree has one: each of its endpaths crosses an interior
+    junction and so carries at least two branches.
+    """
+    eps = endpaths(t)
+    pairs = _maximal_pairs(eps)
+    out = []
+    for ep in eps:
+        covered = tuple(sorted((p for p in pairs if p <= ep.contained),
+                               key=_pair_key))
+        if covered:
+            out.append(CandidateEndpath(ep, covered))
+    if not out:
+        raise EmptyCandidateError(to_edge_list(t))
+    return tuple(out)

@@ -4,17 +4,17 @@ from hpindex import (
     PreconditionError,
     absorption_time,
     branches,
-    candidate_endpaths,
     cycle_graph,
     double_spider,
-    endpaths,
     graph_from_token_edges,
     is_caterpillar,
-    maximal_pairs,
     path_graph,
     spider,
     star_graph,
 )
+from hpindex.branches import endpaths
+
+from reference_formula import candidate_endpaths, maximal_pairs
 
 
 def branch_map(g):

@@ -169,21 +169,41 @@ def test_conjecture_spider_with_triangle_at_leaf():
     assert res.conjectural
 
 
-def test_conjecture_decomposes_the_graph_once(monkeypatch):
-    g = graph_from_token_edges(
-        list(spider(2, 2, 2).label_edges())
-        + [("L0_2", "q1"), ("q1", "q2"), ("q2", "L0_2")])
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The graphs blocks_and_cuts runs on, in call order."""
     seen = []
 
     def counting(h):
         seen.append(h)
         return blocks_and_cuts(h)
 
-    # the package re-exports functions named like these modules
-    for module in ("hpindex.formula", "hpindex.branches"):
-        monkeypatch.setattr(sys.modules[module], "blocks_and_cuts", counting)
+    # Graph.blocks looks the decomposer up in hpindex.graphs at call time;
+    # the package re-exports functions named like its modules, hence sys.modules
+    monkeypatch.setattr(sys.modules["hpindex.graphs"], "blocks_and_cuts", counting)
+    return seen
+
+
+def test_conjecture_decomposes_the_graph_once(decompositions):
+    g = graph_from_token_edges(
+        list(spider(2, 2, 2).label_edges())
+        + [("L0_2", "q1"), ("q1", "q2"), ("q2", "L0_2")])
     assert hp_blockchain_conjecture(g).value == 2
-    assert seen == [g]
+    assert decompositions == [g]
+
+    # two leaves, so the stage-0 path search reaches the end-block test and
+    # reuses the decomposition the formula made
+    g = graph_from_token_edges(
+        [("t1", "t2"), ("t2", "t3"), ("t1", "t3"), ("t1", "a"), ("t2", "b")])
+    decompositions.clear()
+    rec = compare_formula_oracle(g)
+    assert (rec.verdict, rec.formula_value, rec.oracle_value) == ("agree", 0, 0)
+    assert decompositions.count(g) == 1
+
+
+def test_hp_tree_runs_no_block_decomposition(decompositions):
+    hp_tree(random_tree(20_000, 1))
+    assert decompositions == []
 
 
 def test_conjecture_requires_hamiltonian_two_blocks():

@@ -110,29 +110,63 @@ def _pruefer_decode(n: int, seq: tuple[int, ...]) -> Graph:
     return Graph(tuple(str(i + 1) for i in range(n)), edges)
 
 
+def _ahu_key(t: Graph) -> str:
+    """Centre-rooted AHU code of a tree, a complete isomorphism invariant.
+
+    Leaves are peeled layer by layer down to the centre or bicentre; the key
+    is the least sorted-parenthesis encoding of the tree rooted there. It is
+    test-side and shares no code with the package's canonical forms.
+    """
+    deg = [len(a) for a in t.adj]
+    layer = [v for v in range(t.n) if deg[v] <= 1]
+    left = t.n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in t.adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in t.adj[v]
+                                    if w != parent)) + ")"
+
+    return min(code(c, -1) for c in layer)
+
+
 def _pruefer_key_set(n: int) -> set[str]:
-    if n == 2:
-        return {graph_key(_pruefer_decode(2, ()))}
+    if n <= 2:
+        return {_ahu_key(Graph(tuple(str(i + 1) for i in range(n)),
+                               [(0, 1)] if n == 2 else []))}
     keys = set()
     seqs = [()]
     for _ in range(n - 2):
         seqs = [s + (v,) for s in seqs for v in range(n)]
     for seq in seqs:
-        keys.add(graph_key(_pruefer_decode(n, seq)))
+        keys.add(_ahu_key(_pruefer_decode(n, seq)))
     return keys
+
+
+# unlabelled trees on n vertices (OEIS A000055)
+FREE_TREE_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
 
 
 def test_free_trees_cover_every_isomorphism_class():
     # all n^(n-2) labeled trees collapse onto exactly the enumerated classes
-    for n in range(2, 8):
-        enumerated = {graph_key(t) for t in enumerate_free_trees(n)}
+    for n in range(1, 8):
+        enumerated = {_ahu_key(t) for t in enumerate_free_trees(n)}
         assert enumerated == _pruefer_key_set(n), n
+        assert len(enumerated) == FREE_TREE_CLASSES[n], n
 
 
 @pytest.mark.slow
 def test_free_trees_cover_every_isomorphism_class_n8():
-    enumerated = {graph_key(t) for t in enumerate_free_trees(8)}
+    enumerated = {_ahu_key(t) for t in enumerate_free_trees(8)}
     assert enumerated == _pruefer_key_set(8)
+    assert len(enumerated) == FREE_TREE_CLASSES[8]
 
 
 # ------------------------------------------------------------ labeled graphs

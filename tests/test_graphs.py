@@ -1,3 +1,6 @@
+from dataclasses import fields
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hpindex import (
     Graph,
     blocks_and_cuts,
     cycle_graph,
+    enumerate_free_trees,
     graph_from_token_edges,
     is_connected,
     is_path,
@@ -17,6 +21,7 @@ from hpindex import (
     spider,
     star_graph,
 )
+from hpindex.graphs import block_graph
 from conftest import nx_graph
 
 
@@ -104,3 +109,49 @@ def test_tree_edges_are_all_bridges(n, seed):
     dec = blocks_and_cuts(t)
     assert len(dec.bridges) == t.m
     assert all(len(b) == 1 for b in dec.blocks)
+
+
+def _connected_labelled_graphs(max_n: int):
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(tuple(f"v{i}" for i in range(n)),
+                      [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if is_connected(g):
+                yield g
+
+
+def _chain_by_networkx(g: Graph) -> bool:
+    # block-cut tree: a node per block and per cut vertex, joined by
+    # membership; it is a path when no node has three neighbours
+    h = nx_graph(g)
+    if g.n == 1:
+        return True
+    cuts = set(nx.articulation_points(h))
+    blocks = [set(c) for c in nx.biconnected_components(h)]
+    return (all(len(b & cuts) <= 2 for b in blocks)
+            and all(sum(c in b for b in blocks) <= 2 for c in cuts))
+
+
+def test_memoised_blocks_match_a_fresh_decomposition():
+    count = 0
+    for g in _connected_labelled_graphs(5):
+        count += 1
+        dec = g.blocks
+        assert g.blocks is dec
+        fresh = blocks_and_cuts(g)
+        for f in fields(fresh):
+            assert getattr(dec, f.name) == getattr(fresh, f.name), f.name
+        assert dec.is_block_chain == fresh.is_block_chain == _chain_by_networkx(g)
+        for i in range(len(dec.blocks)):
+            b = block_graph(g, i)
+            assert b.blocks == blocks_and_cuts(b)
+    # connected labelled graphs on 1..5 vertices (OEIS A001187)
+    assert count == 1 + 1 + 4 + 38 + 728
+
+
+def test_every_free_tree_edge_is_a_bridge():
+    # the premise of the tree shortcut in branches()
+    for n in range(2, 13):
+        for t in enumerate_free_trees(n):
+            assert blocks_and_cuts(t).bridges == frozenset(t.edges)

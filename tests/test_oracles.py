@@ -189,6 +189,22 @@ def test_dominating_trail_search_frees_its_memo():
         gc.enable()
 
 
+def test_backtracking_search_leaves_nothing_to_collect():
+    # dp_vertex_cap=5 sends a 30-vertex graph to backtracking; its DFS must
+    # not stay alive in a reference cycle after the call returns
+    g = cycle_graph(30)
+    budget = SearchBudget(dp_vertex_cap=5)
+    gc.collect()
+    gc.disable()
+    try:
+        for search in (has_hamiltonian_path, has_hamiltonian_cycle):
+            ok, _ = search(g, budget)
+            assert ok
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_dominating_trail_edge_cap():
     with pytest.raises(CappedError):
         has_dominating_trail(complete_graph(7))
