@@ -14,11 +14,11 @@ class Graph:
     Vertices keep their construction order and are addressed internally by
     dense integer indices; ``labels[i]`` recovers the external token. The
     object is immutable by convention: all attributes are tuples and must not
-    be reassigned. That is what lets `blocks` compute the block decomposition
-    once and keep it for the graph's lifetime.
+    be reassigned. That is what lets `blocks` compute the block decomposition,
+    and `is_connected` its search, once and keep it for the graph's lifetime.
     """
 
-    __slots__ = ("labels", "adj", "edges", "_index", "_blocks")
+    __slots__ = ("labels", "adj", "edges", "_index", "_blocks", "_connected")
 
     def __init__(self, labels: Sequence[str], edge_pairs: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -41,6 +41,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._blocks: BlockDecomposition | None = None
+        self._connected: bool | None = None
 
     @property
     def blocks(self) -> BlockDecomposition:
@@ -106,6 +107,15 @@ def graph_from_token_edges(edge_tokens: Iterable[tuple[str, str]],
 
 
 def is_connected(g: Graph) -> bool:
+    """True for a nonempty graph with one component; kept on g once known."""
+    if g._connected is None:
+        # looked up at call time, so a wrapper bound over the module name
+        # sees every search that really runs
+        g._connected = _reaches_every_vertex(g)
+    return g._connected
+
+
+def _reaches_every_vertex(g: Graph) -> bool:
     if g.n == 0:
         return False
     seen = [False] * g.n
@@ -172,61 +182,54 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
     if n == 1:
         return BlockDecomposition((), (), frozenset(), frozenset())
 
+    adj = g.adj
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
     edge_stack: list[tuple[int, int]] = []
     blocks: list[frozenset[tuple[int, int]]] = []
     cuts: set[int] = set()
 
-    root = 0
-    disc[root] = low[root] = 0
+    disc[0] = 0
     clock = 1
     root_children = 0
-    stack: list[tuple[int, int]] = [(root, 0)]  # (vertex, next-neighbor position)
+    # (vertex, its parent, its neighbours still to scan, edge-stack height
+    # before its tree edge went on)
+    stack = [(0, -1, iter(adj[0]), 0)]
     while stack:
-        v, ptr = stack[-1]
-        if ptr < len(g.adj[v]):
-            stack[-1] = (v, ptr + 1)
-            w = g.adj[v][ptr]
-            if w == parent[v]:
+        v, parent, todo, mark = stack[-1]
+        for w in todo:
+            if w == parent:
                 continue
             if disc[w] == -1:
-                parent[w] = v
                 disc[w] = low[w] = clock
                 clock += 1
-                edge_stack.append((min(v, w), max(v, w)))
-                if v == root:
-                    root_children += 1
-                stack.append((w, 0))
-            elif disc[w] < disc[v]:
-                edge_stack.append((min(v, w), max(v, w)))
+                stack.append((w, v, iter(adj[w]), len(edge_stack)))
+                edge_stack.append((v, w) if v < w else (w, v))
+                break
+            if disc[w] < disc[v]:
+                edge_stack.append((v, w) if v < w else (w, v))
                 if disc[w] < low[v]:
                     low[v] = disc[w]
         else:
             stack.pop()
             if not stack:
                 break
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                edge = (min(u, v), max(u, v))
-                blk: list[tuple[int, int]] = []
-                while True:
-                    e = edge_stack.pop()
-                    blk.append(e)
-                    if e == edge:
-                        break
-                blocks.append(frozenset(blk))
-                if u != root:
-                    cuts.add(u)
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            if low[v] >= disc[parent]:
+                # the tree edge into v and everything stacked above it
+                blocks.append(frozenset(edge_stack[mark:]))
+                del edge_stack[mark:]
+                if parent != 0:
+                    cuts.add(parent)
+                else:
+                    root_children += 1
     if root_children > 1:
-        cuts.add(root)
+        cuts.add(0)
     if edge_stack:
         raise AssertionError("edge stack not drained; decomposition bug")
 
-    block_vertices = tuple(frozenset(v for e in blk for v in e) for blk in blocks)
+    block_vertices = tuple(frozenset().union(*blk) for blk in blocks)
     bridges = frozenset(e for blk in blocks if len(blk) == 1 for e in blk)
     return BlockDecomposition(tuple(blocks), block_vertices, frozenset(cuts),
                               bridges)
@@ -235,9 +238,10 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
 def block_graph(g: Graph, i: int) -> Graph:
     """Block i of a connected graph as a graph of its own, labels sorted.
 
-    A block is 2-connected or a single edge, so its decomposition is known
-    without running one: one block, no cut vertices, and a bridge only when
-    the block is one edge. It is stored as the new graph's `blocks`.
+    A block is 2-connected or a single edge, so it is connected and its
+    decomposition is known without running one: one block, no cut vertices,
+    and a bridge only when the block is one edge. Both are stored on the new
+    graph.
     """
     verts = sorted(g.blocks.block_vertices[i], key=lambda v: g.labels[v])
     pos = {v: k for k, v in enumerate(verts)}
@@ -246,6 +250,7 @@ def block_graph(g: Graph, i: int) -> Graph:
     edges = frozenset(h.edges)
     h._blocks = BlockDecomposition((edges,), (frozenset(range(h.n)),), frozenset(),
                                    edges if h.m == 1 else frozenset())
+    h._connected = True
     return h
 
 

@@ -12,9 +12,15 @@ under a SearchBudget:
 - n <= dp_vertex_cap (24): the same table in numpy, built by one vectorized
   pass per popcount layer and target vertex; it holds a 2^n uint32 table
   and 2^n uint8 popcounts, and at 24 vertices the process peaks near
-  165 MB. From _PREPASS_FLOOR (17) on, a backtracking prepass of
-  prepass_nodes nodes first settles easy instances without the table;
+  165 MB;
 - above that: pruned backtracking, capped when node_budget runs out.
+
+Before a table is built, a bounded backtracking prepass tries to settle the
+graph without it, and the table runs only when the prepass drains its nodes.
+Below _PREPASS_FLOOR (17) the prepass walks vertices in index order, capped
+at min(prepass_nodes, _LEX_NODES) nodes, and returns exactly the walk the
+table would; from 17 on it is the degree-ordered search of the backtracking
+tier, capped at prepass_nodes nodes.
 
 Every positive answer carries a witness walk and every witness is replayed
 against the graph before being returned; a failed replay raises
@@ -38,7 +44,8 @@ from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
 TRAIL_EDGE_CAP = 20
 
 _PY_DP_CAP = 12        # above this the mask table moves to numpy
-_PREPASS_FLOOR = 17    # backtracking pre-pass kicks in where the table gets big
+_PREPASS_FLOOR = 17    # below: index-order prepass; from here: degree-ordered
+_LEX_NODES = 1_000     # index-order prepass cap, about the 16-vertex table's time
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,10 @@ class SearchBudget:
     Graphs up to dp_vertex_cap vertices go through the subset table, which is
     exact and immune to adversarial structure; between that and
     backtrack_vertex_cap a pruned depth-first search runs with a node budget.
-    Anything larger is refused with CappedError.
+    Anything larger is refused with CappedError. prepass_nodes bounds the
+    backtracking prepass that runs before each table, and below 17 vertices
+    that prepass is also capped at _LEX_NODES; prepass_nodes=1 leaves every
+    table-sized graph to the table.
     """
 
     dp_vertex_cap: int = 24
@@ -228,18 +238,16 @@ def _walk_from_table(dp, adj: list[int], full: int, end: int) -> list[int]:
 # pruned backtracking
 
 def _flood(rem: int, seed: int, adj: list[int]) -> int:
-    seen = seed
-    while True:
+    seen = new = seed
+    while new:
         grow = 0
-        m = seen
-        while m:
-            bit = m & -m
-            m ^= bit
+        while new:
+            bit = new & -new
+            new ^= bit
             grow |= adj[bit.bit_length() - 1]
-        grow &= rem & ~seen
-        if not grow:
-            return seen
-        seen |= grow
+        new = grow & rem & ~seen
+        seen |= new
+    return seen
 
 
 def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
@@ -249,17 +257,19 @@ def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
     frontier = adj[cur] & rem
     if not frontier:
         return True
-    if _flood(rem, frontier, adj) != rem:
-        return True
+    # a vertex whose only unvisited link is cur must be the very last stop;
+    # any other vertex of rem with no neighbour left in rem is cut off from
+    # the frontier, which the flood below catches
     pend = 0
-    m = rem
+    m = frontier
     while m:
         bit = m & -m
         m ^= bit
         if not adj[bit.bit_length() - 1] & rem:
             pend |= bit
-    # a vertex whose only unvisited link is cur must be the very last stop
-    return bool(pend) and (bool(pend & (pend - 1)) or rem != pend)
+    if pend and (pend & (pend - 1) or rem != pend):
+        return True
+    return _flood(rem, frontier, adj) != rem
 
 
 def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,
@@ -314,6 +324,49 @@ def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,
         del dfs
 
 
+def _lex_backtrack(adj: list[int], n: int, starts: int, node_budget: int,
+                   close_to: int | None) -> list[int] | None:
+    """Index-order DFS for the walk the subset table would return.
+
+    Start vertices (a mask) and next vertices are tried in index order, so
+    the first walk found is the lexicographically least one: _dead_end only
+    cuts branches with no completion. Returns None when there is no walk and
+    raises _Inconclusive once more than node_budget vertices are placed.
+    """
+    full = (1 << n) - 1
+    nodes = 0
+    walk: list[int] = []
+    visited = 0
+    todo = [starts]  # untried vertices for each position of the walk
+    while todo:
+        cand = todo[-1]
+        if not cand:
+            todo.pop()
+            if walk:
+                visited ^= 1 << walk.pop()
+            continue
+        bit = cand & -cand
+        todo[-1] = cand ^ bit
+        nv = visited | bit
+        w = bit.bit_length() - 1
+        if nv != full and _dead_end(w, nv, full, adj):
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise _Inconclusive
+        if nv == full:
+            if close_to is None or adj[w] >> close_to & 1:
+                # the table reads the least walk back from its far end: a
+                # path reversed, a cycle run the other way round
+                walk.append(w)
+                return walk[::-1] if close_to is None else walk[:1] + walk[:0:-1]
+            continue
+        walk.append(w)
+        visited = nv
+        todo.append(adj[w] & ~nv)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # hamiltonian path / cycle
 
@@ -324,6 +377,16 @@ def _path_starts(g: Graph) -> list[int]:
         # any hamiltonian path must end at each degree-1 vertex
         return ones[:1]
     return sorted(range(g.n), key=lambda v: (g.degree(v), g.labels[v]))
+
+
+def _lex_starts(g: Graph) -> int:
+    # a hamiltonian path ends at every leaf, so the least one starts at the
+    # lower of two leaves, or by a lone leaf L at the latest; _dead_end keeps
+    # a walk from stepping onto L before its last step
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    if len(leaves) == 2:
+        return 1 << leaves[0]
+    return (2 << leaves[0] if leaves else 1 << g.n) - 1
 
 
 def has_hamiltonian_path(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
@@ -368,7 +431,15 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
     table = g.n <= budget.dp_vertex_cap
-    if not table or g.n >= _PREPASS_FLOOR:
+    if table and g.n < _PREPASS_FLOOR:
+        try:
+            walk = _lex_backtrack(adj, g.n, 1 if cycle else _lex_starts(g),
+                                  min(budget.prepass_nodes, _LEX_NODES),
+                                  0 if cycle else None)
+            return _verdict(g, walk, cycle)
+        except _Inconclusive:
+            pass
+    else:
         try:
             walk = _backtrack(adj, g.n, [0] if cycle else _path_starts(g),
                               budget.prepass_nodes if table else budget.node_budget,

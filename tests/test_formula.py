@@ -206,6 +206,26 @@ def test_hp_tree_runs_no_block_decomposition(decompositions):
     assert decompositions == []
 
 
+def test_connectivity_is_searched_once_per_graph(monkeypatch):
+    graphs = sys.modules["hpindex.graphs"]
+    searched = []
+
+    def counting(h):
+        searched.append(h)
+        return reaches(h)
+
+    reaches = graphs._reaches_every_vertex
+    monkeypatch.setattr(graphs, "_reaches_every_vertex", counting)
+    t = random_tree(2_000, 1)
+    hp_tree(t)
+    assert searched == [t]
+    # hp_oracle and its stage-0 path search share one answer too
+    g = spider(2, 2, 2)
+    searched.clear()
+    hp_oracle(g)
+    assert searched.count(g) == 1
+
+
 def test_conjecture_requires_hamiltonian_two_blocks():
     k23 = graph_from_token_edges(
         [("u1", "w1"), ("u1", "w2"), ("u1", "w3"),

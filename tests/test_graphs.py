@@ -21,7 +21,7 @@ from hpindex import (
     spider,
     star_graph,
 )
-from hpindex.graphs import block_graph
+from hpindex.graphs import _reaches_every_vertex, block_graph
 from conftest import nx_graph
 
 
@@ -146,6 +146,7 @@ def test_memoised_blocks_match_a_fresh_decomposition():
         for i in range(len(dec.blocks)):
             b = block_graph(g, i)
             assert b.blocks == blocks_and_cuts(b)
+            assert is_connected(b) and _reaches_every_vertex(b)
     # connected labelled graphs on 1..5 vertices (OEIS A001187)
     assert count == 1 + 1 + 4 + 38 + 728
 

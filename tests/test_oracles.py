@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hpindex import (
     CappedError,
+    Graph,
     InternalCheckError,
     IterationBudget,
     PreconditionError,
@@ -27,6 +28,7 @@ from hpindex import (
     spider,
     star_graph,
 )
+from hpindex import oracles
 from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail_witness
 
 BOWTIE = graph_from_token_edges(
@@ -121,6 +123,67 @@ def test_prepass_table_and_backtracking_agree_in_prepass_band(search):
                 assert search(g, SearchBudget(dp_vertex_cap=1))[0] == ok
 
 
+TABLE_ONLY = SearchBudget(prepass_nodes=1)
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """Vertex counts of the subset tables built, in call order."""
+    built = []
+
+    def counting(table):
+        def wrapped(adj, *rest):
+            built.append(len(adj))
+            return table(adj, *rest)
+        return wrapped
+
+    for name in ("_dp_table_py", "_dp_table_np"):
+        monkeypatch.setattr(oracles, name, counting(getattr(oracles, name)))
+    return built
+
+
+def assert_prepass_returns_the_table_answer(g):
+    # the whole answer, witness included; prepass_nodes=1 leaves it to the table
+    for search in (has_hamiltonian_path, has_hamiltonian_cycle):
+        assert search(g) == search(g, TABLE_ONLY), (search.__name__, g.label_edges())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_index_order_prepass_returns_the_table_answer(n):
+    # every connected labelled graph on n vertices, and up to n = 5 its line
+    # graph, whose vertex order comes from the edge order
+    for g in enumerate_connected_graphs(n):
+        assert_prepass_returns_the_table_answer(g)
+        if n <= 5:
+            assert_prepass_returns_the_table_answer(line_graph(g).graph)
+
+
+def complete_bipartite(a, b):
+    return Graph([str(i) for i in range(a + b)],
+                 [(i, a + j) for i in range(a) for j in range(b)])
+
+
+@pytest.mark.parametrize("a, b, tables", [(2, 5, []), (6, 8, [14])])
+def test_index_order_prepass_refutes_or_falls_back(tables_built, a, b, tables):
+    # K_{a,b} with b >= a + 2 has no hamiltonian path yet passes every cheap
+    # filter; the prepass refutes K_{2,5} itself, and on K_{6,8} it drains
+    # its nodes and hands the graph to the table
+    g = complete_bipartite(a, b)
+    assert has_hamiltonian_path(g) == (False, None)
+    assert tables_built == tables
+    assert has_hamiltonian_path(g, TABLE_ONLY) == (False, None)
+
+
+def test_drained_index_order_prepass_keeps_the_witness(tables_built, monkeypatch):
+    g = random_connected_graph(16, 16, 7)
+    answers = (has_hamiltonian_path(g), has_hamiltonian_cycle(g))
+    assert answers[0][0] and answers[1][0] and tables_built == []
+    # a one-node prepass drains at once and leaves both searches to the table
+    monkeypatch.setattr(oracles, "_LEX_NODES", 1)
+    assert (has_hamiltonian_path(g), has_hamiltonian_cycle(g)) == answers
+    assert tables_built == [16, 16]
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_dp_and_backtracking_agree_full_sweep(block):
     # 2,000 seeded instances total, split into four chunks
@@ -187,6 +250,38 @@ def test_dominating_trail_search_frees_its_memo():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _dead_end_by_definition(g, cur, visited):
+    # the unvisited vertices must all be reachable from cur through unvisited
+    # vertices, and at most one of them, the last stop, may hang off cur alone
+    rem = set(range(g.n)) - visited
+    if not rem:
+        return False
+    frontier = rem.intersection(g.adj[cur])
+    reach, grow = set(frontier), list(frontier)
+    while grow:
+        fresh = rem.intersection(g.adj[grow.pop()]) - reach
+        reach |= fresh
+        grow.extend(fresh)
+    pend = {v for v in rem if not rem.intersection(g.adj[v])}
+    return not frontier or reach != rem or len(pend) > 1 or (pend and pend != rem)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dead_end_matches_its_definition(n):
+    # every connected labelled graph on n vertices, every current vertex and
+    # every visited set holding it; _dead_end checks pendant vertices on the
+    # frontier only and floods only when those pass
+    for g in enumerate_connected_graphs(n):
+        adj = oracles._adj_masks(g)
+        full = (1 << n) - 1
+        for cur in range(n):
+            for mask in range(1 << n):
+                if mask >> cur & 1:
+                    visited = {v for v in range(n) if mask >> v & 1}
+                    assert (oracles._dead_end(cur, mask, full, adj)
+                            == bool(_dead_end_by_definition(g, cur, visited)))
 
 
 def test_backtracking_search_leaves_nothing_to_collect():

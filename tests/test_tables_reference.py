@@ -78,9 +78,13 @@ def test_stage_graphs_of_free_trees_up_to_10(monkeypatch):
             if not is_path(t):
                 h_oracle(t, budget)
     assert len(stages) == 74
+    table_only = SearchBudget(prepass_nodes=1)
     for g in stages:
         assert_same_table(g, (1 << g.n) - 1)
         assert_same_table(g, 1)
+        # the index-order prepass returns the table's own answer and witness
+        assert has_hamiltonian_path(g) == has_hamiltonian_path(g, table_only)
+        assert has_hamiltonian_cycle(g) == has_hamiltonian_cycle(g, table_only)
 
 
 @pytest.mark.slow
@@ -119,6 +123,10 @@ def test_table_witnesses_are_pinned(n, seed):
     path, cycle = _PINNED[n, seed]
     assert has_hamiltonian_path(g, budget) == (True, path)
     assert has_hamiltonian_cycle(g, budget) == (True, cycle)
+    if n < 17:
+        # below 17 vertices the default budget's prepass finds the same walks
+        assert has_hamiltonian_path(g) == (True, path)
+        assert has_hamiltonian_cycle(g) == (True, cycle)
 
 
 def test_table_deadline_caps_the_search():
