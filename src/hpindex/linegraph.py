@@ -57,14 +57,12 @@ def line_graph(g: Graph) -> LineGraphResult:
     names = [f"{a}.{b}" for a, b in token_edges]
     if len(set(names)) != len(names) or any(len(nm) > _NAME_CAP for nm in names):
         names = [f"e{i}" for i in range(len(token_edges))]
-    name_of = {pair: names[i] for i, pair in enumerate(token_edges)}
 
     pairs: set[tuple[int, int]] = set()
-    pos = {pair: i for i, pair in enumerate(token_edges)}
     incident: dict[str, list[int]] = {}
-    for pair in token_edges:
+    for i, pair in enumerate(token_edges):
         for tok in pair:
-            incident.setdefault(tok, []).append(pos[pair])
+            incident.setdefault(tok, []).append(i)
     for shared in incident.values():
         for i in range(len(shared)):
             for j in range(i + 1, len(shared)):

@@ -8,19 +8,20 @@ path from vertex 0 that must close back to it. The tiers, by vertex count n
 under a SearchBudget:
 
 - n > backtrack_vertex_cap (40): refused with CappedError;
-- n <= _PY_DP_CAP (12): subset table over vertex masks in pure Python;
-- n <= dp_vertex_cap (24): the same table in numpy, built by one vectorized
-  pass per popcount layer and target vertex; it holds a 2^n uint32 table
-  and 2^n uint8 popcounts, and at 24 vertices the process peaks near
-  165 MB;
+- n <= dp_vertex_cap (24): a subset table over vertex masks in numpy, built
+  by one vectorized pass per popcount layer and target vertex; it holds a
+  2^n uint32 table and 2^n uint8 popcounts, and at 24 vertices the process
+  peaks near 165 MB;
 - above that: pruned backtracking, capped when node_budget runs out.
 
-Before a table is built, a bounded backtracking prepass tries to settle the
-graph without it, and the table runs only when the prepass drains its nodes.
-Below _PREPASS_FLOOR (17) the prepass walks vertices in index order, capped
-at min(prepass_nodes, _LEX_NODES) nodes, and returns exactly the walk the
-table would; from 17 on it is the degree-ordered search of the backtracking
-tier, capped at prepass_nodes nodes.
+Every backtracking pass is one explicit-stack DFS, _dfs, in one of two
+orders. Before a table is built, a bounded pass tries to settle the graph
+without it, and the table runs only when that pass drains its nodes. Below
+_PREPASS_FLOOR (17) it walks vertices in index order, capped at
+min(prepass_nodes, _LEX_NODES) nodes, and its walk, flipped, is exactly the
+walk the table would return; from 17 on, and in the backtracking tier, it
+tries low-degree vertices first, capped at prepass_nodes or node_budget
+nodes.
 
 Every positive answer carries a witness walk and every witness is replayed
 against the graph before being returned; a failed replay raises
@@ -43,7 +44,6 @@ from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
 # dominating-trail search keys its states by an edge bitmask
 TRAIL_EDGE_CAP = 20
 
-_PY_DP_CAP = 12        # above this the mask table moves to numpy
 _PREPASS_FLOOR = 17    # below: index-order prepass; from here: degree-ordered
 _LEX_NODES = 1_000     # index-order prepass cap, about the 16-vertex table's time
 
@@ -52,13 +52,14 @@ _LEX_NODES = 1_000     # index-order prepass cap, about the 16-vertex table's ti
 class SearchBudget:
     """Resource limits for the exact searches.
 
-    Graphs up to dp_vertex_cap vertices go through the subset table, which is
-    exact and immune to adversarial structure; between that and
-    backtrack_vertex_cap a pruned depth-first search runs with a node budget.
-    Anything larger is refused with CappedError. prepass_nodes bounds the
-    backtracking prepass that runs before each table, and below 17 vertices
-    that prepass is also capped at _LEX_NODES; prepass_nodes=1 leaves every
-    table-sized graph to the table.
+    Graphs up to dp_vertex_cap vertices go through the numpy subset table,
+    which is exact and immune to adversarial structure; between that and
+    backtrack_vertex_cap a pruned depth-first search that tries low-degree
+    vertices first runs with a node budget. Anything larger is refused with
+    CappedError. prepass_nodes bounds the same search run before each table;
+    below 17 vertices it walks vertices in index order instead and is also
+    capped at _LEX_NODES. prepass_nodes=1 leaves every table-sized graph to
+    the table.
     """
 
     dp_vertex_cap: int = 24
@@ -171,29 +172,10 @@ def check_trail_witness(g: Graph, walk: tuple[str, ...], closed: bool) -> None:
 # ---------------------------------------------------------------------------
 # subset dynamic programming over vertex masks
 
-def _dp_table_py(adj: list[int], starts: int) -> list[int]:
-    n = len(adj)
-    dp = [0] * (1 << n)
-    for v in range(n):
-        if starts >> v & 1:
-            dp[1 << v] = 1 << v
-    # extensions only ever write to numerically larger masks
-    for mask in range(1, 1 << n):
-        ends = dp[mask]
-        while ends:
-            bit = ends & -ends
-            ends ^= bit
-            free = adj[bit.bit_length() - 1] & ~mask
-            while free:
-                wbit = free & -free
-                free ^= wbit
-                dp[mask | wbit] |= wbit
-    return dp
-
-
 def _dp_table_np(adj: list[int], starts: int, deadline: float) -> np.ndarray:
-    # the push rule of _dp_table_py read from the target side: w ends a path
-    # over mask | w when w is outside mask and adjacent to an end of mask
+    # dp[mask] holds the end vertices of the paths that cover exactly mask and
+    # start in starts; w ends a path over mask | w when w is outside mask and
+    # adjacent to an end of mask, so each layer of popcount k fills layer k + 1
     n = len(adj)
     pop = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
@@ -272,98 +254,64 @@ def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
     return _flood(rem, frontier, adj) != rem
 
 
-def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,
-               deadline: float, close_to: int | None) -> list[int] | None:
+def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
+         deadline: float, close_to: int | None, by_degree: bool,
+         ) -> list[int] | None:
     """Exhaustive DFS for a hamiltonian path (or cycle when close_to is set).
 
-    Returns the walk, or None when there is none; raises _Inconclusive when
-    the node budget runs out first and CappedError on the wall-clock deadline.
+    Start vertices are tried in the given order. At each later position the
+    next vertex is tried by (unvisited-neighbour count, index) when by_degree
+    is set, else by index alone; with index-ordered starts the first walk
+    found in index order is the lexicographically least one, as _dead_end
+    only cuts branches with no completion. A node is one vertex placed after
+    _dead_end passes. Returns the walk, or None when there is none; raises
+    _Inconclusive when more than node_budget nodes are placed and CappedError
+    on the wall-clock deadline, checked every 4096 nodes.
     """
     full = (1 << n) - 1
-    nodes = 0
-
-    def dfs(cur: int, visited: int, walk: list[int]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise _Inconclusive
-        if not nodes % 4096 and time.monotonic() > deadline:
-            raise CappedError("time limit hit during backtracking search")
-        if visited == full:
-            return close_to is None or bool(adj[cur] >> close_to & 1)
-        cand = adj[cur] & ~visited
-        order = []
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            order.append(((adj[w] & ~visited & ~bit).bit_count(), w))
-        order.sort()
-        for _, w in order:
-            nv = visited | (1 << w)
-            if nv != full and _dead_end(w, nv, full, adj):
-                continue
-            walk.append(w)
-            if dfs(w, nv, walk):
-                return True
-            walk.pop()
-        return False
-
-    try:
-        for s in starts:
-            visited = 1 << s
-            if n > 1 and _dead_end(s, visited, full, adj):
-                continue
-            walk = [s]
-            if dfs(s, visited, walk):
-                return walk
-        return None
-    finally:
-        # dfs reaches itself through a closure cell, a reference cycle that
-        # would keep it and `adj` alive until a full collection
-        del dfs
-
-
-def _lex_backtrack(adj: list[int], n: int, starts: int, node_budget: int,
-                   close_to: int | None) -> list[int] | None:
-    """Index-order DFS for the walk the subset table would return.
-
-    Start vertices (a mask) and next vertices are tried in index order, so
-    the first walk found is the lexicographically least one: _dead_end only
-    cuts branches with no completion. Returns None when there is no walk and
-    raises _Inconclusive once more than node_budget vertices are placed.
-    """
-    full = (1 << n) - 1
+    # a vertex is tried by its key: in degree order its unvisited-neighbour
+    # count above its index, so plain int sorting gives the order, and in
+    # index order the index alone; key & low recovers the vertex
+    shift = n.bit_length()
+    low = (1 << shift) - 1
     nodes = 0
     walk: list[int] = []
     visited = 0
-    todo = [starts]  # untried vertices for each position of the walk
+    todo = [iter(starts)]  # untried keys for each position of the walk
     while todo:
-        cand = todo[-1]
-        if not cand:
+        for key in todo[-1]:
+            w = key & low
+            nv = visited | 1 << w
+            if nv != full and _dead_end(w, nv, full, adj):
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise _Inconclusive
+            if not nodes % 4096 and time.monotonic() > deadline:
+                raise CappedError("time limit hit during backtracking search")
+            if nv == full:
+                if close_to is None or adj[w] >> close_to & 1:
+                    walk.append(w)
+                    return walk
+                continue
+            walk.append(w)
+            visited = nv
+            rest = ~nv
+            nxt = []
+            cand = adj[w] & rest
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                x = bit.bit_length() - 1
+                nxt.append((adj[x] & rest).bit_count() << shift | x if by_degree else x)
+            if by_degree:
+                nxt.sort()
+            todo.append(iter(nxt))
+            break
+        else:
             todo.pop()
             if walk:
                 visited ^= 1 << walk.pop()
-            continue
-        bit = cand & -cand
-        todo[-1] = cand ^ bit
-        nv = visited | bit
-        w = bit.bit_length() - 1
-        if nv != full and _dead_end(w, nv, full, adj):
-            continue
-        nodes += 1
-        if nodes > node_budget:
-            raise _Inconclusive
-        if nv == full:
-            if close_to is None or adj[w] >> close_to & 1:
-                # the table reads the least walk back from its far end: a
-                # path reversed, a cycle run the other way round
-                walk.append(w)
-                return walk[::-1] if close_to is None else walk[:1] + walk[:0:-1]
-            continue
-        walk.append(w)
-        visited = nv
-        todo.append(adj[w] & ~nv)
     return None
 
 
@@ -379,14 +327,14 @@ def _path_starts(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (g.degree(v), g.labels[v]))
 
 
-def _lex_starts(g: Graph) -> int:
+def _lex_starts(g: Graph) -> list[int]:
     # a hamiltonian path ends at every leaf, so the least one starts at the
     # lower of two leaves, or by a lone leaf L at the latest; _dead_end keeps
     # a walk from stepping onto L before its last step
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     if len(leaves) == 2:
-        return 1 << leaves[0]
-    return (2 << leaves[0] if leaves else 1 << g.n) - 1
+        return leaves[:1]
+    return list(range(leaves[0] + 1 if leaves else g.n))
 
 
 def has_hamiltonian_path(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
@@ -431,28 +379,23 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
     table = g.n <= budget.dp_vertex_cap
-    if table and g.n < _PREPASS_FLOOR:
-        try:
-            walk = _lex_backtrack(adj, g.n, 1 if cycle else _lex_starts(g),
-                                  min(budget.prepass_nodes, _LEX_NODES),
-                                  0 if cycle else None)
-            return _verdict(g, walk, cycle)
-        except _Inconclusive:
-            pass
+    lex = table and g.n < _PREPASS_FLOOR
+    starts = [0] if cycle else _lex_starts(g) if lex else _path_starts(g)
+    nodes = (min(budget.prepass_nodes, _LEX_NODES) if lex else
+             budget.prepass_nodes if table else budget.node_budget)
+    try:
+        walk = _dfs(adj, g.n, starts, nodes, deadline, 0 if cycle else None,
+                    not lex)
+    except _Inconclusive:
+        if not table:
+            raise CappedError("backtracking node budget exhausted") from None
     else:
-        try:
-            walk = _backtrack(adj, g.n, [0] if cycle else _path_starts(g),
-                              budget.prepass_nodes if table else budget.node_budget,
-                              deadline, 0 if cycle else None)
-            return _verdict(g, walk, cycle)
-        except _Inconclusive:
-            if not table:
-                raise CappedError("backtracking node budget exhausted") from None
-    seed = 1 if cycle else full
-    if g.n <= _PY_DP_CAP:
-        dp = _dp_table_py(adj, seed)
-    else:
-        dp = _dp_table_np(adj, seed, deadline)
+        if walk and lex:
+            # the table reads the least walk back from its far end: a path
+            # reversed, a cycle run the other way round
+            walk = walk[:1] + walk[:0:-1] if cycle else walk[::-1]
+        return _verdict(g, walk, cycle)
+    dp = _dp_table_np(adj, 1 if cycle else full, deadline)
     ends = int(dp[full]) & (adj[0] if cycle else full)
     if not ends:
         return False, None

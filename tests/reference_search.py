@@ -1,0 +1,134 @@
+"""The two backtracking walks and the pure-Python subset table, kept as references.
+
+`hpindex.oracles._dfs` replaced `_backtrack`, a recursive DFS that tries
+the next vertex by (unvisited-neighbour count, index), and `_lex_backtrack`,
+an explicit-stack DFS that tries vertices in index order and returns its
+walk flipped into the order the subset table reads it back. Every table is
+now `hpindex.oracles._dp_table_np`, which replaced `_dp_table_py` below. The
+three are copied here unchanged; `_lex_backtrack` takes its start vertices
+as a mask. The differential tests compare them with the code that replaced
+them.
+"""
+
+from __future__ import annotations
+
+import time
+
+from hpindex.errors import CappedError
+from hpindex.oracles import _dead_end, _Inconclusive
+
+
+def _dp_table_py(adj: list[int], starts: int) -> list[int]:
+    n = len(adj)
+    dp = [0] * (1 << n)
+    for v in range(n):
+        if starts >> v & 1:
+            dp[1 << v] = 1 << v
+    # extensions only ever write to numerically larger masks
+    for mask in range(1, 1 << n):
+        ends = dp[mask]
+        while ends:
+            bit = ends & -ends
+            ends ^= bit
+            free = adj[bit.bit_length() - 1] & ~mask
+            while free:
+                wbit = free & -free
+                free ^= wbit
+                dp[mask | wbit] |= wbit
+    return dp
+
+
+def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,
+               deadline: float, close_to: int | None) -> list[int] | None:
+    """Exhaustive DFS for a hamiltonian path (or cycle when close_to is set).
+
+    Returns the walk, or None when there is none; raises _Inconclusive when
+    the node budget runs out first and CappedError on the wall-clock deadline.
+    """
+    full = (1 << n) - 1
+    nodes = 0
+
+    def dfs(cur: int, visited: int, walk: list[int]) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise _Inconclusive
+        if not nodes % 4096 and time.monotonic() > deadline:
+            raise CappedError("time limit hit during backtracking search")
+        if visited == full:
+            return close_to is None or bool(adj[cur] >> close_to & 1)
+        cand = adj[cur] & ~visited
+        order = []
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w = bit.bit_length() - 1
+            order.append(((adj[w] & ~visited & ~bit).bit_count(), w))
+        order.sort()
+        for _, w in order:
+            nv = visited | (1 << w)
+            if nv != full and _dead_end(w, nv, full, adj):
+                continue
+            walk.append(w)
+            if dfs(w, nv, walk):
+                return True
+            walk.pop()
+        return False
+
+    try:
+        for s in starts:
+            visited = 1 << s
+            if n > 1 and _dead_end(s, visited, full, adj):
+                continue
+            walk = [s]
+            if dfs(s, visited, walk):
+                return walk
+        return None
+    finally:
+        # dfs reaches itself through a closure cell, a reference cycle that
+        # would keep it and `adj` alive until a full collection
+        del dfs
+
+
+def _lex_backtrack(adj: list[int], n: int, starts: int, node_budget: int,
+                   close_to: int | None) -> list[int] | None:
+    """Index-order DFS for the walk the subset table would return.
+
+    Start vertices (a mask) and next vertices are tried in index order, so
+    the first walk found is the lexicographically least one: _dead_end only
+    cuts branches with no completion. Returns None when there is no walk and
+    raises _Inconclusive once more than node_budget vertices are placed.
+    """
+    full = (1 << n) - 1
+    nodes = 0
+    walk: list[int] = []
+    visited = 0
+    todo = [starts]  # untried vertices for each position of the walk
+    while todo:
+        cand = todo[-1]
+        if not cand:
+            todo.pop()
+            if walk:
+                visited ^= 1 << walk.pop()
+            continue
+        bit = cand & -cand
+        todo[-1] = cand ^ bit
+        nv = visited | bit
+        w = bit.bit_length() - 1
+        if nv != full and _dead_end(w, nv, full, adj):
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            raise _Inconclusive
+        if nv == full:
+            if close_to is None or adj[w] >> close_to & 1:
+                # the table reads the least walk back from its far end: a
+                # path reversed, a cycle run the other way round
+                walk.append(w)
+                return walk[::-1] if close_to is None else walk[:1] + walk[:0:-1]
+            continue
+        walk.append(w)
+        visited = nv
+        todo.append(adj[w] & ~nv)
+    return None
+

@@ -92,6 +92,16 @@ def test_backtracking_solver_used_above_dp_cap():
     check_cycle_witness(g, walk)
 
 
+def test_backtracking_walks_longer_than_the_recursion_limit():
+    # the DFS keeps its own stack, so a raised vertex cap cannot overflow
+    # the interpreter's
+    g = cycle_graph(1200)
+    budget = SearchBudget(backtrack_vertex_cap=1200)
+    for search in (has_hamiltonian_path, has_hamiltonian_cycle):
+        ok, walk = search(g, budget)
+        assert ok and len(walk) == 1200
+
+
 # the path cases keep bare seed ids so their test ids stay stable
 @pytest.mark.parametrize(
     "search, seed",
@@ -131,14 +141,13 @@ def tables_built(monkeypatch):
     """Vertex counts of the subset tables built, in call order."""
     built = []
 
-    def counting(table):
-        def wrapped(adj, *rest):
-            built.append(len(adj))
-            return table(adj, *rest)
-        return wrapped
+    table = oracles._dp_table_np
 
-    for name in ("_dp_table_py", "_dp_table_np"):
-        monkeypatch.setattr(oracles, name, counting(getattr(oracles, name)))
+    def counting(adj, *rest):
+        built.append(len(adj))
+        return table(adj, *rest)
+
+    monkeypatch.setattr(oracles, "_dp_table_np", counting)
     return built
 
 
