@@ -25,7 +25,7 @@ from .campaigns import (
     verify_xiongzong,
 )
 from .errors import CappedError, EdgeListParseError, PreconditionError, ValidationError
-from .formula import hp_blockchain_conjecture, hp_tree
+from .formula import FormulaResult, hp_blockchain_conjecture, hp_tree
 from .generators import FamilyParams, enumerate_free_trees, random_tree
 from .graphs import Graph
 from .io import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
@@ -72,6 +72,14 @@ def _emit_index(res: IndexResult, args: argparse.Namespace) -> int:
     else:
         print("capped" if res.value is None else res.value)
     return 1 if res.value is None else 0
+
+
+def _emit_formula(res: FormulaResult, args: argparse.Namespace) -> int:
+    if args.json:
+        _print_json(res.to_json_dict())
+    else:
+        print(res.value)
+    return 0
 
 
 def _emit_report(report: CampaignReport, args: argparse.Namespace) -> None:
@@ -136,12 +144,7 @@ def _cmd_branches(args: argparse.Namespace) -> int:
 
 
 def _cmd_hp_tree(args: argparse.Namespace) -> int:
-    res = hp_tree(_read_graph(args))
-    if args.json:
-        _print_json(res.to_json_dict())
-    else:
-        print(res.value)
-    return 0
+    return _emit_formula(hp_tree(_read_graph(args)), args)
 
 
 def _cmd_hp_oracle(args: argparse.Namespace) -> int:
@@ -149,12 +152,7 @@ def _cmd_hp_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_hp_conjecture(args: argparse.Namespace) -> int:
-    res = hp_blockchain_conjecture(_read_graph(args))
-    if args.json:
-        _print_json(res.to_json_dict())
-    else:
-        print(res.value)
-    return 0
+    return _emit_formula(hp_blockchain_conjecture(_read_graph(args)), args)
 
 
 def _cmd_h_oracle(args: argparse.Namespace) -> int:

@@ -303,6 +303,17 @@ def bridge_reduction(g: Graph) -> Graph:
     Contracted pieces are labeled by their sorted member tokens joined with
     "+" inside brackets; single vertices keep their token.
     """
+    return _reduce(g)[0]
+
+
+def reduction_label_map(g: Graph) -> dict[str, str]:
+    """Token of each g vertex mapped to its bridge_reduction vertex token."""
+    return _reduce(g)[1]
+
+
+def _reduce(g: Graph) -> tuple[Graph, dict[str, str]]:
+    # the bridge reduction and each g token's reduced token, both read off
+    # the union-find, as labels need not parse back into their members
     if not is_connected(g):
         raise PreconditionError("bridge reduction needs a connected graph")
     bridges = g.blocks.bridges
@@ -328,24 +339,8 @@ def bridge_reduction(g: Graph) -> Graph:
     pos = {lab: i for i, lab in enumerate(labels)}
     edges = [(pos[label_of[find(a)]], pos[label_of[find(b)]])
              for a, b in bridges]
-    return Graph(tuple(labels), edges)
-
-
-def reduction_label_map(g: Graph) -> dict[str, str]:
-    """Token of each g vertex mapped to its bridge_reduction vertex token."""
-    return _label_map(bridge_reduction(g))
-
-
-def _label_map(r: Graph) -> dict[str, str]:
-    # the member tokens of a contracted piece are spelled out in its label
-    out = {}
-    for lab in r.labels:
-        if lab.startswith("[") and lab.endswith("]"):
-            for tok in lab[1:-1].split("+"):
-                out[tok] = lab
-        else:
-            out[lab] = lab
-    return out
+    return (Graph(tuple(labels), edges),
+            {g.labels[v]: label_of[find(v)] for v in range(g.n)})
 
 
 def hp_blockchain_conjecture(g: Graph,
@@ -369,10 +364,9 @@ def hp_blockchain_conjecture(g: Graph,
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "
                 "cycle block")
-    r = bridge_reduction(g)
+    r, to_r = _reduce(g)
     if is_path(r):
         return FormulaResult(0, None, None, (), True)
-    to_r = _label_map(r)
     items = []
     for b in branches(g):
         if not b.is_bridge_branch:

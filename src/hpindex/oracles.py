@@ -21,7 +21,9 @@ _PREPASS_FLOOR (17) it walks vertices in index order, capped at
 min(prepass_nodes, _LEX_NODES) nodes, and its walk, flipped, is exactly the
 walk the table would return; from 17 on, and in the backtracking tier, it
 tries low-degree vertices first, capped at prepass_nodes or node_budget
-nodes.
+nodes. It reads the clock every max(1, 4096 // n) nodes, as a node's
+dead-end check grows with n. The dominating-trail search keeps its own
+stack too, so neither search can exhaust Python's recursion limit.
 
 Every positive answer carries a witness walk and every witness is replayed
 against the graph before being returned; a failed replay raises
@@ -266,9 +268,11 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
     only cuts branches with no completion. A node is one vertex placed after
     _dead_end passes. Returns the walk, or None when there is none; raises
     _Inconclusive when more than node_budget nodes are placed and CappedError
-    on the wall-clock deadline, checked every 4096 nodes.
+    on the wall-clock deadline, checked every max(1, 4096 // n) nodes, as
+    _dead_end's flood costs a node time that grows with n.
     """
     full = (1 << n) - 1
+    tick = max(1, 4096 // n)
     # a vertex is tried by its key: in degree order its unvisited-neighbour
     # count above its index, so plain int sorting gives the order, and in
     # index order the index alone; key & low recovers the vertex
@@ -287,7 +291,7 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
             nodes += 1
             if nodes > node_budget:
                 raise _Inconclusive
-            if not nodes % 4096 and time.monotonic() > deadline:
+            if not nodes % tick and time.monotonic() > deadline:
                 raise CappedError("time limit hit during backtracking search")
             if nv == full:
                 if close_to is None or adj[w] >> close_to & 1:
@@ -433,57 +437,47 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         raise CappedError(f"{g.m} edges exceed the trail search cap {TRAIL_EDGE_CAP}")
     deadline = time.monotonic() + budget.time_limit_s
     full = (1 << g.m) - 1
-    epos = {e: i for i, e in enumerate(g.edges)}
     incident = [0] * g.n
-    other = [dict() for _ in range(g.n)]
-    for e, i in epos.items():
-        a, b = e
+    ends = []  # edge i's far end from v is v ^ ends[i]
+    for i, (a, b) in enumerate(g.edges):
         incident[a] |= 1 << i
         incident[b] |= 1 << i
-        other[a][i] = b
-        other[b][i] = a
+        ends.append(a ^ b)
     nodes = 0
     for start in sorted(range(g.n), key=lambda v: g.labels[v]):
-        failed: set[tuple[int, int]] = set()
-
-        def dfs(cur: int, used: int, covered: int, walk: list[int]) -> bool:
-            nonlocal nodes
+        # a closed trail may be the start alone; an open one needs an edge
+        # unless the graph has none
+        if incident[start] == full and (closed or not full):
+            return _trail_verdict(g, [start], closed)
+        failed: set[tuple[int, int]] = set()  # (vertex, used) with no completion
+        # one entry per trail vertex: (vertex, used, covered, untried edges)
+        stack = [(start, 0, incident[start], incident[start])]
+        while stack:
+            cur, used, covered, free = stack[-1]
+            if not free:
+                failed.add((cur, used))
+                stack.pop()
+                continue
+            bit = free & -free
+            stack[-1] = (cur, used, covered, free ^ bit)
+            w = cur ^ ends[bit.bit_length() - 1]
+            used |= bit
+            covered |= incident[w]
             nodes += 1
             if not nodes % 4096 and time.monotonic() > deadline:
                 raise CappedError("time limit hit during trail search")
-            if covered == full:
-                if closed:
-                    if cur == start:
-                        return True
-                elif used or not full:
-                    # open trails need an edge unless the graph has none
-                    return True
-            if (cur, used) in failed:
-                return False
-            free = incident[cur] & ~used
-            while free:
-                bit = free & -free
-                free ^= bit
-                w = other[cur][bit.bit_length() - 1]
-                walk.append(w)
-                if dfs(w, used | bit, covered | incident[w], walk):
-                    return True
-                walk.pop()
-            failed.add((cur, used))
-            return False
-
-        walk = [start]
-        try:
-            found = dfs(start, 0, incident[start], walk)
-        finally:
-            # dfs reaches itself through a closure cell, a reference cycle
-            # that would keep `failed` alive until a full collection
-            del dfs
-        if found:
-            toks = tuple(g.labels[v] for v in walk)
-            check_trail_witness(g, toks, closed)
-            return True, toks
+            if covered == full and (not closed or w == start):
+                return _trail_verdict(g, [s[0] for s in stack] + [w], closed)
+            if (w, used) not in failed:
+                stack.append((w, used, covered, incident[w] & ~used))
     return False, None
+
+
+def _trail_verdict(g: Graph, walk: list[int], closed: bool,
+                   ) -> tuple[bool, tuple[str, ...]]:
+    toks = tuple(g.labels[v] for v in walk)
+    check_trail_witness(g, toks, closed)
+    return True, toks
 
 
 def has_dominating_closed_trail(g: Graph,

@@ -42,9 +42,6 @@ class SplitMix64:
             if r < limit:
                 return r % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """Fisher-Yates, in place."""
         for i in range(len(items) - 1, 0, -1):

@@ -1,21 +1,25 @@
-"""The two backtracking walks and the pure-Python subset table, kept as references.
+"""The searches and the pure-Python table that oracles.py replaced, kept as references.
 
 `hpindex.oracles._dfs` replaced `_backtrack`, a recursive DFS that tries
 the next vertex by (unvisited-neighbour count, index), and `_lex_backtrack`,
 an explicit-stack DFS that tries vertices in index order and returns its
 walk flipped into the order the subset table reads it back. Every table is
-now `hpindex.oracles._dp_table_np`, which replaced `_dp_table_py` below. The
-three are copied here unchanged; `_lex_backtrack` takes its start vertices
-as a mask. The differential tests compare them with the code that replaced
-them.
+now `hpindex.oracles._dp_table_np`, which replaced `_dp_table_py` below.
+`has_dominating_trail` below is the recursive trail search that the
+explicit-stack `hpindex.oracles.has_dominating_trail` replaced. The four
+are copied here unchanged; `_lex_backtrack` takes its start vertices as a
+mask. The differential tests compare them with the code that replaced them.
 """
 
 from __future__ import annotations
 
 import time
 
-from hpindex.errors import CappedError
-from hpindex.oracles import _dead_end, _Inconclusive
+from hpindex.errors import CappedError, PreconditionError
+from hpindex.graphs import Graph, is_connected
+from hpindex.oracles import (DEFAULT_SEARCH_BUDGET, TRAIL_EDGE_CAP,
+                             SearchBudget, _dead_end, _Inconclusive,
+                             check_trail_witness)
 
 
 def _dp_table_py(adj: list[int], starts: int) -> list[int]:
@@ -132,3 +136,73 @@ def _lex_backtrack(adj: list[int], n: int, starts: int, node_budget: int,
         todo.append(adj[w] & ~nv)
     return None
 
+
+def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
+                         closed: bool = False,
+                         ) -> tuple[bool, tuple[str, ...] | None]:
+    """Search for a trail whose vertex set touches every edge.
+
+    Closed trails admit the trivial single-vertex walk, so a star is closed-
+    trail-dominated by its center alone; open trails must use at least one
+    edge whenever the graph has any. The witness is the trail as a vertex
+    walk, from which its edge sequence can be read off pairwise.
+    """
+    if g.n == 0:
+        raise PreconditionError("dominating trails need a nonempty graph")
+    if not is_connected(g):
+        return False, None
+    if g.m > TRAIL_EDGE_CAP:
+        raise CappedError(f"{g.m} edges exceed the trail search cap {TRAIL_EDGE_CAP}")
+    deadline = time.monotonic() + budget.time_limit_s
+    full = (1 << g.m) - 1
+    epos = {e: i for i, e in enumerate(g.edges)}
+    incident = [0] * g.n
+    other = [dict() for _ in range(g.n)]
+    for e, i in epos.items():
+        a, b = e
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+        other[a][i] = b
+        other[b][i] = a
+    nodes = 0
+    for start in sorted(range(g.n), key=lambda v: g.labels[v]):
+        failed: set[tuple[int, int]] = set()
+
+        def dfs(cur: int, used: int, covered: int, walk: list[int]) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if not nodes % 4096 and time.monotonic() > deadline:
+                raise CappedError("time limit hit during trail search")
+            if covered == full:
+                if closed:
+                    if cur == start:
+                        return True
+                elif used or not full:
+                    # open trails need an edge unless the graph has none
+                    return True
+            if (cur, used) in failed:
+                return False
+            free = incident[cur] & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                w = other[cur][bit.bit_length() - 1]
+                walk.append(w)
+                if dfs(w, used | bit, covered | incident[w], walk):
+                    return True
+                walk.pop()
+            failed.add((cur, used))
+            return False
+
+        walk = [start]
+        try:
+            found = dfs(start, 0, incident[start], walk)
+        finally:
+            # dfs reaches itself through a closure cell, a reference cycle
+            # that would keep `failed` alive until a full collection
+            del dfs
+        if found:
+            toks = tuple(g.labels[v] for v in walk)
+            check_trail_witness(g, toks, closed)
+            return True, toks
+    return False, None

@@ -138,6 +138,29 @@ def test_bridge_reduction_contracts_the_triangle():
     assert fwd["p1"] == "p1"
 
 
+def _triangle_with_tails(a="a", p2="p2"):
+    return graph_from_token_edges(
+        [(a, "b"), ("b", "c"), (a, "c"), (a, "p1"), ("p1", p2),
+         ("b", "q1"), ("q1", "q2"), ("c", "r1")])
+
+
+@pytest.mark.parametrize("a, p2, piece", [
+    ("a", "[p2]", "[a+b+c]"),
+    ("x+y", "p2", "[b+c+x+y]"),
+])
+def test_conjecture_takes_labels_that_look_like_contracted_pieces(a, p2, piece):
+    # a label is never parsed back into members, so brackets and "+" in a
+    # token change nothing
+    assert hp_blockchain_conjecture(_triangle_with_tails()).value == 1
+    g = _triangle_with_tails(a, p2)
+    assert hp_blockchain_conjecture(g).value == 1
+    rec = compare_formula_oracle(g)
+    assert (rec.formula_value, rec.oracle_value) == (1, 1)
+    assert reduction_label_map(g) == {
+        a: piece, "b": piece, "c": piece, "p1": "p1", p2: p2,
+        "q1": "q1", "q2": "q2", "r1": "r1"}
+
+
 def test_bridge_reduction_of_tree_is_identity_shaped():
     t = spider(2, 2, 2)
     r = bridge_reduction(t)

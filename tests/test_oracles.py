@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,17 @@ def test_backtracking_walks_longer_than_the_recursion_limit():
     for search in (has_hamiltonian_path, has_hamiltonian_cycle):
         ok, walk = search(g, budget)
         assert ok and len(walk) == 1200
+
+
+def test_backtracking_deadline_is_read_often_on_large_graphs():
+    # a node on 1200 vertices costs about half a millisecond, so the clock
+    # is read every 4096 // n nodes, not every 4096
+    g = cycle_graph(1200)
+    budget = SearchBudget(backtrack_vertex_cap=1200, time_limit_s=0.05)
+    for search in (has_hamiltonian_path, has_hamiltonian_cycle):
+        with pytest.raises(CappedError,
+                           match="^time limit hit during backtracking search$"):
+            search(g, budget)
 
 
 # the path cases keep bare seed ids so their test ids stay stable
@@ -312,6 +324,26 @@ def test_backtracking_search_leaves_nothing_to_collect():
 def test_dominating_trail_edge_cap():
     with pytest.raises(CappedError):
         has_dominating_trail(complete_graph(7))
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_dominating_trail_search_keeps_its_own_stack():
+    # a trail of 20 edges, the cap, found 15 frames from the recursion limit
+    g = path_graph(21)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 15)
+    try:
+        ok, walk = has_dominating_trail(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ok
+    check_trail_witness(g, walk, closed=False)
 
 
 def test_trail_criterion_for_traceable_line_graphs():

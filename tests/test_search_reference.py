@@ -1,20 +1,25 @@
-"""The one DFS and the numpy table against the engines they replaced.
+"""The one DFS, the numpy table and the trail search against the engines
+they replaced.
 
 `oracles._dfs` in degree order must do what `_backtrack` did, and in index
 order what `_lex_backtrack` did once its walk is flipped into the table's
 read-back order: the same walk, the same None, or a drained node budget on
 both sides, since a drain hands the graph to the table or caps it.
 `oracles._dp_table_np` must build the table of `_dp_table_py` entry for
-entry, as the witness walk is read back from it.
+entry, as the witness walk is read back from it. The explicit-stack
+`oracles.has_dominating_trail` must give the recursive search's answer and
+walk, open and closed, or raise the same CappedError.
 """
 
 import random
 
 import pytest
 
-from hpindex import enumerate_connected_graphs, random_connected_graph
+from hpindex import (CappedError, enumerate_connected_graphs,
+                     enumerate_free_trees, random_connected_graph)
 from hpindex import oracles
-from reference_search import _backtrack, _dp_table_py, _lex_backtrack
+from reference_search import (_backtrack, _dp_table_py, _lex_backtrack,
+                              has_dominating_trail)
 
 NO_DEADLINE = float("inf")
 
@@ -92,3 +97,36 @@ def test_numpy_table_matches_python_table_on_seeded_graphs():
         n = 6 + seed % 7
         g = random_connected_graph(n, seed * 3 % 13, seed)
         assert_same_table(g, (1 << n) - 1 if seed % 2 == 0 else 1)
+
+
+def _trail(search, g, closed):
+    try:
+        return search(g, closed=closed)
+    except CappedError as exc:
+        return str(exc)
+
+
+def assert_same_trails(graphs):
+    for g in graphs:
+        for closed in (False, True):
+            new = _trail(oracles.has_dominating_trail, g, closed)
+            ref = _trail(has_dominating_trail, g, closed)
+            assert new == ref, (g.label_edges(), closed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_trail_search_matches_the_recursive_one_on_every_small_graph(n):
+    assert_same_trails(enumerate_connected_graphs(n))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_trail_search_matches_the_recursive_one_on_seeded_graphs(block):
+    # 400 graphs of 4-17 vertices with 0-8 extra edges; those past 20 edges
+    # must raise the same cap on both sides
+    assert_same_trails(
+        random_connected_graph(4 + seed % 14, seed * 7 % 9, seed)
+        for seed in range(block * 100, block * 100 + 100))
+
+
+def test_trail_search_matches_the_recursive_one_on_free_trees():
+    assert_same_trails(t for n in range(1, 13) for t in enumerate_free_trees(n))
