@@ -59,10 +59,10 @@ class EdgeStarvationError(PreconditionError):
 
 
 class EmptyCandidateError(HPIndexError):
-    """No endpath contains any weight-maximal branch pair.
+    """The min-max evaluator found fewer than two items on its tree.
 
-    Believed unreachable for trees; the offending graph is serialized into the
-    message so a report can be filed if it ever fires.
+    Unreachable on trees that are not paths, which have three branches or
+    more; the graph is serialized into the message so a report can be filed.
     """
 
     def __init__(self, witness_edge_list: str):

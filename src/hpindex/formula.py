@@ -16,12 +16,12 @@ O(n) plus the hull lengths of the maximal pairs, where listing endpaths
 cost O(leaves^2 * n).
 
 The conjectural extension contracts every bridgeless piece of a general graph
-to a point (all such pieces must have a spanning cycle for the formula to
-apply), evaluates the same min-max on the resulting tree, and keeps branch
-weights as measured in the original graph. A bridge branch stays inside one
-branch of the contracted tree, so the same evaluator applies. Results carry
-a `conjectural` flag; compare_formula_oracle pits them against the exact
-stage loop.
+to a point, a hub (all such pieces must have a spanning cycle for the formula
+to apply), and evaluates the same min-max on the resulting tree with its
+branches cut at hubs: each piece is one bridge branch of the graph, pendant
+exactly when it ends at a leaf that is not a hub. Results carry a
+`conjectural` flag; compare_formula_oracle pits them against the exact stage
+loop.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .branches import Branch, absorption_time, branches
 from .canon import graph_key
 from .errors import CappedError, EmptyCandidateError, PreconditionError
 from .graphs import Graph, block_graph, is_connected, is_path, is_tree
@@ -69,14 +68,6 @@ class FormulaResult:
         }
 
 
-@dataclass(frozen=True)
-class _WeightedPath:
-    """A path on the evaluation tree with the weight it contributes."""
-
-    walk: tuple[str, ...]
-    weight: int
-
-
 def _exits(s: list[int], f: list, combine) -> list:
     """Best way on from a junction of degree d >= 3, for each neighbour skipped.
 
@@ -99,16 +90,17 @@ def _exits(s: list[int], f: list, combine) -> list:
     return out
 
 
-def _evaluate(tree: Graph, items: tuple[_WeightedPath, ...],
+def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
               ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None,
                          tuple[PairValue, ...]]:
     """Min-max over endpaths of the heaviest item left off the endpath.
 
-    `tree` is a tree that is not a path, and every item lies inside one of
-    its corridors, so an endpath holds an item exactly when it runs through
-    the item's corridor. The work runs on the junction tree: its nodes are
+    `tree` is a tree that is not a path, and `hubs` its vertices that stand
+    for contracted pieces. The work runs on the junction tree: its nodes are
     the vertices of degree != 2, rooted at one of degree >= 3, and its
-    edges are the corridors, each named by its lower junction. Two
+    edges are the corridors, each named by its lower junction. Cut at hubs,
+    each corridor gives one item per piece, weighing its edge count if its
+    lower end is a leaf that is not a hub and one more otherwise. Two
     corridors always share an endpath, so the maximal pairs are those whose
     weights add up to the two largest.
 
@@ -128,8 +120,6 @@ def _evaluate(tree: Graph, items: tuple[_WeightedPath, ...],
     their sorted walks. The cost is O(n) plus the hull lengths of the
     maximal pairs, without recursion.
     """
-    if len(items) < 2:
-        raise EmptyCandidateError(to_edge_list(tree))
     adj, n = tree.adj, tree.n
     junction = [len(a) != 2 for a in adj]
     root = next(v for v in range(n) if len(adj[v]) > 2)
@@ -143,33 +133,37 @@ def _evaluate(tree: Graph, items: tuple[_WeightedPath, ...],
                 parent[w] = v
                 depth[w] = depth[v] + 1
                 order.append(w)
-    # corridor of the edge (v, parent[v]), named by its lower junction
-    low = list(range(n))
-    for v in reversed(order):
-        if not junction[v]:
-            a, b = adj[v]
-            low[v] = low[b if a == parent[v] else a]
-    jpar = [-1] * n
-    for v in order[1:]:
-        p = parent[v]
-        jpar[v] = p if junction[p] else jpar[p]
     jorder = [v for v in order if junction[v]]
+    # climb each corridor from its lower junction x to its parent junction
+    # jpar[x], naming every edge (v, parent[v]) on the way by x and cutting
+    # an item at each hub
+    low = list(range(n))
+    jpar = [-1] * n
     kids: list[list[int]] = [[] for _ in range(n)]
     jdepth = [0] * n
+    walks, weight, corridor = [], [], []  # per item; walks from the smaller end
     for x in jorder[1:]:
-        kids[jpar[x]].append(x)
-        jdepth[x] = jdepth[jpar[x]] + 1
-
-    def corridors(walk) -> set[int]:
-        return {low[a] if parent[a] == b else low[b]
-                for a, b in zip(walk, walk[1:])}
-
-    weight = [it.weight for it in items]
-    corridor = []
-    for it in items:
-        found = corridors([tree.index(t) for t in it.walk])
-        assert len(found) == 1, "an item leaves its corridor"
-        corridor.append(found.pop())
+        v, piece = x, [x]
+        while True:
+            v = parent[v]
+            piece.append(v)
+            if not junction[v]:
+                low[v] = x
+                if v not in hubs:
+                    continue
+            toks = tuple(tree.labels[u] for u in piece)
+            walks.append(min(toks, toks[::-1]))
+            pendant = len(adj[piece[0]]) == 1 and piece[0] not in hubs
+            weight.append(len(piece) - pendant)
+            corridor.append(x)
+            if junction[v]:
+                break
+            piece = [v]
+        jpar[x] = v
+        kids[v].append(x)
+        jdepth[x] = jdepth[v] + 1
+    if len(walks) < 2:
+        raise EmptyCandidateError(to_edge_list(tree))
     cw = [0] * n  # heaviest item in the corridor above each junction
     for c, w in zip(corridor, weight):
         cw[c] = max(cw[c], w)
@@ -235,14 +229,14 @@ def _evaluate(tree: Graph, items: tuple[_WeightedPath, ...],
         rest = next((sub[k] for k in top3[meet] if k != a and k != b), 0)
         return max(hang, rest, side[meet]), (cx, True), (cy, True)
 
-    ranked = sorted(range(len(items)), key=lambda i: -weight[i])
+    ranked = sorted(range(len(walks)), key=lambda i: -weight[i])
     w1, w2 = weight[ranked[0]], weight[ranked[1]]
     heavy = [i for i in ranked if weight[i] == w1]
     if len(heavy) > 1:
         pairs = [(i, j) for a, i in enumerate(heavy) for j in heavy[a + 1:]]
     else:
         pairs = [(heavy[0], j) for j in ranked[1:] if weight[j] == w2]
-    pairs.sort(key=lambda p: sorted((items[p[0]].walk, items[p[1]].walk)))
+    pairs.sort(key=lambda p: sorted((walks[p[0]], walks[p[1]])))
 
     def cost(end: tuple[int, bool]) -> int:
         return cost_down[end[0]] if end[1] else cost_up[end[0]]
@@ -271,19 +265,14 @@ def _evaluate(tree: Graph, items: tuple[_WeightedPath, ...],
         deeper = left if depth[left[-1]] >= depth[right[-1]] else right
         deeper.append(parent[deeper[-1]])
     walk = left + right[-2::-1]
-    on_path = corridors(walk)
-    heaviest = [it.walk for it, c in zip(items, corridor)
-                if c not in on_path and it.weight == value]
-    per_pair = tuple(((min(items[i].walk, items[j].walk),
-                       max(items[i].walk, items[j].walk)), v)
+    on_path = {low[a] if parent[a] == b else low[b]
+               for a, b in zip(walk, walk[1:])}
+    heaviest = [w for w, c, wt in zip(walks, corridor, weight)
+                if c not in on_path and wt == value]
+    per_pair = tuple(((min(walks[i], walks[j]), max(walks[i], walks[j])), v)
                      for (i, j), (v, _, _) in zip(pairs, valued))
     return (value, tuple(tree.labels[v] for v in walk),
             min(heaviest) if heaviest else None, per_pair)
-
-
-def _branch_items(brs: tuple[Branch, ...]) -> tuple[_WeightedPath, ...]:
-    return tuple(_WeightedPath(b.vertices, absorption_time(b))
-                 for b in brs if b.is_bridge_branch)
 
 
 def hp_tree(t: Graph) -> FormulaResult:
@@ -292,8 +281,7 @@ def hp_tree(t: Graph) -> FormulaResult:
         raise PreconditionError("the closed form applies to trees")
     if is_path(t):
         return FormulaResult(0, None, None, (), False)
-    value, ep, off, per_pair = _evaluate(t, _branch_items(branches(t)))
-    return FormulaResult(value, ep, off, per_pair, False)
+    return FormulaResult(*_evaluate(t), False)
 
 
 def bridge_reduction(g: Graph) -> Graph:
@@ -301,7 +289,8 @@ def bridge_reduction(g: Graph) -> Graph:
 
     The surviving edges are exactly the bridges, so the result is a tree.
     Contracted pieces are labeled by their sorted member tokens joined with
-    "+" inside brackets; single vertices keep their token.
+    "+" inside brackets, then primed ("'") while the label is an input token
+    or an earlier piece's; single vertices keep their token.
     """
     return _reduce(g)[0]
 
@@ -311,9 +300,9 @@ def reduction_label_map(g: Graph) -> dict[str, str]:
     return _reduce(g)[1]
 
 
-def _reduce(g: Graph) -> tuple[Graph, dict[str, str]]:
-    # the bridge reduction and each g token's reduced token, both read off
-    # the union-find, as labels need not parse back into their members
+def _reduce(g: Graph) -> tuple[Graph, dict[str, str], frozenset[int]]:
+    # the bridge reduction, each g token's reduced token and the hubs (the
+    # contracted pieces), read off the union-find, not parsed from labels
     if not is_connected(g):
         raise PreconditionError("bridge reduction needs a connected graph")
     bridges = g.blocks.bridges
@@ -332,15 +321,20 @@ def _reduce(g: Graph) -> tuple[Graph, dict[str, str]]:
     for v in range(g.n):
         members.setdefault(find(v), []).append(g.labels[v])
     label_of = {}
-    for root, toks in members.items():
-        toks.sort()
-        label_of[root] = toks[0] if len(toks) == 1 else "[" + "+".join(toks) + "]"
+    taken = set(g.labels)
+    for toks, root in sorted((sorted(toks), root) for root, toks in members.items()):
+        name = toks[0] if len(toks) == 1 else "[" + "+".join(toks) + "]"
+        while len(toks) > 1 and name in taken:
+            name += "'"
+        taken.add(name)
+        label_of[root] = name
     labels = sorted(label_of.values())
     pos = {lab: i for i, lab in enumerate(labels)}
     edges = [(pos[label_of[find(a)]], pos[label_of[find(b)]])
              for a, b in bridges]
     return (Graph(tuple(labels), edges),
-            {g.labels[v]: label_of[find(v)] for v in range(g.n)})
+            {g.labels[v]: label_of[find(v)] for v in range(g.n)},
+            frozenset(pos[label_of[r]] for r, ms in members.items() if len(ms) > 1))
 
 
 def hp_blockchain_conjecture(g: Graph,
@@ -350,9 +344,10 @@ def hp_blockchain_conjecture(g: Graph,
     spanning cycles.
 
     Trees fall through to the exact closed form. Otherwise the graph is
-    bridge-reduced to a tree and the tree min-max runs over the images of the
-    bridge branches, weighted as they are in the original graph: a branch
-    ending on a contracted piece is charged like one running into a junction.
+    bridge-reduced to a tree and the tree min-max runs over its branches cut
+    at the hubs, the contracted pieces. Each cut piece is one bridge branch
+    of g, weighted as in g: a branch ending on a hub is charged like one
+    running into a junction, even where the hub is a leaf.
     """
     if not is_connected(g):
         raise PreconditionError("the conjectural formula needs a connected graph")
@@ -364,19 +359,10 @@ def hp_blockchain_conjecture(g: Graph,
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "
                 "cycle block")
-    r, to_r = _reduce(g)
+    r, _, hubs = _reduce(g)
     if is_path(r):
         return FormulaResult(0, None, None, (), True)
-    items = []
-    for b in branches(g):
-        if not b.is_bridge_branch:
-            continue
-        walk = tuple(to_r[t] for t in b.vertices)
-        if walk[-1] < walk[0]:
-            walk = walk[::-1]
-        items.append(_WeightedPath(walk, absorption_time(b)))
-    value, ep, off, per_pair = _evaluate(r, tuple(items))
-    return FormulaResult(value, ep, off, per_pair, True)
+    return FormulaResult(*_evaluate(r, hubs), True)
 
 
 @dataclass(frozen=True)

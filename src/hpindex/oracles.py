@@ -34,7 +34,7 @@ surface as a capped stage result), never a wrong answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -513,30 +513,41 @@ def h_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexRes
     return _stage_loop(g, budget, cycle=True)
 
 
+def _time_left(budget: SearchBudget, deadline: float) -> SearchBudget:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise CappedError("time limit hit before a stage search")
+    return replace(budget, time_limit_s=left)
+
+
 def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     """Search L^0(g), L^1(g), ... for a hamiltonian cycle or path.
 
     The first iterate's verdict is cross-checked against a closed or open
     dominating-trail search on g: L(g) is hamiltonian exactly when g has a
     dominating closed trail (Harary-Nash-Williams, g with at least 3 edges)
-    and traceable exactly when g has a dominating trail (Xiong-Zong).
+    and traceable exactly when g has a dominating trail (Xiong-Zong). One
+    deadline covers the whole loop; each search gets the time left.
     """
     # resolved per call, not at import, so wrappers bound over these module
     # names see every stage search
     search = has_hamiltonian_cycle if cycle else has_hamiltonian_path
     yes = "hamiltonian" if cycle else "traceable"
+    deadline = time.monotonic() + budget.time_limit_s
     stages: list[StageRecord] = []
     cur = g
     n = 0
     while True:
         try:
-            ok, walk = search(cur, budget)
+            # stage 0 starts on the whole limit, however small
+            ok, walk = search(cur, _time_left(budget, deadline) if n else budget)
         except CappedError as exc:
             stages.append(StageRecord(n, cur.n, cur.m, "capped"))
             return IndexResult(None, tuple(stages), None, str(exc))
         if n == 1 and (3 if cycle else 1) <= g.m <= TRAIL_EDGE_CAP:
             try:
-                dom, _ = has_dominating_trail(g, budget, closed=cycle)
+                dom, _ = has_dominating_trail(g, _time_left(budget, deadline),
+                                              closed=cycle)
             except CappedError:
                 pass
             else:

@@ -2,9 +2,15 @@
 
 `hpindex.formula._evaluate` used to be exactly `_evaluate` below: it lists
 every endpath with `hpindex.branches.endpaths`, O(leaves^2 * n) of them
-with their vertex walks, and scans them all. The differential tests run it
-beside the junction-tree evaluator on the same items and compare the whole
-(value, endpath, off-path walk, per-pair values) tuple.
+with their vertex walks, and scans them all. It also used to take its items
+from the caller. Today it cuts them from the tree itself: each branch of
+the (bridge-reduced) tree, cut at the hubs that stand for contracted pieces,
+is one item, weighing its edge count when it ends at a leaf that is not a
+hub and one more otherwise. `reference_items` builds the items the old way,
+from `branches()` and `absorption_time` of the original graph, mapped onto
+the reduced tree's labels, and `reference_formula` runs them through the
+reference evaluator. The differential tests compare the whole (value,
+endpath, off-path walk, per-pair values) tuple of both routes.
 
 `maximal_pairs` and `candidate_endpaths` are the branch-level form of the
 same scan, over the branches of a tree rather than evaluator items.
@@ -14,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hpindex.branches import Branch, Endpath, absorption_time, endpaths
+from hpindex.branches import (Branch, Endpath, absorption_time, branches,
+                              endpaths)
 from hpindex.errors import EmptyCandidateError
-from hpindex.formula import PairValue
-from hpindex.graphs import Graph
+from hpindex.formula import (FormulaResult, PairValue, bridge_reduction,
+                             reduction_label_map)
+from hpindex.graphs import Graph, is_path, is_tree
 from hpindex.io import to_edge_list
 
 
@@ -30,14 +38,38 @@ class ReferenceItem:
     weight: int
 
 
-def reference_items(items) -> tuple[ReferenceItem, ...]:
-    """The reference form of the items `hpindex.formula._evaluate` takes."""
-    return tuple(
-        ReferenceItem(it.walk,
-                      frozenset((a, b) if a <= b else (b, a)
-                                for a, b in zip(it.walk, it.walk[1:])),
-                      it.weight)
-        for it in items)
+def reference_items(g: Graph) -> tuple[ReferenceItem, ...]:
+    """The bridge branches of g, on its bridge reduction's labels.
+
+    Each walk runs from its smaller end token and weighs the branch's
+    absorption time in g. On a tree the reduction keeps every label.
+    """
+    to_r = reduction_label_map(g)
+    items = []
+    for b in branches(g):
+        if not b.is_bridge_branch:
+            continue
+        walk = tuple(to_r[t] for t in b.vertices)
+        if walk[-1] < walk[0]:
+            walk = walk[::-1]
+        items.append(ReferenceItem(
+            walk,
+            frozenset((x, y) if x <= y else (y, x)
+                      for x, y in zip(walk, walk[1:])),
+            absorption_time(b)))
+    return tuple(items)
+
+
+def reference_formula(g: Graph) -> FormulaResult:
+    """`hp_tree` on a tree, else `hp_blockchain_conjecture`, by the reference.
+
+    The spanning-cycle precondition on cycle blocks is not checked.
+    """
+    tree = is_tree(g)
+    r = g if tree else bridge_reduction(g)
+    if is_path(r):
+        return FormulaResult(0, None, None, (), not tree)
+    return FormulaResult(*_evaluate(r, reference_items(g)), not tree)
 
 
 def _evaluate(tree: Graph, items: tuple[ReferenceItem, ...],

@@ -87,6 +87,7 @@ def test_criterion_04_path_index_bounded_by_cycle_index(trees_to_9):
         assert hp_tree(t).value <= h, t.label_edges()
         completed += 1
     assert completed >= 70
+    assert capped <= 15
     print(f"criterion 4: h_p <= h on {completed} trees "
           f"({capped} capped, excluded) PASS")
 

@@ -5,7 +5,6 @@ import pytest
 from hpindex import (
     CappedError,
     PreconditionError,
-    SearchBudget,
     blocks_and_cuts,
     bridge_reduction,
     compare_formula_oracle,
@@ -18,7 +17,6 @@ from hpindex import (
     is_caterpillar,
     is_path,
     line_graph,
-    h_oracle,
     path_graph,
     random_tree,
     spider,
@@ -96,26 +94,6 @@ def test_value_one_iff_caterpillar(trees_to_11):
         assert (hp_tree(t).value == 1) == is_caterpillar(t), t.label_edges()
 
 
-def test_path_index_at_most_hamiltonian_index(trees_to_9):
-    # h_oracle may cap when iterates outgrow the search tier; those are
-    # skipped, everything that completes must satisfy the inequality.
-    # Trimmed node budget: the hopeless instances give up fast and only
-    # one borderline tree moves from completed to capped.
-    budget = SearchBudget(node_budget=400_000)
-    completed = capped = 0
-    for t in trees_to_9:
-        if is_path(t):
-            continue
-        h = h_oracle(t, budget=budget).value
-        if h is None:
-            capped += 1
-            continue
-        completed += 1
-        assert hp_tree(t).value <= h, t.label_edges()
-    assert completed >= 70
-    assert capped <= 15
-
-
 def test_index_drops_by_one_per_line_graph(trees_to_9):
     for t in trees_to_9:
         v = hp_tree(t).value
@@ -159,6 +137,42 @@ def test_conjecture_takes_labels_that_look_like_contracted_pieces(a, p2, piece):
     assert reduction_label_map(g) == {
         a: piece, "b": piece, "c": piece, "p1": "p1", p2: p2,
         "q1": "q1", "q2": "q2", "r1": "r1"}
+
+
+def _triangle_with_pendant(pendant):
+    return graph_from_token_edges(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", pendant), (pendant, "t1"),
+         ("a", "t2")])
+
+
+def test_piece_label_that_is_a_token_is_primed():
+    # the triangle's own name "[a+b+c]" is taken by a real vertex, so the
+    # piece gets a name no input token has, and the values do not move
+    plain = _triangle_with_pendant("x")
+    g = _triangle_with_pendant("[a+b+c]")
+    r = bridge_reduction(g)
+    assert sorted(r.label_edges()) == [("[a+b+c]", "[a+b+c]'"),
+                                       ("[a+b+c]", "t1"), ("[a+b+c]'", "t2")]
+    assert reduction_label_map(g) == {
+        "a": "[a+b+c]'", "b": "[a+b+c]'", "c": "[a+b+c]'",
+        "[a+b+c]": "[a+b+c]", "t1": "t1", "t2": "t2"}
+    assert bridge_reduction(plain).labels == ("[a+b+c]", "t1", "t2", "x")
+    for h in (plain, g):
+        assert hp_blockchain_conjecture(h).value == 0
+        rec = compare_formula_oracle(h)
+        assert (rec.formula_value, rec.oracle_value, rec.verdict) == (0, 0, "agree")
+
+
+def test_pieces_with_the_same_label_are_told_apart():
+    # {w, x, y+z} and {w+x, y, z} both join to "[w+x+y+z]"; the piece whose
+    # sorted members come first keeps it
+    g = graph_from_token_edges(
+        [("w", "x"), ("x", "y+z"), ("w", "y+z"), ("w+x", "y"), ("y", "z"),
+         ("w+x", "z"), ("w", "y")])
+    fwd = reduction_label_map(g)
+    assert fwd["w"] == fwd["x"] == fwd["y+z"] == "[w+x+y+z]"
+    assert fwd["w+x"] == fwd["y"] == fwd["z"] == "[w+x+y+z]'"
+    assert bridge_reduction(g).label_edges() == (("[w+x+y+z]", "[w+x+y+z]'"),)
 
 
 def test_bridge_reduction_of_tree_is_identity_shaped():

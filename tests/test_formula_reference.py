@@ -1,9 +1,10 @@
 """The junction-tree evaluator against the endpath-listing reference.
 
-While a test here runs, every call of `formula._evaluate` is repeated on the
-reference evaluator in reference_formula.py with the same tree and items, and
-the two (value, endpath, off-path walk, per-pair values) tuples must be
-equal.
+Each formula result here is compared, as the whole (value, endpath, off-path
+walk, per-pair values) tuple, with reference_formula.py, which evaluates
+items built independently from the branches and absorption times of the
+original graph. The `checked` fixture counts the calls of
+`formula._evaluate`.
 """
 
 import random
@@ -12,7 +13,6 @@ import pytest
 
 from hpindex import (
     FamilyParams,
-    branches,
     double_spider,
     enumerate_free_trees,
     gen_hamiltonian_2block_family,
@@ -20,43 +20,47 @@ from hpindex import (
     hp_blockchain_conjecture,
     hp_tree,
     is_path,
+    is_tree,
     random_tree,
     spider,
     star_graph,
 )
 from hpindex import formula
-from reference_formula import _evaluate as reference_evaluate
-from reference_formula import reference_items
+from reference_formula import reference_formula
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check each evaluator call against the reference; list the results."""
+    """The trees `formula._evaluate` runs on, in call order."""
     fast = formula._evaluate
-    results = []
+    trees = []
 
-    def both(tree, items):
-        out = fast(tree, items)
-        assert out == reference_evaluate(tree, reference_items(items)), \
-            tree.label_edges()
-        results.append(out)
-        return out
+    def counted(tree, hubs=frozenset()):
+        trees.append(tree)
+        return fast(tree, hubs)
 
-    monkeypatch.setattr(formula, "_evaluate", both)
-    return results
+    monkeypatch.setattr(formula, "_evaluate", counted)
+    return trees
+
+
+def agree(g):
+    """The formula's result for g, checked against the reference."""
+    res = (hp_tree if is_tree(g) else hp_blockchain_conjecture)(g)
+    assert res == reference_formula(g), g.label_edges()
+    return res
 
 
 def test_every_tree_up_to_14_vertices(checked):
     for n in range(1, 15):
         for t in enumerate_free_trees(n):
             if not is_path(t):
-                hp_tree(t)
+                agree(t)
     assert len(checked) == 5433
 
 
 def test_random_trees_up_to_300_vertices(checked):
     for k in range(40):
-        hp_tree(random_tree(50 + round(250 * k / 39), k))
+        agree(random_tree(50 + round(250 * k / 39), k))
     assert len(checked) == 40
 
 
@@ -79,7 +83,7 @@ def caterpillar(spine: int):
 ], ids=["star40", "spider2x25", "spider5-3x20", "spider4x12-1x30",
         "double3x8", "double2x6", "caterpillar30"])
 def test_many_equal_legs(checked, tree, pairs):
-    assert len(hp_tree(tree).per_pair) == pairs
+    assert len(agree(tree).per_pair) == pairs
     assert len(checked) == 1
 
 
@@ -93,39 +97,34 @@ def test_blockchain_conjecture_over_the_glued_cycle_family(checked, params,
     # trees go through hp_tree, the rest through the bridge-reduced tree;
     # both count, reductions that are paths do not
     for g, _ in gen_hamiltonian_2block_family(params):
-        hp_blockchain_conjecture(g)
+        agree(g)
     assert len(checked) == calls
 
 
-def split_corridors(t, rng):
-    """Items cut from the corridors of t at random, with random weights;
-    some pieces carry no item."""
-    items = []
-    for b in branches(t):
-        walk = b.vertices
-        cuts = sorted(rng.sample(range(1, len(walk) - 1),
-                                 rng.randint(0, len(walk) - 2)))
-        for lo, hi in zip([0] + cuts, cuts + [len(walk) - 1]):
-            if rng.random() < 0.85:
-                items.append(formula._WeightedPath(walk[lo:hi + 1],
-                                                   rng.randint(1, 4)))
-    return tuple(items)
+def with_triangles(t, hubs):
+    """t with a triangle glued at each hub vertex: its bridge reduction is t
+    with the hubs standing for contracted pieces."""
+    edges = list(t.label_edges())
+    for h in hubs:
+        x = t.labels[h]
+        edges += [(x, x + "~1"), (x + "~1", x + "~2"), (x + "~2", x)]
+    return graph_from_token_edges(edges)
 
 
 def test_items_cut_from_corridors():
-    # several items to a corridor and corridors without one, beyond what
-    # the formulas make; every maximal pair still reaches the index
+    # random hub sets: leaf hubs turn pendant branches into inner ones, and
+    # hubs of degree 2 cut a corridor into several items; every maximal
+    # pair still reaches the index
     rng = random.Random(0)
-    shared = 0
-    for k in range(400):
+    tested = cut = k = 0
+    while tested < 400:
+        k += 1
         t = random_tree(rng.randint(5, 40), k)
         if is_path(t):
             continue
-        items = split_corridors(t, rng)
-        if len(items) < 2:
-            continue
-        out = formula._evaluate(t, items)
-        assert out == reference_evaluate(t, reference_items(items)), k
-        assert {v for _, v in out[3]} == {out[0]}, k
-        shared += len(items) > len(branches(t))
-    assert shared >= 100
+        hubs = rng.sample(range(t.n), rng.randint(0, t.n // 3))
+        res = agree(with_triangles(t, hubs))
+        assert {v for _, v in res.per_pair} == {res.value}, k
+        tested += 1
+        cut += any(t.degree(h) == 2 for h in hubs)
+    assert cut >= 100

@@ -1,5 +1,6 @@
 import gc
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,31 @@ def test_backtracking_deadline_is_read_often_on_large_graphs():
             search(g, budget)
 
 
+@pytest.mark.parametrize("oracle, name", [(hp_oracle, "has_hamiltonian_path"),
+                                          (h_oracle, "has_hamiltonian_cycle")])
+def test_one_deadline_covers_the_whole_stage_loop(monkeypatch, oracle, name):
+    # every stage search takes a quarter of the limit and says no; cycle
+    # iterates stay cycles, and 25 edges keep the trail cross-check out,
+    # so only the deadline can end the loop before the stage cap
+    limit, step = 0.4, 0.1
+    limits = []
+
+    def slow_no(g, budget):
+        limits.append(budget.time_limit_s)
+        time.sleep(step)
+        return False, None
+
+    monkeypatch.setattr(oracles, name, slow_no)
+    t0 = time.monotonic()
+    res = oracle(cycle_graph(25), SearchBudget(time_limit_s=limit))
+    elapsed = time.monotonic() - t0
+    assert res.value is None and res.stages[-1].verdict == "capped"
+    assert "time limit" in res.capped_reason
+    assert elapsed < limit + step + 0.2
+    assert all(0 < left <= limit for left in limits)
+    assert limits == sorted(limits, reverse=True)
+
+
 # the path cases keep bare seed ids so their test ids stay stable
 @pytest.mark.parametrize(
     "search, seed",
@@ -169,7 +195,7 @@ def assert_prepass_returns_the_table_answer(g):
         assert search(g) == search(g, TABLE_ONLY), (search.__name__, g.label_edges())
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_index_order_prepass_returns_the_table_answer(n):
     # every connected labelled graph on n vertices, and up to n = 5 its line
     # graph, whose vertex order comes from the edge order
