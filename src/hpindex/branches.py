@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graphs import Graph, is_connected, is_path, is_tree
+from .graphs import Graph, bfs_tree, is_connected, is_path, is_tree
 
 
 @dataclass(frozen=True)
@@ -117,19 +117,6 @@ class Endpath:
     contained: frozenset[Branch]
 
 
-def _parents_from(t: Graph, root: int) -> list[int]:
-    parent = [-1] * t.n
-    parent[root] = root
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in t.adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                stack.append(w)
-    return parent
-
-
 def endpaths(t: Graph) -> tuple[Endpath, ...]:
     """All leaf-to-leaf paths of a non-path tree, in leaf-pair order.
 
@@ -149,7 +136,7 @@ def endpaths(t: Graph) -> tuple[Endpath, ...]:
                     key=lambda v: t.labels[v])
     out = []
     for i, x in enumerate(leaves):
-        parent = _parents_from(t, x)
+        parent = bfs_tree(t.adj, x)[1]
         for y in leaves[i + 1:]:
             walk = [y]
             while walk[-1] != x:

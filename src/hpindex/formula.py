@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .canon import graph_key
 from .errors import CappedError, EmptyCandidateError, PreconditionError
-from .graphs import Graph, block_graph, is_connected, is_path, is_tree
+from .graphs import Graph, bfs_tree, block_graph, is_connected, is_path, is_tree
 from .io import to_edge_list
 from .oracles import (DEFAULT_SEARCH_BUDGET, IndexResult, SearchBudget,
                       has_hamiltonian_cycle, hp_oracle)
@@ -123,16 +123,10 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     adj, n = tree.adj, tree.n
     junction = [len(a) != 2 for a in adj]
     root = next(v for v in range(n) if len(adj[v]) > 2)
-    parent = [-1] * n
-    parent[root] = root
+    order, parent = bfs_tree(adj, root)
     depth = [0] * n
-    order = [root]
-    for v in order:  # grows while it is read: a breadth-first order
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
     jorder = [v for v in order if junction[v]]
     # climb each corridor from its lower junction x to its parent junction
     # jpar[x], naming every edge (v, parent[v]) on the way by x and cutting
@@ -295,14 +289,9 @@ def bridge_reduction(g: Graph) -> Graph:
     return _reduce(g)[0]
 
 
-def reduction_label_map(g: Graph) -> dict[str, str]:
-    """Token of each g vertex mapped to its bridge_reduction vertex token."""
-    return _reduce(g)[1]
-
-
-def _reduce(g: Graph) -> tuple[Graph, dict[str, str], frozenset[int]]:
-    # the bridge reduction, each g token's reduced token and the hubs (the
-    # contracted pieces), read off the union-find, not parsed from labels
+def _reduce(g: Graph) -> tuple[Graph, frozenset[int]]:
+    # the bridge reduction and its hubs (the contracted pieces), read off
+    # the union-find, not parsed from labels
     if not is_connected(g):
         raise PreconditionError("bridge reduction needs a connected graph")
     bridges = g.blocks.bridges
@@ -333,7 +322,6 @@ def _reduce(g: Graph) -> tuple[Graph, dict[str, str], frozenset[int]]:
     edges = [(pos[label_of[find(a)]], pos[label_of[find(b)]])
              for a, b in bridges]
     return (Graph(tuple(labels), edges),
-            {g.labels[v]: label_of[find(v)] for v in range(g.n)},
             frozenset(pos[label_of[r]] for r, ms in members.items() if len(ms) > 1))
 
 
@@ -359,7 +347,7 @@ def hp_blockchain_conjecture(g: Graph,
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "
                 "cycle block")
-    r, _, hubs = _reduce(g)
+    r, hubs = _reduce(g)
     if is_path(r):
         return FormulaResult(0, None, None, (), True)
     return FormulaResult(*_evaluate(r, hubs), True)

@@ -4,8 +4,12 @@ glued-cycle family driven by the explorer.
 Free trees are streamed as canonical level sequences (Beyer-Hedetniemi
 successor), filtered so each isomorphism class is emitted exactly once:
 a sequence survives iff it equals the lexicographically largest canonical
-sequence of its own tree rooted at a centroid. The classical counting
-recurrences are provided alongside as an independent check on the stream.
+sequence of its own tree rooted at a centroid. A sequence is already its
+tree's code rooted at the first vertex, so the filter looks at centroids
+first: it drops the sequence when that vertex is not a centroid, keeps it
+when that vertex is the only centroid, and compares codes only when the tree
+has two centroids. The classical counting recurrences are provided alongside
+as an independent check on the stream.
 The glued-cycle family dedupes by the same code, taken on the base tree
 with each vertex coloured by the cycle glued there.
 """
@@ -19,7 +23,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .graphs import Graph, graph_from_token_edges, is_connected
+from .graphs import Graph, bfs_tree, graph_from_token_edges, is_connected
 from .rng import SplitMix64
 
 FREE_TREE_CAP = 14
@@ -68,18 +72,17 @@ def _rooted_sequence(adj: Sequence[Sequence[int]], root: int,
     With `colour`, each vertex's depth is followed by its colour, so the
     sequence is a canonical code of the vertex-coloured rooted tree.
     """
-
-    def sub(v: int, parent: int, depth: int) -> tuple[int, ...]:
-        kids = sorted(
-            (sub(w, v, depth + 1) for w in adj[v] if w != parent),
-            reverse=True,
-        )
-        out = [depth] if colour is None else [depth, colour[v]]
-        for k in kids:
+    order, parent = bfs_tree(adj, root)
+    depth = [1] * len(adj)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    code: list[tuple[int, ...]] = [()] * len(adj)
+    for v in reversed(order):
+        out = [depth[v]] if colour is None else [depth[v], colour[v]]
+        for k in sorted((code[w] for w in adj[v] if parent[w] == v), reverse=True):
             out.extend(k)
-        return tuple(out)
-
-    return sub(root, -1, 1)
+        code[v] = tuple(out)
+    return code[root]
 
 
 def _tree_code(adj: Sequence[Sequence[int]], n: int,
@@ -90,36 +93,15 @@ def _tree_code(adj: Sequence[Sequence[int]], n: int,
 
 
 def _centroids(adj: Sequence[Sequence[int]], n: int) -> list[int]:
-    if n == 1:
-        return [0]
-    parent = [-1] * n
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
+    # the vertices whose removal leaves no component of more than n/2
+    # vertices, ascending; a tree has one or two
+    order, parent = bfs_tree(adj, 0)
     size = [1] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    best = n
-    cents: list[int] = []
-    for v in range(n):
-        heavy = max((size[w] for w in adj[v] if parent[w] == v), default=0)
-        if parent[v] >= 0:
-            heavy = max(heavy, n - size[v])
-        if heavy < best:
-            best, cents = heavy, [v]
-        elif heavy == best:
-            cents.append(v)
-    return cents
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return [v for v in range(n)
+            if 2 * (n - size[v]) <= n
+            and all(2 * size[w] <= n for w in adj[v] if parent[w] == v)]
 
 
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
@@ -142,7 +124,10 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         for a, b in edges:
             adj[a].append(b)
             adj[b].append(a)
-        if tuple(s) == _tree_code(adj, n):
+        # s is the tree's code rooted at vertex 0, so only a tree with a
+        # centroid at 0 can keep it, and with two centroids s must win
+        cents = _centroids(adj, n)
+        if cents[0] == 0 and (len(cents) == 1 or tuple(s) == _tree_code(adj, n)):
             yield Graph(labels, edges)
 
 
@@ -303,6 +288,18 @@ def _glued(tree: Graph, assignment: tuple[tuple[str, int], ...]) -> Graph:
     return graph_from_token_edges(token_edges, isolated)
 
 
+def _attachments(sites: list[str], sizes: tuple[int, ...], room: int, start: int,
+                 ) -> Iterator[tuple[tuple[str, int], ...]]:
+    """Every assignment of cycle sizes to distinct sites from sites[start:]
+    that adds at most `room` vertices, each before its extensions."""
+    yield ()
+    for j in range(start, len(sites)):
+        for k in sizes:
+            if k - 1 <= room:
+                for rest in _attachments(sites, sizes, room - k + 1, j + 1):
+                    yield ((sites[j], k),) + rest
+
+
 def gen_hamiltonian_2block_family(
     params: FamilyParams,
 ) -> Iterator[tuple[Graph, str]]:
@@ -330,18 +327,8 @@ def gen_hamiltonian_2block_family(
             base_tag = f"T{order}.{ti}"
             verts = sorted(tree.labels)
 
-            def attachments(
-                start: int, used: int
-            ) -> Iterator[tuple[tuple[str, int], ...]]:
-                yield ()
-                for j in range(start, len(verts)):
-                    for k in sizes:
-                        if tree.n + used + k - 1 > params.max_vertices:
-                            continue
-                        for rest in attachments(j + 1, used + k - 1):
-                            yield ((verts[j], k),) + rest
-
-            for assignment in attachments(0, 0):
+            for assignment in _attachments(verts, sizes,
+                                           params.max_vertices - tree.n, 0):
                 if not assignment and not params.include_bases:
                     continue
                 colour = [0] * tree.n

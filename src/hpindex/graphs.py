@@ -116,20 +116,24 @@ def is_connected(g: Graph) -> bool:
 
 
 def _reaches_every_vertex(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return g.n > 0 and len(bfs_tree(g.adj, 0)[0]) == g.n
+
+
+def bfs_tree(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from `root`, and each vertex's parent in that walk.
+
+    Neighbours are scanned in adjacency order. The root is its own parent;
+    vertices the walk does not reach get -1 and are left out of the order.
+    """
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for v in order:  # grows while it is read
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    return order, parent
 
 
 def is_tree(g: Graph) -> bool:

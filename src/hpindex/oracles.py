@@ -43,7 +43,8 @@ from .errors import (BudgetExceededError, CappedError, InternalCheckError,
 from .graphs import Graph, is_connected, is_path
 from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
 
-# dominating-trail search keys its states by an edge bitmask
+# the dominating-trail search keys its states by edge bitmasks, Python ints
+# of any width; this cap bounds the search's cost, not the masks
 TRAIL_EDGE_CAP = 20
 
 _PREPASS_FLOOR = 17    # below: index-order prepass; from here: degree-ordered
@@ -77,7 +78,8 @@ class SearchBudget:
             raise PreconditionError("dp_vertex_cap must be between 1 and 26")
         if self.backtrack_vertex_cap < self.dp_vertex_cap:
             raise PreconditionError("backtrack cap must be at least the dp cap")
-        if self.time_limit_s <= 0 or self.node_budget < 1 or self.stage_cap < 0:
+        if (self.time_limit_s <= 0 or self.node_budget < 1
+                or self.prepass_nodes < 1 or self.stage_cap < 0):
             raise PreconditionError("search budget values must be positive")
 
 

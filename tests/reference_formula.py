@@ -20,13 +20,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import networkx as nx
+
 from hpindex.branches import (Branch, Endpath, absorption_time, branches,
                               endpaths)
 from hpindex.errors import EmptyCandidateError
-from hpindex.formula import (FormulaResult, PairValue, bridge_reduction,
-                             reduction_label_map)
+from hpindex.formula import FormulaResult, PairValue, bridge_reduction
 from hpindex.graphs import Graph, is_path, is_tree
 from hpindex.io import to_edge_list
+
+
+def reduction_label_map(g: Graph) -> dict[str, str]:
+    """Token of each g vertex mapped to its bridge_reduction vertex token.
+
+    Derived here without the package's reduction: the pieces are the
+    components of g without its bridges, both found by networkx, and each is
+    named by the rule `bridge_reduction` documents. A single vertex keeps its
+    token. A larger piece joins its sorted member tokens with "+" inside
+    brackets, primed while the name is an input token or an earlier piece's,
+    the pieces going in the order of their sorted member lists.
+    """
+    h = nx.Graph()
+    h.add_nodes_from(g.labels)
+    h.add_edges_from(g.label_edges())
+    h.remove_edges_from(list(nx.bridges(h)))
+    taken = set(g.labels)
+    out = {}
+    for members in sorted(sorted(c) for c in nx.connected_components(h)):
+        name = members[0] if len(members) == 1 else "[" + "+".join(members) + "]"
+        while len(members) > 1 and name in taken:
+            name += "'"
+        taken.add(name)
+        out.update(dict.fromkeys(members, name))
+    return out
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from hpindex import (
     spider,
     star_graph,
 )
-from hpindex.formula import reduction_label_map
+from reference_formula import reduction_label_map
 
 DESK_EXAMPLES = [
     (path_graph(7), 0),

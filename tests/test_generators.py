@@ -6,6 +6,7 @@ labeled tree. Labeled graph enumeration is checked against the
 inclusion-exclusion count.
 """
 
+import gc
 import re
 
 import networkx as nx
@@ -339,3 +340,21 @@ def test_family_random_bases_deterministic():
     second = [(graph_key(g), tag) for g, tag in gen_hamiltonian_2block_family(params)]
     assert first == second
     assert first
+
+
+@pytest.mark.parametrize("stream", [
+    lambda: gen_hamiltonian_2block_family(
+        FamilyParams(max_vertices=7, cycle_sizes=(3,))),
+    lambda: enumerate_free_trees(9),
+], ids=["family", "free-trees"])
+def test_generators_leave_no_cyclic_garbage(stream):
+    # nothing either stream builds refers to itself, so reference counting
+    # frees it all and the cycle collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in stream():
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

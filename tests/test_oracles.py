@@ -82,6 +82,14 @@ def test_budget_validation():
         SearchBudget(dp_vertex_cap=20, backtrack_vertex_cap=10)
 
 
+@pytest.mark.parametrize("field", ["node_budget", "prepass_nodes"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_node_counts_below_one_are_refused(field, value):
+    with pytest.raises(PreconditionError):
+        SearchBudget(**{field: value})
+    assert getattr(SearchBudget(**{field: 1}), field) == 1
+
+
 def test_backtracking_solver_used_above_dp_cap():
     # petersen-like ring that still fits the backtracking tier
     g = cycle_graph(30)
