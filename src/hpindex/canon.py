@@ -7,8 +7,8 @@ pairwise interchangeable vertices (equal neighborhoods outside the cell,
 clique or independent inside) are split without branching, which keeps stars,
 cliques and repeated pendants from exploding the search tree.
 
-Two graphs on at most `max_vertices` vertices get equal keys exactly when they
-are isomorphic.
+Two graphs on at most CANONICAL_VERTEX_CAP vertices get equal keys exactly
+when they are isomorphic.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ def graph_key(g: Graph) -> str:
     return "sha256:" + hashlib.sha256(to_edge_list(g).encode()).hexdigest()
 
 
-def canonical_key(g: Graph, max_vertices: int = CANONICAL_VERTEX_CAP) -> bytes:
-    if g.n > max_vertices:
-        raise TooLargeError(
-            f"canonical_key supports at most {max_vertices} vertices, got {g.n}")
+def canonical_key(g: Graph) -> bytes:
+    if g.n > CANONICAL_VERTEX_CAP:
+        raise TooLargeError(f"canonical_key supports at most "
+                            f"{CANONICAL_VERTEX_CAP} vertices, got {g.n}")
     n = g.n
     if n == 0:
         return b"\x00\x00"

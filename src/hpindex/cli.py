@@ -25,12 +25,12 @@ from .campaigns import (
     verify_xiongzong,
 )
 from .errors import CappedError, EdgeListParseError, PreconditionError, ValidationError
-from .formula import FormulaResult, hp_blockchain_conjecture, hp_tree
+from .formula import hp_blockchain_conjecture, hp_tree
 from .generators import FamilyParams, enumerate_free_trees, random_tree
 from .graphs import Graph
 from .io import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
 from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iterate, line_graph
-from .oracles import IndexResult, h_oracle, has_dominating_trail, hp_oracle
+from .oracles import h_oracle, has_dominating_trail, hp_oracle
 from .version import __version__
 
 
@@ -58,28 +58,12 @@ def _print_json(payload) -> None:
 
 
 def _emit_graph(g: Graph, args: argparse.Namespace, name: str = "G") -> None:
-    if getattr(args, "json", False):
+    if args.json:
         _print_json(_graph_json(g))
-    elif getattr(args, "dot", False):
+    elif args.dot:
         sys.stdout.write(to_dot(g, name))
     else:
         sys.stdout.write(to_edge_list(g))
-
-
-def _emit_index(res: IndexResult, args: argparse.Namespace) -> int:
-    if args.json:
-        _print_json(res.to_json_dict())
-    else:
-        print("capped" if res.value is None else res.value)
-    return 1 if res.value is None else 0
-
-
-def _emit_formula(res: FormulaResult, args: argparse.Namespace) -> int:
-    if args.json:
-        _print_json(res.to_json_dict())
-    else:
-        print(res.value)
-    return 0
 
 
 def _emit_report(report: CampaignReport, args: argparse.Namespace) -> None:
@@ -143,20 +127,13 @@ def _cmd_branches(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hp_tree(args: argparse.Namespace) -> int:
-    return _emit_formula(hp_tree(_read_graph(args)), args)
-
-
-def _cmd_hp_oracle(args: argparse.Namespace) -> int:
-    return _emit_index(hp_oracle(_read_graph(args)), args)
-
-
-def _cmd_hp_conjecture(args: argparse.Namespace) -> int:
-    return _emit_formula(hp_blockchain_conjecture(_read_graph(args)), args)
-
-
-def _cmd_h_oracle(args: argparse.Namespace) -> int:
-    return _emit_index(h_oracle(_read_graph(args)), args)
+def _cmd_value(args: argparse.Namespace) -> int:
+    res = args.compute(_read_graph(args))
+    if args.json:
+        _print_json(res.to_json_dict())
+    else:
+        print("capped" if res.value is None else res.value)
+    return 1 if res.value is None else 0
 
 
 def _cmd_domtrail(args: argparse.Namespace) -> int:
@@ -175,9 +152,7 @@ def _cmd_domtrail(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    run = {"trees": verify_trees, "xiongzong": verify_xiongzong,
-           "hnw": verify_hnw}[args.family]
-    _emit_report(run(args.max_n), args)
+    _emit_report(args.campaign(args.max_n), args)
     return 0
 
 
@@ -186,8 +161,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         sizes = tuple(int(tok) for tok in args.cycles.split(",") if tok)
     except ValueError as exc:
         raise ValidationError(f"bad --cycles value {args.cycles!r}") from exc
-    params = FamilyParams(max_vertices=args.max_v, cycle_sizes=sizes,
-                          seed=args.seed)
+    params = FamilyParams(max_vertices=args.max_v, cycle_sizes=sizes)
     _emit_report(explore_conclusion(params), args)
     return 0
 
@@ -253,24 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(func=_cmd_branches)
 
-    hp = sub.add_parser("hp", help="hamiltonian path index")
-    hp_sub = hp.add_subparsers(dest="subcommand", required=True)
-    for name, func, blurb in (
-            ("tree", _cmd_hp_tree, "closed-form value for trees"),
-            ("oracle", _cmd_hp_oracle, "exact value by iterated search"),
-            ("conjecture", _cmd_hp_conjecture,
-             "conjectural value for graphs with spanning-cycle 2-blocks")):
-        p = hp_sub.add_parser(name, help=blurb)
-        _add_input_args(p)
-        _add_output_args(p)
-        p.set_defaults(func=func)
-
-    h = sub.add_parser("h", help="hamiltonian index")
-    h_sub = h.add_subparsers(dest="subcommand", required=True)
-    p = h_sub.add_parser("oracle", help="exact value by iterated search")
-    _add_input_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_h_oracle)
+    for group, group_blurb, queries in (
+            ("hp", "hamiltonian path index", (
+                ("tree", hp_tree, "closed-form value for trees"),
+                ("oracle", hp_oracle, "exact value by iterated search"),
+                ("conjecture", hp_blockchain_conjecture,
+                 "conjectural value for graphs with spanning-cycle 2-blocks"))),
+            ("h", "hamiltonian index", (
+                ("oracle", h_oracle, "exact value by iterated search"),))):
+        group_sub = sub.add_parser(group, help=group_blurb).add_subparsers(
+            dest="subcommand", required=True)
+        for name, compute, blurb in queries:
+            p = group_sub.add_parser(name, help=blurb)
+            _add_input_args(p)
+            _add_output_args(p)
+            p.set_defaults(func=_cmd_value, compute=compute)
 
     p = sub.add_parser("domtrail", help="dominating trail search")
     p.add_argument("--closed", action="store_true", help="require a closed trail")
@@ -280,14 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verification campaigns")
     verify_sub = verify.add_subparsers(dest="family", required=True)
-    for name, blurb in (
-            ("trees", "tree formula versus oracle, all trees up to --max-n"),
-            ("xiongzong", "dominating trail iff line graph traceable"),
-            ("hnw", "dominating closed trail iff line graph hamiltonian")):
+    for name, campaign, blurb in (
+            ("trees", verify_trees,
+             "tree formula versus oracle, all trees up to --max-n"),
+            ("xiongzong", verify_xiongzong,
+             "dominating trail iff line graph traceable"),
+            ("hnw", verify_hnw,
+             "dominating closed trail iff line graph hamiltonian")):
         p = verify_sub.add_parser(name, help=blurb)
         p.add_argument("--max-n", type=int, required=True, dest="max_n")
         _add_output_args(p)
-        p.set_defaults(func=_cmd_verify, family=name)
+        p.set_defaults(func=_cmd_verify, campaign=campaign)
 
     explore = sub.add_parser("explore", help="counterexample hunts")
     explore_sub = explore.add_subparsers(dest="subcommand", required=True)
@@ -295,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "conclusion", help="formula versus oracle over the glued-cycle family")
     p.add_argument("--max-v", type=int, required=True, help="vertex cap")
     p.add_argument("--cycles", required=True, help="comma-separated cycle sizes")
-    p.add_argument("--seed", type=int, default=0)
     _add_output_args(p)
     p.set_defaults(func=_cmd_explore)
 

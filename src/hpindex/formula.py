@@ -179,34 +179,34 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
                 sib[x] = best[1] if x == top3[p][0] else best[0]
                 side[x] = max(cw[x], side[p], sib[x])
 
-    def sweep(combine, leaf_value) -> tuple[list, list]:
-        # down[x]: going on from x away from its parent junction;
-        # upward[x]: going on from x's parent junction away from x
-        down, upward = [None] * n, [None] * n
+    def sweep(combine, leaf_value) -> list:
+        # entry x: going on from junction x away from its parent junction;
+        # entry n + x: going on from x's parent junction away from x
+        out = [None] * (2 * n)
         for x in reversed(jorder[1:]):
-            down[x] = (min(combine(sib[k], down[k]) for k in kids[x])
-                       if kids[x] else leaf_value(x))
+            out[x] = (min(combine(sib[k], out[k]) for k in kids[x])
+                      if kids[x] else leaf_value(x))
         for p in jorder:
             ks = kids[p]
             if not ks:
                 continue
             s = [sub[k] for k in ks]
-            f = [down[k] for k in ks]
+            f = [out[k] for k in ks]
             if p != root:
                 s.append(side[p])
-                f.append(upward[p])
+                f.append(out[n + p])
             for x, v in zip(ks, _exits(s, f, combine)):
-                upward[x] = v
-        return down, upward
+                out[n + x] = v
+        return out
 
-    cost_down, cost_up = sweep(max, lambda x: 0)
+    cost = sweep(max, lambda x: 0)
 
-    def hull(cx: int, cy: int) -> tuple[int, tuple[int, bool], tuple[int, bool]]:
+    def hull(cx: int, cy: int) -> tuple[int, int, int]:
         """Heaviest corridor hanging off the hull's interior, and its two
-        ends as (junction, True) to go on below the junction, or
-        (junction, False) to go on from its parent away from it."""
+        ends as sweep entries: x to go on below junction x, n + x to go on
+        from x's parent away from x."""
         if cx == cy:
-            return 0, (cx, True), (cx, False)
+            return 0, cx, n + cx
         a, b, hang = cx, cy, 0
         while jdepth[a] > jdepth[b]:
             hang, a = max(hang, sib[a]), jpar[a]
@@ -214,14 +214,14 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
             hang, b = max(hang, sib[b]), jpar[b]
         if a == b:  # one corridor lies above the other
             if a == cx:
-                return hang, (cy, True), (cx, False)
-            return hang, (cx, True), (cy, False)
+                return hang, cy, n + cx
+            return hang, cx, n + cy
         while jpar[a] != jpar[b]:
             hang = max(hang, sib[a], sib[b])
             a, b = jpar[a], jpar[b]
         meet = jpar[a]
         rest = next((sub[k] for k in top3[meet] if k != a and k != b), 0)
-        return max(hang, rest, side[meet]), (cx, True), (cy, True)
+        return max(hang, rest, side[meet]), cx, cy
 
     ranked = sorted(range(len(walks)), key=lambda i: -weight[i])
     w1, w2 = weight[ranked[0]], weight[ranked[1]]
@@ -232,26 +232,18 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
         pairs = [(heavy[0], j) for j in ranked[1:] if weight[j] == w2]
     pairs.sort(key=lambda p: sorted((walks[p[0]], walks[p[1]])))
 
-    def cost(end: tuple[int, bool]) -> int:
-        return cost_down[end[0]] if end[1] else cost_up[end[0]]
-
     valued = []
     for i, j in pairs:
         hang, ex, ey = hull(corridor[i], corridor[j])
-        valued.append((max(hang, cost(ex), cost(ey)), ex, ey))
+        valued.append((max(hang, cost[ex], cost[ey]), ex, ey))
     value = min(v for v, _, _ in valued)
 
     leaves = sorted((v for v in range(n) if len(adj[v]) == 1),
                     key=lambda v: tree.labels[v])
     rank = {v: r for r, v in enumerate(leaves)}
     beyond = len(leaves)  # rank of no leaf: more than every real rank
-    reach_down, reach_up = sweep(lambda m, r: r if m <= value else beyond,
-                                 rank.__getitem__)
-
-    def reach(end: tuple[int, bool]) -> int:
-        return reach_down[end[0]] if end[1] else reach_up[end[0]]
-
-    ends = min(tuple(sorted((reach(ex), reach(ey))))
+    reach = sweep(lambda m, r: r if m <= value else beyond, rank.__getitem__)
+    ends = min(tuple(sorted((reach[ex], reach[ey])))
                for v, ex, ey in valued if v == value)
     x, y = leaves[ends[0]], leaves[ends[1]]
     left, right = [x], [y]

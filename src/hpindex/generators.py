@@ -5,11 +5,12 @@ Free trees are streamed as canonical level sequences (Beyer-Hedetniemi
 successor), filtered so each isomorphism class is emitted exactly once:
 a sequence survives iff it equals the lexicographically largest canonical
 sequence of its own tree rooted at a centroid. A sequence is already its
-tree's code rooted at the first vertex, so the filter looks at centroids
-first: it drops the sequence when that vertex is not a centroid, keeps it
-when that vertex is the only centroid, and compares codes only when the tree
-has two centroids. The classical counting recurrences are provided alongside
-as an independent check on the stream.
+tree's code rooted at the first vertex, so the filter reads that vertex's
+subtree sizes off the sequence: it drops the sequence when that vertex is
+not a centroid, keeps it when that vertex is the only centroid, and builds
+and compares codes only when the tree has two centroids. The classical
+counting recurrences are provided alongside as an independent check on the
+stream.
 The glued-cycle family dedupes by the same code, taken on the base tree
 with each vertex coloured by the cycle glued there.
 """
@@ -119,16 +120,17 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         yield Graph(labels, [])
         return
     for s in _level_sequences(n):
-        edges = _tree_from_levels(s)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        # s is the tree's code rooted at vertex 0, so only a tree with a
-        # centroid at 0 can keep it, and with two centroids s must win
-        cents = _centroids(adj, n)
-        if cents[0] == 0 and (len(cents) == 1 or tuple(s) == _tree_code(adj, n)):
-            yield Graph(labels, edges)
+        # s is the tree's code rooted at vertex 0, whose child subtrees are
+        # the runs starting at each depth-2 entry: 0 is a centroid when no
+        # run exceeds n/2, the only one when every run is shorter, and with
+        # two centroids s must win
+        starts = [i for i in range(1, n) if s[i] == 2] + [n]
+        largest = max(b - a for a, b in zip(starts, starts[1:]))
+        if 2 * largest > n:
+            continue
+        g = Graph(labels, _tree_from_levels(s))
+        if 2 * largest < n or tuple(s) == _tree_code(g.adj, n):
+            yield g
 
 
 def rooted_tree_counts(n_max: int) -> list[int]:

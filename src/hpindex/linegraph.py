@@ -19,7 +19,7 @@ class IterationBudget:
     max_edges: int = 65536
 
     def __post_init__(self):
-        if self.max_vertices < 1 or self.max_edges < 0:
+        if not (self.max_vertices >= 1 and self.max_edges >= 0):  # NaN fails
             raise ValidationError("iteration budget must be positive")
 
 

@@ -74,12 +74,13 @@ class SearchBudget:
     iteration: IterationBudget = field(default_factory=lambda: DEFAULT_ITERATION_BUDGET)
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         if not 1 <= self.dp_vertex_cap <= 26:
             raise PreconditionError("dp_vertex_cap must be between 1 and 26")
-        if self.backtrack_vertex_cap < self.dp_vertex_cap:
+        if not self.backtrack_vertex_cap >= self.dp_vertex_cap:
             raise PreconditionError("backtrack cap must be at least the dp cap")
-        if (self.time_limit_s <= 0 or self.node_budget < 1
-                or self.prepass_nodes < 1 or self.stage_cap < 0):
+        if not (self.time_limit_s > 0 and self.node_budget >= 1
+                and self.prepass_nodes >= 1 and self.stage_cap >= 0):
             raise PreconditionError("search budget values must be positive")
 
 

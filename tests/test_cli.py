@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line surface via main(argv)."""
 
+import hashlib
 import io
 import json
 import os
@@ -251,6 +252,39 @@ def test_branches_json(tmp_path, capsys):
 
 # --------------------------------------------------------------- index values
 
+TRIANGLE_WITH_TAILS = "t1 t2\nt2 t3\nt3 t1\nt1 a\na b\n"
+
+
+# stdout and exit code of every index query, text and --json; the JSON
+# payloads are pinned by the sha256 of their bytes
+@pytest.mark.parametrize("argv, graph, code, out", [
+    (["hp", "tree"], spider(2, 2, 2), 0, "2\n"),
+    (["hp", "tree", "--json"], spider(2, 2, 2), 0,
+     "1d4907a5bf0268ae1ba023083f063d9c4a9e812fef2fe0381d6ebea32831392e"),
+    (["hp", "oracle"], spider(1, 1, 2), 0, "1\n"),
+    (["hp", "oracle", "--json"], spider(1, 1, 2), 0,
+     "0ac4e68262df410c5dd157f0bbdda4b6a4d7863927d2a79b74a9bb39c373cb53"),
+    (["hp", "conjecture"], TRIANGLE_WITH_TAILS, 0, "0\n"),
+    (["hp", "conjecture", "--json"], TRIANGLE_WITH_TAILS, 0,
+     "e73f6d18933b78cb7b8bf40c6d1efb0abc0814116b99ad29e01d713061b16905"),
+    (["hp", "oracle"], path_graph(50), 1, "capped\n"),
+    (["hp", "oracle", "--json"], path_graph(50), 1,
+     "b8cfd5bfc6ab1bea18b0249af3f2f5888551ed8db6f9d3181515c15b6f717153"),
+    (["h", "oracle"], spider(1, 1, 2), 0, "2\n"),
+    (["h", "oracle", "--json"], spider(1, 1, 2), 0,
+     "3fd942a66a41fd91905a58b31df3d21d4548864f8323047833d88d845bfa7d72"),
+])
+def test_index_query_outputs_are_pinned(tmp_path, capsys, argv, graph, code, out):
+    path = tmp_path / "g.txt"
+    path.write_text(graph if isinstance(graph, str) else to_edge_list(graph))
+    assert main(argv + [str(path)]) == code
+    got = capsys.readouterr()
+    assert got.err == ""
+    if "--json" in argv:
+        assert hashlib.sha256(got.out.encode()).hexdigest() == out
+    else:
+        assert got.out == out
+
 
 def test_hp_tree_values(tmp_path, capsys):
     assert main(["hp", "tree", write_graph(tmp_path, path_graph(7))]) == 0
@@ -394,6 +428,15 @@ def test_explore_text_lists_witnesses(capsys):
     out = capsys.readouterr().out
     assert "witnesses:" in out
     assert "formula=0 oracle=1" in out
+
+
+def test_explore_has_no_seed_option():
+    # the explorer always walks the enumerated base trees, so a seed would
+    # change nothing but the report's seed field
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "conclusion", "--max-v", "5", "--cycles", "3",
+              "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_explore_bad_cycles_exits_2(capsys):

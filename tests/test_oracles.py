@@ -13,6 +13,7 @@ from hpindex import (
     IterationBudget,
     PreconditionError,
     SearchBudget,
+    ValidationError,
     complete_graph,
     cycle_graph,
     double_spider,
@@ -88,6 +89,23 @@ def test_node_counts_below_one_are_refused(field, value):
     with pytest.raises(PreconditionError):
         SearchBudget(**{field: value})
     assert getattr(SearchBudget(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("budget, field, error, message", [
+    (SearchBudget, "dp_vertex_cap", PreconditionError, "between 1 and 26"),
+    (SearchBudget, "backtrack_vertex_cap", PreconditionError, "at least the dp cap"),
+    (SearchBudget, "time_limit_s", PreconditionError, "must be positive"),
+    (SearchBudget, "node_budget", PreconditionError, "must be positive"),
+    (SearchBudget, "prepass_nodes", PreconditionError, "must be positive"),
+    (SearchBudget, "stage_cap", PreconditionError, "must be positive"),
+    (IterationBudget, "max_vertices", ValidationError, "must be positive"),
+    (IterationBudget, "max_edges", ValidationError, "must be positive"),
+])
+def test_nan_budget_fields_are_refused(budget, field, error, message):
+    # every comparison with NaN is false, so a check written as "refuse if
+    # below" would let a NaN switch its bound off
+    with pytest.raises(error, match=message):
+        budget(**{field: float("nan")})
 
 
 def test_backtracking_solver_used_above_dp_cap():
