@@ -5,7 +5,8 @@ equitable partition, branch on the first smallest non-singleton cell, and take
 the lexicographically least adjacency encoding over all leaves. Cells of
 pairwise interchangeable vertices (equal neighborhoods outside the cell,
 clique or independent inside) are split without branching, which keeps stars,
-cliques and repeated pendants from exploding the search tree.
+cliques and repeated pendants from exploding the search tree. The search
+keeps its own stack of colour vectors, so it never recurses.
 
 Two graphs on at most CANONICAL_VERTEX_CAP vertices get equal keys exactly
 when they are isomorphic.
@@ -30,30 +31,57 @@ def graph_key(g: Graph) -> str:
     larger graphs fall back to a hash of the labeled edge list ("sha256:..."),
     which still deduplicates exact repeats but not relabelings.
     """
-    if g.n <= CANONICAL_VERTEX_CAP:
-        try:
-            return "canon:" + canonical_key(g).hex()
-        except TooLargeError:
-            pass
-    return "sha256:" + hashlib.sha256(to_edge_list(g).encode()).hexdigest()
+    try:
+        return "canon:" + canonical_key(g).hex()
+    except TooLargeError:
+        return "sha256:" + hashlib.sha256(to_edge_list(g).encode()).hexdigest()
 
 
 def canonical_key(g: Graph) -> bytes:
-    if g.n > CANONICAL_VERTEX_CAP:
-        raise TooLargeError(f"canonical_key supports at most "
-                            f"{CANONICAL_VERTEX_CAP} vertices, got {g.n}")
+    """The 2-byte vertex count, then the upper triangle of the adjacency
+    matrix in the order of the least leaf's colours, row by row, packed into
+    whole bytes most significant bit first."""
     n = g.n
-    if n == 0:
-        return b"\x00\x00"
+    if n > CANONICAL_VERTEX_CAP:
+        raise TooLargeError(f"canonical_key supports at most "
+                            f"{CANONICAL_VERTEX_CAP} vertices, got {n}")
     adj = [frozenset(nb) for nb in g.adj]
-
-    colors = _refine([g.degree(v) for v in range(n)], adj)
-    state = {"best": None, "leaves": 0}
-    _search(colors, adj, n, state)
-    key = state["best"]
-    if key is None:
-        raise AssertionError("canonical search produced no leaf")
-    return key
+    best = None
+    leaves = 0
+    stack = [[g.degree(v) for v in range(n)]]
+    while stack:
+        colors = _refine(stack.pop(), adj)
+        while True:
+            nonsingle = [c for c in _cells(colors) if len(c) > 1]
+            twin = next((c for c in nonsingle if _is_twin_cell(c, adj)), None)
+            if twin is None:
+                break
+            # interchangeable vertices: fix an arbitrary order, no branching needed
+            rebased = [c * (n + 1) for c in colors]
+            for off, v in enumerate(sorted(twin)):
+                rebased[v] += off
+            colors = _refine(rebased, adj)
+        if nonsingle:
+            for v in sorted(min(nonsingle, key=len)):
+                child = [c * 2 for c in colors]
+                child[v] -= 1
+                stack.append(child)
+            continue
+        leaves += 1
+        if leaves > _LEAF_BUDGET:
+            raise TooLargeError("canonical labeling search exceeded its leaf budget")
+        # a leaf's colours are 0..n-1, each vertex's position in the order
+        bits = 0
+        for v in sorted(range(n), key=colors.__getitem__):
+            i = colors[v]
+            bits = bits << (n - 1 - i) | sum(
+                1 << (n - 1 - colors[w]) for w in adj[v] if colors[w] > i)
+        # keys of one graph have one length, so the least int is the least key
+        if best is None or bits < best:
+            best = bits
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 8
+    return n.to_bytes(2, "big") + (best << pad).to_bytes((nbits + pad) // 8, "big")
 
 
 def _refine(colors: list[int], adj: list[frozenset[int]]) -> list[int]:
@@ -83,50 +111,3 @@ def _is_twin_cell(cell: list[int], adj: list[frozenset[int]]) -> bool:
     inner = [len(adj[v] & cset) for v in cell]
     full = len(cell) - 1
     return all(d == 0 for d in inner) or all(d == full for d in inner)
-
-
-def _search(colors: list[int], adj: list[frozenset[int]], n: int, state: dict) -> None:
-    colors = _refine(colors, adj)
-    while True:
-        cells = _cells(colors)
-        nonsingle = [c for c in cells if len(c) > 1]
-        if not nonsingle:
-            _record_leaf(colors, adj, n, state)
-            return
-        twin = next((c for c in nonsingle if _is_twin_cell(c, adj)), None)
-        if twin is None:
-            break
-        # interchangeable vertices: fix an arbitrary order, no branching needed
-        rebased = [c * (n + 1) for c in colors]
-        for off, v in enumerate(sorted(twin)):
-            rebased[v] += off
-        colors = _refine(rebased, adj)
-
-    target = min(nonsingle, key=len)
-    for v in sorted(target):
-        child = [c * 2 for c in colors]
-        child[v] -= 1
-        _search(child, adj, n, state)
-
-
-def _record_leaf(colors: list[int], adj: list[frozenset[int]], n: int,
-                 state: dict) -> None:
-    state["leaves"] += 1
-    if state["leaves"] > _LEAF_BUDGET:
-        raise TooLargeError("canonical labeling search exceeded its leaf budget")
-    order = sorted(range(n), key=lambda v: colors[v])
-    bits = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bits.append(1 if order[j] in adj[order[i]] else 0)
-    while len(bits) % 8:
-        bits.append(0)
-    packed = bytearray([n >> 8, n & 255])
-    for k in range(0, len(bits), 8):
-        val = 0
-        for b in bits[k:k + 8]:
-            val = (val << 1) | b
-        packed.append(val)
-    key = bytes(packed)
-    if state["best"] is None or key < state["best"]:
-        state["best"] = key

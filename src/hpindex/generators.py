@@ -8,9 +8,7 @@ sequence of its own tree rooted at a centroid. A sequence is already its
 tree's code rooted at the first vertex, so the filter reads that vertex's
 subtree sizes off the sequence: it drops the sequence when that vertex is
 not a centroid, keeps it when that vertex is the only centroid, and builds
-and compares codes only when the tree has two centroids. The classical
-counting recurrences are provided alongside as an independent check on the
-stream.
+and compares codes only when the tree has two centroids.
 The glued-cycle family dedupes by the same code, taken on the base tree
 with each vertex coloured by the cycle glued there.
 """
@@ -18,9 +16,8 @@ with each vertex coloured by the cycle glued there.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -108,8 +105,8 @@ def _centroids(adj: Sequence[Sequence[int]], n: int) -> list[int]:
 def enumerate_free_trees(n: int) -> Iterator[Graph]:
     """Yield one tree per isomorphism class on n vertices, labels "1".."n".
 
-    Deterministic order. Supported for 1 <= n <= 14; the stream length
-    matches free_tree_counts.
+    Deterministic order. Supported for 1 <= n <= 14; the stream length is
+    the number of free trees on n unlabeled vertices (OEIS A000055).
     """
     if not 1 <= n <= FREE_TREE_CAP:
         raise ValidationError(
@@ -133,32 +130,6 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
             yield g
 
 
-def rooted_tree_counts(n_max: int) -> list[int]:
-    """r[n] = rooted trees on n unlabeled vertices (r[0] is a placeholder)."""
-    r = [0] * (n_max + 1)
-    if n_max >= 1:
-        r[1] = 1
-    for m in range(1, n_max):
-        total = 0
-        for k in range(1, m + 1):
-            dsum = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
-            total += dsum * r[m + 1 - k]
-        assert total % m == 0
-        r[m + 1] = total // m
-    return r
-
-
-def free_tree_counts(n_max: int) -> list[int]:
-    """f[n] = free trees on n unlabeled vertices, via the rooted counts."""
-    r = rooted_tree_counts(n_max)
-    f = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        conv = sum(r[i] * r[n - i] for i in range(1, n))
-        adjust = r[n // 2] if n % 2 == 0 else 0
-        f[n] = r[n] - (conv - adjust) // 2
-    return f
-
-
 # ------------------------------------------------------------ labeled graphs
 
 
@@ -178,19 +149,6 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
         g = Graph(labels, edges)
         if is_connected(g):
             yield g
-
-
-def connected_graph_counts(n_max: int) -> list[int]:
-    """c[n] = connected labeled graphs on n vertices, by inclusion-exclusion."""
-    c = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        total = 1 << comb(n, 2)
-        rooted = sum(
-            comb(n - 1, k - 1) * c[k] * (1 << comb(n - k, 2))
-            for k in range(1, n)
-        )
-        c[n] = total - rooted
-    return c
 
 
 # -------------------------------------------------------------- random draws
@@ -290,16 +248,22 @@ def _glued(tree: Graph, assignment: tuple[tuple[str, int], ...]) -> Graph:
     return graph_from_token_edges(token_edges, isolated)
 
 
-def _attachments(sites: list[str], sizes: tuple[int, ...], room: int, start: int,
+def _attachments(sites: list[str], sizes: tuple[int, ...], room: int,
                  ) -> Iterator[tuple[tuple[str, int], ...]]:
-    """Every assignment of cycle sizes to distinct sites from sites[start:]
-    that adds at most `room` vertices, each before its extensions."""
-    yield ()
-    for j in range(start, len(sites)):
-        for k in sizes:
-            if k - 1 <= room:
-                for rest in _attachments(sites, sizes, room - k + 1, j + 1):
-                    yield ((sites[j], k),) + rest
+    """Every assignment of cycle sizes to distinct sites that adds at most
+    `room` vertices, each before its extensions.
+
+    Depth first on an explicit stack of (assignment, room left, first free
+    site); children go on in reverse, so they come off in site order, then
+    size order.
+    """
+    stack = [((), room, 0)]
+    while stack:
+        assignment, left, start = stack.pop()
+        yield assignment
+        stack.extend((assignment + ((sites[j], k),), left - k + 1, j + 1)
+                     for j in reversed(range(start, len(sites)))
+                     for k in reversed(sizes) if k - 1 <= left)
 
 
 def gen_hamiltonian_2block_family(
@@ -330,7 +294,7 @@ def gen_hamiltonian_2block_family(
             verts = sorted(tree.labels)
 
             for assignment in _attachments(verts, sizes,
-                                           params.max_vertices - tree.n, 0):
+                                           params.max_vertices - tree.n):
                 if not assignment and not params.include_bases:
                     continue
                 colour = [0] * tree.n

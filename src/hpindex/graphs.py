@@ -158,8 +158,16 @@ class BlockDecomposition:
 
     @property
     def is_block_chain(self) -> bool:
-        """True when the block-cut tree is a path (single vertex included)."""
-        return _chain_shaped(self.block_vertices, self.cut_vertices)
+        """True when the block-cut tree is a path (single vertex included).
+
+        The block-cut incidence tree is a path exactly when no node of it has
+        degree three: no block with >2 cut vertices, no cut vertex in >2
+        blocks.
+        """
+        cuts = self.cut_vertices
+        return (all(len(vs & cuts) <= 2 for vs in self.block_vertices)
+                and all(sum(c in vs for vs in self.block_vertices) <= 2
+                        for c in cuts))
 
     def end_blocks(self) -> tuple[int, ...]:
         """Indices of blocks containing at most one cut vertex."""
@@ -256,19 +264,6 @@ def block_graph(g: Graph, i: int) -> Graph:
                                    edges if h.m == 1 else frozenset())
     h._connected = True
     return h
-
-
-def _chain_shaped(block_vertices: tuple[frozenset[int], ...],
-                  cuts: frozenset[int]) -> bool:
-    # the block-cut incidence tree is a path exactly when no node of it has
-    # degree three: no block with >2 cut vertices, no cut vertex in >2 blocks
-    for vs in block_vertices:
-        if len(vs & cuts) > 2:
-            return False
-    for c in cuts:
-        if sum(1 for vs in block_vertices if c in vs) > 2:
-            return False
-    return True
 
 
 def is_block_chain(g: Graph) -> bool:

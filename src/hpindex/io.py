@@ -89,19 +89,13 @@ def from_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise EdgeListParseError(1, "graph6 body has the wrong length")
-    bits = []
-    for d in body:
-        for k in range(5, -1, -1):
-            bits.append((d >> k) & 1)
-    pairs = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                pairs.append((i, j))
-            pos += 1
-    if any(bits[nbits:]):
+    # six bits per character, most significant first
+    bits = "".join(f"{d:06b}" for d in body)
+    if "1" in bits[nbits:]:
         raise EdgeListParseError(1, "nonzero padding bits in graph6 body")
+    # the upper triangle column by column: (0,1), (0,2), (1,2), (0,3), ...
+    pairs = [p for p, bit in zip(((i, j) for j in range(1, n) for i in range(j)), bits)
+             if bit == "1"]
     return Graph(tuple(str(i) for i in range(n)), pairs)
 
 
@@ -114,20 +108,16 @@ def to_graph6(g: Graph) -> str:
         head = [n]
     else:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    eset = set(g.edges)
-    bits = []
+    # the upper triangle column by column, column j holding rows 0..j-1
+    # most significant first, then zero padding to whole characters
+    body = 0
     for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in eset else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        body.append(val)
-    return "".join(chr(d + 63) for d in head + body)
+        body = body << j | sum(1 << (j - 1 - i) for i in g.adj[j] if i < j)
+    nbits = n * (n - 1) // 2
+    width = (nbits + 5) // 6 * 6
+    bits = f"{body << (width - nbits):0{width}b}"
+    return "".join(chr(63 + d) for d in head) + "".join(
+        chr(63 + int(bits[k:k + 6], 2)) for k in range(0, width, 6))
 
 
 def _dot_quote(tok: str) -> str:

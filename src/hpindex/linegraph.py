@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (BudgetExceededError, EdgeStarvationError, PreconditionError,
                      ValidationError)
@@ -58,19 +59,15 @@ def line_graph(g: Graph) -> LineGraphResult:
     if len(set(names)) != len(names) or any(len(nm) > _NAME_CAP for nm in names):
         names = [f"e{i}" for i in range(len(token_edges))]
 
-    pairs: set[tuple[int, int]] = set()
     incident: dict[str, list[int]] = {}
     for i, pair in enumerate(token_edges):
         for tok in pair:
             incident.setdefault(tok, []).append(i)
-    for shared in incident.values():
-        for i in range(len(shared)):
-            for j in range(i + 1, len(shared)):
-                a, b = shared[i], shared[j]
-                pairs.add((a, b) if a < b else (b, a))
-
-    lg = Graph(tuple(names), pairs)
-    return LineGraphResult(lg, {names[i]: token_edges[i] for i in range(len(names))})
+    # each list is ascending and two edges share at most one token, so every
+    # line-graph edge comes out once, lower index first
+    lg = Graph(tuple(names), [p for shared in incident.values()
+                              for p in combinations(shared, 2)])
+    return LineGraphResult(lg, dict(zip(names, token_edges)))
 
 
 def iterate(g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET) -> Graph:

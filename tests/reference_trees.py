@@ -6,10 +6,15 @@ closure, and keep a level sequence only when it equalled the full centroid
 code of its tree. `_centroids`, `_rooted_sequence`, `_tree_code` and
 `enumerate_free_trees` below are that code. The differential tests compare
 them with the package's breadth-first coder and centroid-first filter.
+
+The classical counting recurrences for rooted trees, free trees and
+connected labelled graphs follow, as an independent check on the lengths of
+the package's streams.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator, Sequence
 
 from hpindex.generators import _level_sequences, _tree_from_levels
@@ -92,3 +97,42 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
             adj[b].append(a)
         if tuple(s) == _tree_code(adj, n):
             yield Graph(labels, edges)
+
+
+def rooted_tree_counts(n_max: int) -> list[int]:
+    """r[n] = rooted trees on n unlabeled vertices (r[0] is a placeholder)."""
+    r = [0] * (n_max + 1)
+    if n_max >= 1:
+        r[1] = 1
+    for m in range(1, n_max):
+        total = 0
+        for k in range(1, m + 1):
+            dsum = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
+            total += dsum * r[m + 1 - k]
+        assert total % m == 0
+        r[m + 1] = total // m
+    return r
+
+
+def free_tree_counts(n_max: int) -> list[int]:
+    """f[n] = free trees on n unlabeled vertices, via the rooted counts."""
+    r = rooted_tree_counts(n_max)
+    f = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        conv = sum(r[i] * r[n - i] for i in range(1, n))
+        adjust = r[n // 2] if n % 2 == 0 else 0
+        f[n] = r[n] - (conv - adjust) // 2
+    return f
+
+
+def connected_graph_counts(n_max: int) -> list[int]:
+    """c[n] = connected labeled graphs on n vertices, by inclusion-exclusion."""
+    c = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        total = 1 << comb(n, 2)
+        rooted = sum(
+            comb(n - 1, k - 1) * c[k] * (1 << comb(n - k, 2))
+            for k in range(1, n)
+        )
+        c[n] = total - rooted
+    return c

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -12,6 +13,7 @@ from hpindex import (
     canonical_key,
     complete_graph,
     cycle_graph,
+    enumerate_connected_graphs,
     enumerate_free_trees,
     graph_key,
     path_graph,
@@ -82,3 +84,31 @@ def test_graph_key_forms():
 def test_graph_key_detects_relabeled_small_graphs():
     t = random_tree(10, 77)
     assert graph_key(t) == graph_key(relabeled(t, 3))
+
+
+def _pinned_key_corpus():
+    yield Graph((), [])
+    yield Graph(("1",), [])
+    for n in range(2, 6):
+        yield from enumerate_connected_graphs(n)
+    for n in range(1, 11):
+        yield from enumerate_free_trees(n)
+    for n in range(1, 17):
+        yield complete_graph(n)
+    for leaves in range(1, 16):
+        yield star_graph(leaves)
+    for seed in range(500):
+        yield random_connected_graph(2 + seed % 15, seed % 9, seed)
+
+
+# sha256 over the concatenated keys of the corpus above, recorded from the
+# recursive search that the explicit-stack loop replaced
+PINNED_KEY_DIGEST = (
+    "3be481a4e23a9ae7f66c5629623e0c484bb096c61ad63762c27f64868248359e")
+
+
+def test_canonical_keys_are_pinned():
+    digest = hashlib.sha256()
+    for g in _pinned_key_corpus():
+        digest.update(canonical_key(g))
+    assert digest.hexdigest() == PINNED_KEY_DIGEST

@@ -35,14 +35,14 @@ from hpindex import (
     to_edge_list,
     to_graph6,
 )
-from hpindex.generators import (
+from hpindex.graphs import Graph
+
+from conftest import nx_graph
+from reference_trees import (
     connected_graph_counts,
     free_tree_counts,
     rooted_tree_counts,
 )
-from hpindex.graphs import Graph
-
-from conftest import nx_graph
 
 
 # ------------------------------------------------------------- count oracles

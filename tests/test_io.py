@@ -92,3 +92,32 @@ def test_dot_output():
     g = from_edge_list("a b\nv q\n")
     dot = to_dot(g, "H")
     assert dot == 'graph H {\n  "q";\n  "a" -- "b";\n}\n'
+
+
+@pytest.mark.parametrize("n", range(2, 122))
+def test_graph6_is_byte_identical_to_networkx(n):
+    # up to 121 vertices, so sizes above 62 use the 4-character size header
+    g = random_connected_graph(n, (n * 7) % (2 * n), 1000 + n)
+    theirs = nx.to_graph6_bytes(nx_graph(g), header=False).decode().rstrip("\n")
+    assert to_graph6(g) == theirs
+    back = from_graph6(theirs)
+    assert back.n == g.n and back.edges == g.edges
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    ("", 1, "expected exactly one graph6 line, got 0"),
+    ("A_\nA_\n", 2, "expected exactly one graph6 line, got 2"),
+    ("C" + chr(40), 1, "graph6 characters must be in the range 63..126"),
+    (">>graph6<<", 1, "empty graph6 line"),
+    ("~~~", 1, "unsupported graph6 size prefix"),
+    ("~~??", 1, "unsupported graph6 size prefix"),
+    ("A", 1, "graph6 body has the wrong length"),
+    ("C~~", 1, "graph6 body has the wrong length"),
+    ("A`", 1, "nonzero padding bits in graph6 body"),
+    ("Bx", 1, "nonzero padding bits in graph6 body"),
+])
+def test_graph6_rejections_are_pinned(text, line_no, message):
+    with pytest.raises(EdgeListParseError) as exc:
+        from_graph6(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
