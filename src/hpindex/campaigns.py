@@ -84,19 +84,25 @@ class CampaignReport:
         return out
 
 
-def _tally(records) -> tuple[dict[str, int], tuple[dict, ...]]:
-    """Verdict counts and the mismatch records as JSON, sorted by graph key.
+def _run(campaign: str, parameters: dict[str, Any], seed: int | None,
+         records) -> CampaignReport:
+    """Report on the records as they arrive, timed from the first.
 
-    Records are objects with `verdict`, `graph_key` and `to_json_dict()`;
-    only the mismatches are keyed, and the sort is stable, so ties keep
-    their run order.
+    Records are objects with `verdict`, `graph_key` and `to_json_dict()`.
+    Only the mismatches are kept and keyed; their sort by graph key is
+    stable, so ties keep their run order.
     """
+    start = time.monotonic()
     counts = {v: 0 for v in VERDICTS}
+    mismatches = []
     for rec in records:
         counts[rec.verdict] += 1
-    mismatches = sorted((r for r in records if r.verdict == "mismatch"),
-                        key=lambda r: r.graph_key)
-    return counts, tuple(r.to_json_dict() for r in mismatches)
+        if rec.verdict == "mismatch":
+            mismatches.append(rec)
+    mismatches.sort(key=lambda r: r.graph_key)
+    return CampaignReport(campaign, parameters, seed, sum(counts.values()), counts,
+                          tuple(r.to_json_dict() for r in mismatches),
+                          time.monotonic() - start)
 
 
 def verify_trees(max_n: int,
@@ -104,14 +110,10 @@ def verify_trees(max_n: int,
     """Tree formula versus the iterated-line-graph oracle, all trees <= max_n."""
     if not 1 <= max_n <= FREE_TREE_CAP:
         raise ValidationError(f"verify trees supports max_n in 1..{FREE_TREE_CAP}")
-    start = time.monotonic()
-    records = []
-    for n in range(1, max_n + 1):
-        for i, tree in enumerate(enumerate_free_trees(n)):
-            records.append(compare_formula_oracle(tree, budget, f"T{n}.{i}"))
-    counts, witnesses = _tally(records)
-    return CampaignReport("verify-trees", {"max_n": max_n}, None, len(records),
-                          counts, witnesses, time.monotonic() - start)
+    return _run("verify-trees", {"max_n": max_n}, None,
+                (compare_formula_oracle(tree, budget, f"T{n}.{i}")
+                 for n in range(1, max_n + 1)
+                 for i, tree in enumerate(enumerate_free_trees(n))))
 
 
 @dataclass(frozen=True)
@@ -151,26 +153,25 @@ def _verify_trail_criterion(name: str, max_n: int, min_edges: int, closed: bool,
     if not 2 <= max_n <= LABELED_GRAPH_CAP:
         raise ValidationError(
             f"{name} supports max_n in 2..{LABELED_GRAPH_CAP}")
-    start = time.monotonic()
     kind = "dominating_closed_trail" if closed else "dominating_trail"
-    records = []
-    for n in range(2, max_n + 1):
-        for i, g in enumerate(enumerate_connected_graphs(n)):
-            if g.m < min_edges:
-                continue
-            lg = line_graph(g).graph
-            if closed:
-                line_ok, _ = has_hamiltonian_cycle(lg, budget)
-            else:
-                line_ok, _ = has_hamiltonian_path(lg, budget)
-            try:
-                trail_ok, _ = has_dominating_trail(g, budget, closed=closed)
-            except CappedError:
-                trail_ok = None
-            records.append(_TrailRecord(g, f"n{n}.{i}", kind, trail_ok, line_ok))
-    counts, witnesses = _tally(records)
-    return CampaignReport(name, {"max_n": max_n}, None, len(records),
-                          counts, witnesses, time.monotonic() - start)
+
+    def records():
+        for n in range(2, max_n + 1):
+            for i, g in enumerate(enumerate_connected_graphs(n)):
+                if g.m < min_edges:
+                    continue
+                lg = line_graph(g).graph
+                if closed:
+                    line_ok, _ = has_hamiltonian_cycle(lg, budget)
+                else:
+                    line_ok, _ = has_hamiltonian_path(lg, budget)
+                try:
+                    trail_ok, _ = has_dominating_trail(g, budget, closed=closed)
+                except CappedError:
+                    trail_ok = None
+                yield _TrailRecord(g, f"n{n}.{i}", kind, trail_ok, line_ok)
+
+    return _run(name, {"max_n": max_n}, None, records())
 
 
 def verify_xiongzong(max_n: int,
@@ -194,10 +195,6 @@ def explore_conclusion(params: FamilyParams,
     Every mismatch goes into the witness list with its full structure; a
     clean run produces an honest negative report over the family searched.
     """
-    start = time.monotonic()
-    records = [compare_formula_oracle(g, budget, tag)
-               for g, tag in gen_hamiltonian_2block_family(params)]
-    counts, witnesses = _tally(records)
     parameters = {
         "max_vertices": params.max_vertices,
         "cycle_sizes": sorted(set(params.cycle_sizes)),
@@ -205,6 +202,6 @@ def explore_conclusion(params: FamilyParams,
         "include_bases": params.include_bases,
         "random_bases": params.random_bases,
     }
-    return CampaignReport("explore-conclusion", parameters, params.seed,
-                          len(records), counts, witnesses,
-                          time.monotonic() - start)
+    return _run("explore-conclusion", parameters, params.seed,
+                (compare_formula_oracle(g, budget, tag)
+                 for g, tag in gen_hamiltonian_2block_family(params)))

@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 computational cap (budget or size limit), 2 usage,
 parse, or precondition error. Results go to stdout, diagnostics to stderr.
 
 Graphs are read from FILE ("-" for stdin) as edge-list text by default or
-graph6 with --format graph6. Graph-emitting commands print edge-list text
-unless --json or --dot asks otherwise; `enum trees` streams one graph6 line
-per tree so large batches stay greppable.
+graph6 with --format graph6. Output takes one of three paths: graphs
+(`_cmd_graphs`, edge-list text unless --json or --dot asks otherwise;
+`enum trees` streams one graph6 line per tree so large batches stay
+greppable), values (`_cmd_value`, every `hp` and `h` query) and reports
+(`_cmd_report`, every `verify` and `explore` campaign). `branches` and
+`domtrail` print shapes of their own.
 """
 
 from __future__ import annotations
@@ -57,13 +60,22 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _emit_graph(g: Graph, args: argparse.Namespace, name: str = "G") -> None:
-    if args.json:
-        _print_json(_graph_json(g))
-    elif args.dot:
-        sys.stdout.write(to_dot(g, name))
-    else:
-        sys.stdout.write(to_edge_list(g))
+def _cmd_graphs(args: argparse.Namespace) -> int:
+    for name, g in args.graphs(args):
+        if args.json:
+            _print_json(_graph_json(g))
+        elif args.dot:
+            sys.stdout.write(to_dot(g, name))
+        else:
+            sys.stdout.write(args.text(g))
+    return 0
+
+
+def _iterated(args: argparse.Namespace) -> list[tuple[str, Graph]]:
+    if args.n < 0:
+        raise ValidationError("-n must be nonnegative")
+    budget = IterationBudget(max_vertices=args.max_v, max_edges=args.max_e)
+    return [("G", iterate(_read_graph(args), args.n, budget))]
 
 
 def _emit_report(report: CampaignReport, args: argparse.Namespace) -> None:
@@ -80,27 +92,26 @@ def _emit_report(report: CampaignReport, args: argparse.Namespace) -> None:
     if report.witnesses:
         print("witnesses:")
         for w in report.witnesses:
-            print(f"  {w['family_tag']}: formula={w['formula_value']}"
-                  f" oracle={w['oracle_value']}")
+            if "formula_value" in w:
+                values = f"formula={w['formula_value']} oracle={w['oracle_value']}"
+            else:  # a trail campaign's witness
+                kind = next(k for k in w if k.startswith("dominating_"))
+                values = f"{kind}={w[kind]} line_graph_ok={w['line_graph_ok']}"
+            print(f"  {w['family_tag']}: {values}")
     print(f"wall clock {report.wall_clock_s:.2f}s")
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
-    _emit_graph(_read_graph(args), args)
+def _cmd_report(args: argparse.Namespace) -> int:
+    _emit_report(args.report(args), args)
     return 0
 
 
-def _cmd_line(args: argparse.Namespace) -> int:
-    _emit_graph(line_graph(_read_graph(args)).graph, args)
-    return 0
-
-
-def _cmd_iterate(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValidationError("-n must be nonnegative")
-    budget = IterationBudget(max_vertices=args.max_v, max_edges=args.max_e)
-    _emit_graph(iterate(_read_graph(args), args.n, budget), args)
-    return 0
+def _explore_report(args: argparse.Namespace) -> CampaignReport:
+    try:
+        sizes = tuple(int(tok) for tok in args.cycles.split(",") if tok)
+    except ValueError as exc:
+        raise ValidationError(f"bad --cycles value {args.cycles!r}") from exc
+    return explore_conclusion(FamilyParams(max_vertices=args.max_v, cycle_sizes=sizes))
 
 
 def _cmd_branches(args: argparse.Namespace) -> int:
@@ -151,37 +162,6 @@ def _cmd_domtrail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    _emit_report(args.campaign(args.max_n), args)
-    return 0
-
-
-def _cmd_explore(args: argparse.Namespace) -> int:
-    try:
-        sizes = tuple(int(tok) for tok in args.cycles.split(",") if tok)
-    except ValueError as exc:
-        raise ValidationError(f"bad --cycles value {args.cycles!r}") from exc
-    params = FamilyParams(max_vertices=args.max_v, cycle_sizes=sizes)
-    _emit_report(explore_conclusion(params), args)
-    return 0
-
-
-def _cmd_gen_tree(args: argparse.Namespace) -> int:
-    _emit_graph(random_tree(args.n, args.seed), args)
-    return 0
-
-
-def _cmd_enum_trees(args: argparse.Namespace) -> int:
-    for i, tree in enumerate(enumerate_free_trees(args.n)):
-        if args.json:
-            _print_json(_graph_json(tree))
-        elif args.dot:
-            sys.stdout.write(to_dot(tree, f"T{i}"))
-        else:
-            print(to_graph6(tree))
-    return 0
-
-
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", metavar="FILE", help="input graph, '-' for stdin")
     p.add_argument("--format", choices=("edgelist", "graph6"),
@@ -202,15 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse, validate, and reserialize a graph")
-    _add_input_args(p)
-    _add_output_args(p, dot=True)
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("line", help="line graph")
-    _add_input_args(p)
-    _add_output_args(p, dot=True)
-    p.set_defaults(func=_cmd_line)
+    for name, blurb, graphs in (
+            ("parse", "parse, validate, and reserialize a graph",
+             lambda args: [("G", _read_graph(args))]),
+            ("line", "line graph",
+             lambda args: [("G", line_graph(_read_graph(args)).graph)])):
+        p = sub.add_parser(name, help=blurb)
+        _add_input_args(p)
+        _add_output_args(p, dot=True)
+        p.set_defaults(func=_cmd_graphs, graphs=graphs, text=to_edge_list)
 
     p = sub.add_parser("iterate", help="n-fold line graph")
     p.add_argument("-n", type=int, required=True, help="iteration count")
@@ -220,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge budget per stage")
     _add_input_args(p)
     _add_output_args(p, dot=True)
-    p.set_defaults(func=_cmd_iterate)
+    p.set_defaults(func=_cmd_graphs, graphs=_iterated, text=to_edge_list)
 
     p = sub.add_parser("branches", help="branch decomposition")
     _add_input_args(p)
@@ -261,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = verify_sub.add_parser(name, help=blurb)
         p.add_argument("--max-n", type=int, required=True, dest="max_n")
         _add_output_args(p)
-        p.set_defaults(func=_cmd_verify, campaign=campaign)
+        p.set_defaults(func=_cmd_report,
+                       report=lambda args, campaign=campaign: campaign(args.max_n))
 
     explore = sub.add_parser("explore", help="counterexample hunts")
     explore_sub = explore.add_subparsers(dest="subcommand", required=True)
@@ -270,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-v", type=int, required=True, help="vertex cap")
     p.add_argument("--cycles", required=True, help="comma-separated cycle sizes")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_explore)
+    p.set_defaults(func=_cmd_report, report=_explore_report)
 
     gen = sub.add_parser("gen", help="seeded random instances")
     gen_sub = gen.add_subparsers(dest="subcommand", required=True)
@@ -278,14 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="vertex count")
     p.add_argument("--seed", type=int, default=0)
     _add_output_args(p, dot=True)
-    p.set_defaults(func=_cmd_gen_tree)
+    p.set_defaults(func=_cmd_graphs, text=to_edge_list,
+                   graphs=lambda args: [("G", random_tree(args.n, args.seed))])
 
     enum = sub.add_parser("enum", help="exhaustive streams")
     enum_sub = enum.add_subparsers(dest="subcommand", required=True)
     p = enum_sub.add_parser("trees", help="one tree per isomorphism class")
     p.add_argument("-n", type=int, required=True, help="vertex count")
     _add_output_args(p, dot=True)
-    p.set_defaults(func=_cmd_enum_trees)
+    p.set_defaults(func=_cmd_graphs, text=lambda tree: to_graph6(tree) + "\n",
+                   graphs=lambda args: ((f"T{i}", tree) for i, tree
+                                        in enumerate(enumerate_free_trees(args.n))))
 
     return parser
 

@@ -350,9 +350,9 @@ class ExplorerRecord:
     """One formula-versus-oracle comparison, ready for a campaign report.
 
     The graph is kept as its vertex labels and index edges, the Graph's own
-    tuples, since campaigns hold every record until they tally. `graph_key`
-    is computed on first access, so a campaign keys only the records it
-    reports.
+    tuples: a campaign keeps only its mismatches, but the benchmark in
+    `perfbench/` holds every record it times. `graph_key` is computed on
+    first access, so a campaign keys only the records it reports.
     """
 
     labels: tuple[str, ...]

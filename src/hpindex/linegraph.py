@@ -54,7 +54,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     """
     if g.m == 0:
         raise PreconditionError("line graph of an edgeless graph is undefined")
-    token_edges = sorted(g.label_edge(e) for e in g.edges)
+    token_edges = g.label_edges()
     names = [f"{a}.{b}" for a, b in token_edges]
     if len(set(names)) != len(names) or any(len(nm) > _NAME_CAP for nm in names):
         names = [f"e{i}" for i in range(len(token_edges))]

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from hpindex import (
     verify_trees,
     verify_xiongzong,
 )
-from hpindex import formula
+from hpindex import campaigns, formula
 from hpindex.version import __version__
 
 BODY_KEYS = {"campaign", "version", "parameters", "seed", "instances",
@@ -184,6 +185,28 @@ def test_explore_keys_only_its_witnesses(monkeypatch):
     report = explore_conclusion(FamilyParams(max_vertices=6, cycle_sizes=(3,)))
     assert report.counts["mismatch"] >= 1
     assert len(calls) == report.counts["mismatch"]
+
+
+# the bench times each instance by rebinding the name the campaigns call
+@pytest.mark.parametrize("campaign", [
+    lambda: verify_trees(5),
+    lambda: explore_conclusion(FamilyParams(max_vertices=5, cycle_sizes=(3,))),
+], ids=["verify-trees", "explore-conclusion"])
+def test_campaigns_call_the_rebound_comparison_inside_their_clock(
+        monkeypatch, campaign):
+    slept = []
+
+    def slow(*args, **kwargs):
+        start = time.monotonic()
+        time.sleep(0.01)
+        slept.append(time.monotonic() - start)
+        return compare_formula_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(campaigns, "compare_formula_oracle", slow)
+    report = campaign()
+    assert report.instances > 0
+    assert len(slept) == report.instances
+    assert report.wall_clock_s >= sum(slept)
 
 
 def _digest(report: CampaignReport) -> str:

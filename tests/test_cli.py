@@ -1,9 +1,11 @@
 """End-to-end coverage of the command-line surface via main(argv)."""
 
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,7 +32,8 @@ from hpindex import (
     star_graph,
     to_edge_list,
 )
-from hpindex.cli import main
+from hpindex.campaigns import CampaignReport, _TrailRecord
+from hpindex.cli import _emit_report, main
 from hpindex.version import __version__
 
 
@@ -286,6 +289,190 @@ def test_index_query_outputs_are_pinned(tmp_path, capsys, argv, graph, code, out
         assert got.out == out
 
 
+# stdout, stderr and exit code of every graph, campaign and usage path, as
+# one sha256 each; the campaign wall clock is masked. Inputs come on stdin,
+# so no file path reaches the output.
+PIN_INPUTS = {
+    "tailed-triangle": "t1 t2\nt2 t3\nt3 t1\nt1 a\n",
+    "claw": "c x0\nc x1\nc x2\n",
+    "k1": "v a\n",
+    "self-loop": "a b\nb b\n",
+}
+
+
+def mask_wall_clock(text):
+    text = re.sub(r"wall clock \d+\.\d+s", "wall clock *s", text)
+    return re.sub(r'"wall_clock_s": [^,\n]+', '"wall_clock_s": *', text)
+
+
+@pytest.mark.parametrize("argv, graph, digest", [
+    ("parse -", "tailed-triangle",
+     "bef1cff1d547984a41ae4c3e25f6414538bfd7a36982370534a964f811a625d1"),
+    ("parse - --json", "tailed-triangle",
+     "b44a53deb3b6afc0f233768588518e62656b6c8ba3a5bc5cec7465c1b4ac8c6e"),
+    ("parse - --dot", "tailed-triangle",
+     "8b23fed4b55699a4f4572622802d4a556b3e8a39bae243b5d7a6062764361777"),
+    ("parse -", "claw",
+     "e69efb4e947a853f05c4867cf6262219019824fefb55b0e6dd6a18e225f3c6e8"),
+    ("parse - --json", "claw",
+     "59399ebd7039b20ddb947e7c087de10606da90f814599c6b9be431a51f3fa2b8"),
+    ("parse - --dot", "claw",
+     "62fff4c0df3de8bd8f20cd8114b7462909c41330dc29e92e0d10020214bc94f8"),
+    ("parse -", "k1",
+     "1ba164844fcbaa3adba4fc00e8c8870b878a429eb09c2b7d34ce9384f3db7ca7"),
+    ("parse - --json", "k1",
+     "e935a1a67e470d7c286636c3fa71e15fc4323dbf76c48c655ef263da7905f1f5"),
+    ("parse - --dot", "k1",
+     "11483c4d8acf5b5f8b9a77acad4cec14b1ec10e2e528820ad4795cbe3217a8b8"),
+    ("line -", "tailed-triangle",
+     "74f1e3be10e0effb86fcbd1ed4bc885221e806c5fd5a8047a377e899f70de2c4"),
+    ("line - --json", "tailed-triangle",
+     "64af8698da66770b06db674eea400759f9404d9f2d95955a6c3e4b6b33dbb087"),
+    ("line - --dot", "tailed-triangle",
+     "2acf6ea8039ecb78915de3ea46fd77d8df5d6301350ffef34f5f4397307803a3"),
+    ("line -", "claw",
+     "8067a5f2e89a3ea2a170e06e5b2646dc8f98ccaf48427b60e919f0c35e4ed4a2"),
+    ("line - --json", "claw",
+     "bb13aad6c84f864a9d9eee4f821bde71a7d4c722f2b39923c9fa9acafe54a0c2"),
+    ("line - --dot", "claw",
+     "b9e2d0e2ce7a13a8a8313c9a31b8ad3136baf0311408f149fcf81e5f113b36d9"),
+    ("line -", "k1",
+     "42bf63d1606faaf2460a296494afef4b1e3c28755f1f8b3eacb727a242b9b65c"),
+    ("line - --json", "k1",
+     "42bf63d1606faaf2460a296494afef4b1e3c28755f1f8b3eacb727a242b9b65c"),
+    ("line - --dot", "k1",
+     "42bf63d1606faaf2460a296494afef4b1e3c28755f1f8b3eacb727a242b9b65c"),
+    ("iterate -n 0 -", "tailed-triangle",
+     "bef1cff1d547984a41ae4c3e25f6414538bfd7a36982370534a964f811a625d1"),
+    ("iterate -n 0 - --json", "tailed-triangle",
+     "b44a53deb3b6afc0f233768588518e62656b6c8ba3a5bc5cec7465c1b4ac8c6e"),
+    ("iterate -n 0 - --dot", "tailed-triangle",
+     "8b23fed4b55699a4f4572622802d4a556b3e8a39bae243b5d7a6062764361777"),
+    ("iterate -n 0 -", "claw",
+     "e69efb4e947a853f05c4867cf6262219019824fefb55b0e6dd6a18e225f3c6e8"),
+    ("iterate -n 0 - --json", "claw",
+     "59399ebd7039b20ddb947e7c087de10606da90f814599c6b9be431a51f3fa2b8"),
+    ("iterate -n 0 - --dot", "claw",
+     "62fff4c0df3de8bd8f20cd8114b7462909c41330dc29e92e0d10020214bc94f8"),
+    ("iterate -n 0 -", "k1",
+     "1ba164844fcbaa3adba4fc00e8c8870b878a429eb09c2b7d34ce9384f3db7ca7"),
+    ("iterate -n 0 - --json", "k1",
+     "e935a1a67e470d7c286636c3fa71e15fc4323dbf76c48c655ef263da7905f1f5"),
+    ("iterate -n 0 - --dot", "k1",
+     "11483c4d8acf5b5f8b9a77acad4cec14b1ec10e2e528820ad4795cbe3217a8b8"),
+    ("iterate -n 2 -", "tailed-triangle",
+     "55b794678b308042ad1c40ca5fa340f2c98bd2cff037a59db610a4219d9018e9"),
+    ("iterate -n 2 - --json", "tailed-triangle",
+     "db9913c3598b5fb8ebcd6993d4b481db31bf660b20744c4ec0cb1465a0d6f7a3"),
+    ("iterate -n 2 - --dot", "tailed-triangle",
+     "106da9749c32dd9e3b41529508bff3e6706072737c46e1eaa886bbaf76b7b6f2"),
+    ("iterate -n 2 -", "claw",
+     "d621e9b6446ffb9dfdb8d92ae76d0c5bdc61698df446fca0fa3e42a6f6890aa7"),
+    ("iterate -n 2 - --json", "claw",
+     "eeb6e6788858aea7885886657a5cf2b1054fd72056de91dcc20c090592477d4e"),
+    ("iterate -n 2 - --dot", "claw",
+     "f6046e321d0d3078af57f8ba3163e251c4f09f01a6503cb57da6c25dd2a8ceee"),
+    ("iterate -n 2 -", "k1",
+     "a682d1273fb59229de08568d87b0f71859ae3b1f3e9fd1186f884358d1d6213c"),
+    ("iterate -n 2 - --json", "k1",
+     "a682d1273fb59229de08568d87b0f71859ae3b1f3e9fd1186f884358d1d6213c"),
+    ("iterate -n 2 - --dot", "k1",
+     "a682d1273fb59229de08568d87b0f71859ae3b1f3e9fd1186f884358d1d6213c"),
+    ("gen tree -n 9 --seed 4", None,
+     "562b8a5ac616f50bd88de3b852da0ed91701d69b1c5ddb47387f61bc989ee558"),
+    ("gen tree -n 9 --seed 4 --json", None,
+     "ea7da3c02a4b73f288965bebca6a6e969b519f10445bca1c0281efcce85cf76e"),
+    ("gen tree -n 9 --seed 4 --dot", None,
+     "13dc55cc68e951d9d0a2fd6c7adad7f7359866c7e2ca8357923884e4604171cf"),
+    ("enum trees -n 6", None,
+     "639d203251220f9a1fe76597a4207fab5552a212b99165c2c3f40f33d173719d"),
+    ("enum trees -n 6 --json", None,
+     "bac0729a20b0462305855c7a517bd3bb23195102be10ce492338ccfb015732a7"),
+    ("enum trees -n 6 --dot", None,
+     "a2b56897724599f16d01988be0ea81f86dafbaa590200c75fd8e58ff2b4568f7"),
+    ("parse -", "self-loop",
+     "156a1f6c4d46bb03cbdc8b406847dda955d83db6e0db99244a6676550eb1a58b"),
+    ("iterate -n -1 -", "claw",
+     "3040b385455f896eb97f1d409ba89183c6c38a285fc086f972700b2854a8647f"),
+    ("iterate -n 3 --max-v 5 -", "tailed-triangle",
+     "535147739919232c4223ba91e7d4c42a78c086b3b04d9c871badb3997ce17c7a"),
+    ("gen tree -n 1", None,
+     "ea2c0b03f3155a54853420758649815bde76ad08f71fabd83a9c17aeeb7bcd2e"),
+    ("enum trees -n 15", None,
+     "369a0295cf64c7ae90fd3ea4ad36d93c8c89005a514f585aea87877141ba84f1"),
+    ("enum trees -n 1", None,
+     "2e5be7fb733b0e1d74634aaa37ad283795a33db4f37f8de6696d90f9d7928312"),
+    ("verify trees --max-n 7", None,
+     "112450ad08475473d321abba3556277fc9a8e840707bf3a897468fb22287d4ee"),
+    ("verify xiongzong --max-n 4", None,
+     "58ac03a3d509e539c1cf3162bc607cee396b5d69f67516c55b13e231148d8def"),
+    ("verify hnw --max-n 4 --json", None,
+     "07bec2cd5fbd6c647be274238abc5a7d7e9e1ec03bc8566a26fb1ffcb4d03dfd"),
+    ("verify trees --max-n 99", None,
+     "82a9ae66415a938c1fcaef393f666137b2751dcf1c2f569a51922f6dc81355bb"),
+    ("explore conclusion --max-v 7 --cycles 3,4", None,
+     "c06d84554c123b611ae4a2b1040bee1b0e24cc59accbe3bbb800568244eb0c1c"),
+    ("explore conclusion --max-v 7 --cycles 3,4 --json", None,
+     "9a328d3967bc1e4de9ed9a52e3fdba84d328353c3e4975283b82c20ea3e71a1b"),
+    ("explore conclusion --max-v 7 --cycles x", None,
+     "f6add4dcb1d44164907fe30d3c8f49a18b7fcaaf8bb555243c6d2980d8af52d9"),
+    ("--help", None,
+     "06afd04a4283ea118088c7abf994060818c59ca27697dda3eeec1d73a5b7cd93"),
+    ("parse --help", None,
+     "7f2b034463647703a70b9e3b24cd4e7864d1bac9a80bef05f543ecce51238547"),
+    ("line --help", None,
+     "570c3f65df3f1341d06fdd4fe03d19b1694668446567ee90ea32623701110f36"),
+    ("iterate --help", None,
+     "7d8d6de8b9b075ed79a3cc051fbb27aa8c0a06c69f37e5458a75427af22265c2"),
+    ("branches --help", None,
+     "701fd351923c6608bf03f1f99cd4b36a8e3b4da8c61102a1435b04f3f1fb5971"),
+    ("hp --help", None,
+     "1c54e53579769ddd6343a9c13f4752b571303f662abe7ff9f86368b07c155a3b"),
+    ("hp tree --help", None,
+     "08cbf8656f2ece04842d629d6ac8143567532b9a83cbba3fb8cfbafec895074b"),
+    ("hp oracle --help", None,
+     "8991d06aa8ebbffc8924b0e3928b2e5d3381a4350e13825bba53af0373df48da"),
+    ("hp conjecture --help", None,
+     "833c6bec209799cad58c5e50ee19d02fb906dbe27f4e3d78fce64ffaa17be3c0"),
+    ("h --help", None,
+     "3d241c5484883f26380f4b2874508243644ff41a8972128379204d2c93e505b2"),
+    ("h oracle --help", None,
+     "0bd291718a62a1ff8e41067d44b929c837c17575e9a29fce87a53e88dfdeae3c"),
+    ("domtrail --help", None,
+     "3e2da95020fae909767389c21b3d43a8d6c9ba7016535d4a56bcaf4cb7e0d3ed"),
+    ("verify --help", None,
+     "82815da481a659d9bd05107a9fb7754f7583a8a2aee03733cb13b15e6882033c"),
+    ("verify trees --help", None,
+     "d0030f7ac39c474a50d764fbb0d64473bc07facb5c808d04a3126f1ba6945afd"),
+    ("verify xiongzong --help", None,
+     "37851cbdaf435c69b7f5d6f4fbb14777f06ca74522a032bb6b8303208a75d738"),
+    ("verify hnw --help", None,
+     "9ca16811f7bd67975d48a3dc60e0680ca30891174347d22fcc58eb57b9ec0a3a"),
+    ("explore --help", None,
+     "05f9494a38dd2b153574b1c7d60699b9552236a35ab348982a89e566d99536af"),
+    ("explore conclusion --help", None,
+     "836910727e27aceecd1cf229304408c81d0c9b203272663b5519b06598ecfbfb"),
+    ("gen --help", None,
+     "71fa2c29ca179872c6fe023b8bcdf0314b1b2649f3128a3366eee3eb82f622a8"),
+    ("gen tree --help", None,
+     "6b07bd6190fb42cbe1a6e169311e1b5b1bba2919de67de87c828fae6e04d0bb9"),
+    ("enum --help", None,
+     "9c9f5ae361f6b81716273abd8845148cd8878335bbb7a21bdd99fbe629bf9110"),
+    ("enum trees --help", None,
+     "49ee73d6b47d177022cee26fa9734aaedaed506208ad622ecc8ee460b0334d6e"),
+])
+def test_cli_outputs_are_pinned(monkeypatch, capsys, argv, graph, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    monkeypatch.setattr(sys, "stdin", io.StringIO(PIN_INPUTS.get(graph, "")))
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # --help
+        code = exc.code
+    got = capsys.readouterr()
+    blob = f"{code}\0{mask_wall_clock(got.out)}\0{mask_wall_clock(got.err)}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_hp_tree_values(tmp_path, capsys):
     assert main(["hp", "tree", write_graph(tmp_path, path_graph(7))]) == 0
     assert capsys.readouterr().out == "0\n"
@@ -405,6 +592,17 @@ def test_verify_hnw_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["instances"] == 1
     assert payload["counts"]["mismatch"] == 0
+
+
+@pytest.mark.parametrize("kind", ["dominating_trail", "dominating_closed_trail"])
+def test_text_report_prints_a_trail_witness(capsys, kind):
+    witness = _TrailRecord(path_graph(3), "n3.0", kind, False, True).to_json_dict()
+    report = CampaignReport("verify-xiongzong", {"max_n": 3}, None, 1,
+                            {"agree": 0, "mismatch": 1, "capped": 0},
+                            (witness,), 0.0)
+    _emit_report(report, argparse.Namespace(json=False))
+    out = capsys.readouterr().out
+    assert f"witnesses:\n  n3.0: {kind}=False line_graph_ok=True\n" in out
 
 
 def test_verify_bad_max_n_exits_2(capsys):

@@ -56,6 +56,36 @@ def self_calling_functions(module: ast.AST) -> list[str]:
                 for stmt in fn.body for node in ast.walk(stmt)))
 
 
+def private_definitions(module: ast.AST) -> list[str]:
+    """Module-level functions and classes whose names start with `_`."""
+    return [node.name for node in module.body
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+            and node.name.startswith("_")]
+
+
+def used_names(modules: list[ast.AST]) -> set[str]:
+    """Every name the modules mention: as a bare name, as an attribute or as
+    an imported name. A definition is not a mention."""
+    used = set()
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def unused_private_definitions(modules: list[tuple[str, ast.AST]]) -> list[str]:
+    """`module:name` for each private module-level function or class that
+    no module names again: a handler or helper its last caller left behind."""
+    used = used_names([module for _, module in modules])
+    return sorted(f"{name}:{fn}" for name, module in modules
+                  for fn in private_definitions(module) if fn not in used)
+
+
 def test_no_nested_function_refers_to_itself():
     found = [f"{name}:{fn}" for name, module in parsed_sources()
              for fn in self_referring_nested_functions(module)]
@@ -66,6 +96,32 @@ def test_no_function_calls_itself():
     found = [f"{name}:{fn}" for name, module in parsed_sources()
              for fn in self_calling_functions(module)]
     assert found == []
+
+
+def test_every_private_definition_is_used():
+    assert unused_private_definitions(parsed_sources()) == []
+
+
+def test_the_check_finds_an_unused_private_definition():
+    modules = [
+        ("a.py", ast.parse(
+            "def _called():\n"
+            "    return 1\n"
+            "def _imported():\n"
+            "    return 2\n"
+            "def _left_behind():\n"
+            "    return _called()\n"
+            "class _Record:\n"
+            "    def _method(self):\n"
+            "        return 3\n"
+            "def public():\n"
+            "    return 3\n")),
+        ("b.py", ast.parse(
+            "from .a import _imported\n"
+            "import a\n"
+            "record = a._Record()\n")),
+    ]
+    assert unused_private_definitions(modules) == ["a.py:_left_behind"]
 
 
 def test_the_check_finds_recursion_but_not_a_method_calling_a_global():
