@@ -218,7 +218,9 @@ class FamilyParams:
     def __post_init__(self) -> None:
         if not 1 <= self.max_vertices <= 14:
             raise ValidationError("max_vertices must be in 1..14")
-        if not self.cycle_sizes or any(k < 3 for k in self.cycle_sizes):
+        if not self.cycle_sizes:
+            raise ValidationError("at least one cycle size is needed")
+        if any(k < 3 for k in self.cycle_sizes):
             raise ValidationError("cycle sizes must all be at least 3")
         if self.base_tree_source not in ("enumerated", "random"):
             raise ValidationError("base_tree_source must be 'enumerated' or 'random'")
@@ -285,11 +287,23 @@ def gen_hamiltonian_2block_family(
     colour-preserving isomorphism of base trees, and any such tree
     isomorphism extends to the graphs. An order-1 base gives K1 or C_k,
     which have no bridges, so no other order produces them.
+
+    A base tree isomorphic to an earlier one, as random draws often are, is
+    skipped whole, keyed by its uncoloured code. That drops nothing: an
+    isomorphism onto the earlier base maps each of its assignments to one
+    that `_attachments` already gave the earlier base, whose coloured code
+    is therefore already seen. Its index still counts, so later tags do not
+    change. Enumerated bases never repeat.
     """
     sizes = tuple(sorted(set(params.cycle_sizes)))
     seen: set[tuple[int, ...]] = set()
+    bases: set[tuple[int, ...]] = set()
     for order in range(1, params.max_vertices + 1):
         for ti, tree in enumerate(_base_trees(params, order)):
+            base = _tree_code(tree.adj, tree.n)
+            if base in bases:
+                continue
+            bases.add(base)
             base_tag = f"T{order}.{ti}"
             verts = sorted(tree.labels)
 

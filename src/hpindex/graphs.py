@@ -16,6 +16,9 @@ class Graph:
     object is immutable by convention: all attributes are tuples and must not
     be reassigned. That is what lets `blocks` compute the block decomposition,
     and `is_connected` its search, once and keep it for the graph's lifetime.
+
+    `__init__` checks its input; `Graph._trusted`, for `linegraph.line_graph`
+    alone, takes fields already canonical and checks nothing.
     """
 
     __slots__ = ("labels", "adj", "edges", "_index", "_blocks", "_connected")
@@ -36,9 +39,29 @@ class Graph:
             edges.add((a, b))
             adj_sets[a].add(b)
             adj_sets[b].add(a)
+        self._fill(labels, tuple(tuple(sorted(s)) for s in adj_sets),
+                   tuple(sorted(edges)))
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...],
+                 edges: tuple[tuple[int, int], ...]) -> Graph:
+        """A graph from fields in the form `__init__` leaves them, unchecked.
+
+        The caller guarantees distinct labels; each `adj[v]` ascending,
+        without v or repeats, and symmetric; and `edges` the ascending pairs
+        (v, w), v < w, with w in `adj[v]`. Only `linegraph.line_graph` calls
+        it, which a test enforces; parsed and user-built graphs go through
+        `__init__`.
+        """
+        g = cls.__new__(cls)
+        g._fill(labels, adj, edges)
+        return g
+
+    def _fill(self, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...],
+              edges: tuple[tuple[int, int], ...]) -> None:
         self.labels = labels
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj_sets)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
+        self.adj = adj
+        self.edges = edges
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._blocks: BlockDecomposition | None = None
         self._connected: bool | None = None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (BudgetExceededError, EdgeStarvationError, PreconditionError,
                      ValidationError)
@@ -51,6 +51,12 @@ def line_graph(g: Graph) -> LineGraphResult:
     If any joined name exceeds a length cap or two names collide, all vertices
     fall back to opaque sequential names; the provenance map always recovers
     the source edge either way.
+
+    The graph skips `Graph.__init__`'s checks through `Graph._trusted`: the
+    names are distinct and each pair below joins two different edges of g,
+    once. Sorted, the pairs are the edge tuple; read in that order they
+    fill each adjacency list ascending, first the neighbours below a vertex
+    (pairs ending at it), then those above (pairs starting at it).
     """
     if g.m == 0:
         raise PreconditionError("line graph of an edgeless graph is undefined")
@@ -65,8 +71,13 @@ def line_graph(g: Graph) -> LineGraphResult:
             incident.setdefault(tok, []).append(i)
     # each list is ascending and two edges share at most one token, so every
     # line-graph edge comes out once, lower index first
-    lg = Graph(tuple(names), [p for shared in incident.values()
-                              for p in combinations(shared, 2)])
+    edges = sorted(chain.from_iterable(
+        combinations(shared, 2) for shared in incident.values()))
+    adj: list[list[int]] = [[] for _ in names]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    lg = Graph._trusted(tuple(names), tuple(map(tuple, adj)), tuple(edges))
     return LineGraphResult(lg, dict(zip(names, token_edges)))
 
 

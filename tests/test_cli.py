@@ -642,6 +642,11 @@ def test_explore_bad_cycles_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_explore_without_cycle_sizes_exits_2(capsys):
+    assert main(["explore", "conclusion", "--max-v", "7", "--cycles", ","]) == 2
+    assert capsys.readouterr().err == "error: at least one cycle size is needed\n"
+
+
 # --------------------------------------------------------------- generators
 
 

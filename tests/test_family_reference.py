@@ -8,7 +8,8 @@ same order.
 
 import pytest
 
-from hpindex import FamilyParams, gen_hamiltonian_2block_family
+from hpindex import FamilyParams, gen_hamiltonian_2block_family, is_path
+from hpindex import generators
 from reference_family import gen_hamiltonian_2block_family as reference_family
 
 
@@ -49,3 +50,30 @@ def test_without_bases(source):
     assert_same_stream(FamilyParams(max_vertices=10, include_bases=False,
                                     base_tree_source=source,
                                     random_bases=random_bases))
+
+
+@pytest.mark.parametrize("cycle_sizes", [(3,), (4, 6)])
+@pytest.mark.parametrize("seed", range(4, 10))
+def test_random_bases_with_other_cycle_sizes(seed, cycle_sizes):
+    assert_same_stream(FamilyParams(max_vertices=12, cycle_sizes=cycle_sizes,
+                                    base_tree_source="random", random_bases=8,
+                                    seed=seed))
+
+
+def test_repeated_random_bases_are_skipped(monkeypatch):
+    # all eight random bases of order 3 are paths, so only the first one
+    # has its assignments listed; the other seven are skipped whole
+    params = FamilyParams(max_vertices=8, cycle_sizes=(3,),
+                          base_tree_source="random", random_bases=8, seed=4)
+    assert [is_path(t) for t in generators._base_trees(params, 3)] == [True] * 8
+    attachments = generators._attachments
+    listed = []
+
+    def listing(sites, sizes, room):
+        listed.append(len(sites))
+        return attachments(sites, sizes, room)
+
+    monkeypatch.setattr(generators, "_attachments", listing)
+    assert_same_stream(params)
+    # the two orders where every base is a path list one base each
+    assert listed.count(2) == listed.count(3) == 1

@@ -86,6 +86,14 @@ def unused_private_definitions(modules: list[tuple[str, ast.AST]]) -> list[str]:
                   for fn in private_definitions(module) if fn not in used)
 
 
+def modules_naming_attribute(modules: list[tuple[str, ast.AST]],
+                             attr: str) -> list[str]:
+    """The modules that read `attr` off anything, such as `Graph._trusted`."""
+    return sorted(name for name, module in modules
+                  if any(isinstance(node, ast.Attribute) and node.attr == attr
+                         for node in ast.walk(module)))
+
+
 def test_no_nested_function_refers_to_itself():
     found = [f"{name}:{fn}" for name, module in parsed_sources()
              for fn in self_referring_nested_functions(module)]
@@ -100,6 +108,27 @@ def test_no_function_calls_itself():
 
 def test_every_private_definition_is_used():
     assert unused_private_definitions(parsed_sources()) == []
+
+
+def test_only_the_line_graph_builds_unchecked_graphs():
+    # Graph._trusted skips every check of Graph.__init__, so code that
+    # builds graphs from input must never reach it
+    assert modules_naming_attribute(parsed_sources(), "_trusted") == [
+        "linegraph.py"]
+
+
+def test_the_check_finds_an_unchecked_construction():
+    modules = [
+        ("graphs.py", ast.parse(
+            "class Graph:\n"
+            "    @classmethod\n"
+            "    def _trusted(cls, labels, adj, edges):\n"
+            "        return cls.__new__(cls)\n")),
+        ("linegraph.py", ast.parse("lg = Graph._trusted((), (), ())\n")),
+        ("io.py", ast.parse("make = graphs.Graph._trusted\n")),
+    ]
+    assert modules_naming_attribute(modules, "_trusted") == [
+        "io.py", "linegraph.py"]
 
 
 def test_the_check_finds_an_unused_private_definition():
