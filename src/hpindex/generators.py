@@ -289,34 +289,34 @@ def gen_hamiltonian_2block_family(
     which have no bridges, so no other order produces them.
 
     A base tree isomorphic to an earlier one, as random draws often are, is
-    skipped whole, keyed by its uncoloured code. That drops nothing: an
-    isomorphism onto the earlier base maps each of its assignments to one
-    that `_attachments` already gave the earlier base, whose coloured code
-    is therefore already seen. Its index still counts, so later tags do not
-    change. Enumerated bases never repeat.
+    skipped whole. Its empty assignment comes first, and its all-zero code
+    goes into `seen` whether or not bases are yielded; no assignment with a
+    cycle has that code, so finding it already seen means an earlier base
+    was isomorphic. That drops nothing: an isomorphism onto the earlier base
+    maps each of its assignments to one that `_attachments` already gave
+    the earlier base, whose coloured code is therefore already seen. Its
+    index still counts, so later tags do not change. Enumerated bases never
+    repeat; while bases are yielded, as by default, the check computes no
+    code that was not computed before.
     """
     sizes = tuple(sorted(set(params.cycle_sizes)))
     seen: set[tuple[int, ...]] = set()
-    bases: set[tuple[int, ...]] = set()
     for order in range(1, params.max_vertices + 1):
         for ti, tree in enumerate(_base_trees(params, order)):
-            base = _tree_code(tree.adj, tree.n)
-            if base in bases:
-                continue
-            bases.add(base)
             base_tag = f"T{order}.{ti}"
             verts = sorted(tree.labels)
 
             for assignment in _attachments(verts, sizes,
                                            params.max_vertices - tree.n):
-                if not assignment and not params.include_bases:
-                    continue
                 colour = [0] * tree.n
                 for site, k in assignment:
                     colour[tree.index(site)] = k
                 key = _tree_code(tree.adj, tree.n, colour)
                 if key in seen:
+                    if not assignment:
+                        break  # an earlier base was isomorphic: skip it whole
                     continue
                 seen.add(key)
-                tag = base_tag + "".join(f"+C{k}@{v}" for v, k in assignment)
-                yield _glued(tree, assignment), tag
+                if assignment or params.include_bases:
+                    tag = base_tag + "".join(f"+C{k}@{v}" for v, k in assignment)
+                    yield _glued(tree, assignment), tag

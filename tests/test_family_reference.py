@@ -60,20 +60,28 @@ def test_random_bases_with_other_cycle_sizes(seed, cycle_sizes):
                                     seed=seed))
 
 
-def test_repeated_random_bases_are_skipped(monkeypatch):
+@pytest.mark.parametrize("include_bases", [True, False])
+def test_repeated_random_bases_are_skipped(monkeypatch, include_bases):
     # all eight random bases of order 3 are paths, so only the first one
-    # has its assignments listed; the other seven are skipped whole
+    # has its assignments listed; the other seven stop at the empty one
     params = FamilyParams(max_vertices=8, cycle_sizes=(3,),
-                          base_tree_source="random", random_bases=8, seed=4)
+                          base_tree_source="random", random_bases=8, seed=4,
+                          include_bases=include_bases)
     assert [is_path(t) for t in generators._base_trees(params, 3)] == [True] * 8
     attachments = generators._attachments
-    listed = []
+    drawn = []
 
     def listing(sites, sizes, room):
-        listed.append(len(sites))
-        return attachments(sites, sizes, room)
+        drawn.append((len(sites), []))
+        for assignment in attachments(sites, sizes, room):
+            drawn[-1][1].append(assignment)
+            yield assignment
 
     monkeypatch.setattr(generators, "_attachments", listing)
     assert_same_stream(params)
     # the two orders where every base is a path list one base each
-    assert listed.count(2) == listed.count(3) == 1
+    for order in (2, 3):
+        lists = [got for n, got in drawn if n == order]
+        assert len(lists) == 8
+        assert len(lists[0]) > 1
+        assert lists[1:] == [[()]] * 7
