@@ -283,24 +283,13 @@ def bridge_reduction(g: Graph) -> Graph:
 
 def _reduce(g: Graph) -> tuple[Graph, frozenset[int]]:
     # the bridge reduction and its hubs (the contracted pieces), read off
-    # the union-find, not parsed from labels
+    # the block decomposition's pieces, not parsed from labels
     if not is_connected(g):
         raise PreconditionError("bridge reduction needs a connected graph")
-    bridges = g.blocks.bridges
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.edges:
-        if (a, b) not in bridges:
-            parent[find(a)] = find(b)
+    piece = g.blocks.piece_of
     members: dict[int, list[str]] = {}
     for v in range(g.n):
-        members.setdefault(find(v), []).append(g.labels[v])
+        members.setdefault(piece[v], []).append(g.labels[v])
     label_of = {}
     taken = set(g.labels)
     for toks, root in sorted((sorted(toks), root) for root, toks in members.items()):
@@ -311,8 +300,8 @@ def _reduce(g: Graph) -> tuple[Graph, frozenset[int]]:
         label_of[root] = name
     labels = sorted(label_of.values())
     pos = {lab: i for i, lab in enumerate(labels)}
-    edges = [(pos[label_of[find(a)]], pos[label_of[find(b)]])
-             for a, b in bridges]
+    edges = [(pos[label_of[piece[a]]], pos[label_of[piece[b]]])
+             for a, b in g.blocks.bridges]
     return (Graph(tuple(labels), edges),
             frozenset(pos[label_of[r]] for r, ms in members.items() if len(ms) > 1))
 

@@ -172,25 +172,16 @@ def is_path(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (as edge sets), cut vertices and bridges of a connected graph."""
+    """Blocks (as edge sets), cut vertices, bridges and bridgeless pieces of a
+    connected graph. A piece is a component of the graph without its bridges,
+    and `piece_of[v]` names v's piece by its first vertex in DFS order.
+    """
 
     blocks: tuple[frozenset[tuple[int, int]], ...]
     block_vertices: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
     bridges: frozenset[tuple[int, int]]
-
-    @property
-    def is_block_chain(self) -> bool:
-        """True when the block-cut tree is a path (single vertex included).
-
-        The block-cut incidence tree is a path exactly when no node of it has
-        degree three: no block with >2 cut vertices, no cut vertex in >2
-        blocks.
-        """
-        cuts = self.cut_vertices
-        return (all(len(vs & cuts) <= 2 for vs in self.block_vertices)
-                and all(sum(c in vs for vs in self.block_vertices) <= 2
-                        for c in cuts))
+    piece_of: tuple[int, ...]
 
     def end_blocks(self) -> tuple[int, ...]:
         """Indices of blocks containing at most one cut vertex."""
@@ -207,15 +198,16 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
 
     Iterative so deep graphs (long paths, big iterates) never hit the
     recursion limit. Every edge lands in exactly one block; bridges are the
-    one-edge blocks. This is the pure decomposer: it computes afresh on every
-    call, and `Graph.blocks` is the memoised view that callers share, sound
-    because a Graph never changes.
+    one-edge blocks. Every bridge is a DFS tree edge, so the pieces are the
+    DFS subtrees the bridges cut apart. This is the pure decomposer: it
+    computes afresh on every call, and `Graph.blocks` is the memoised view
+    that callers share, sound because a Graph never changes.
     """
     if not is_connected(g):
         raise PreconditionError("block decomposition needs a connected graph")
     n = g.n
     if n == 1:
-        return BlockDecomposition((), (), frozenset(), frozenset())
+        return BlockDecomposition((), (), frozenset(), frozenset(), (0,))
 
     adj = g.adj
     disc = [-1] * n
@@ -223,9 +215,10 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
     edge_stack: list[tuple[int, int]] = []
     blocks: list[frozenset[tuple[int, int]]] = []
     cuts: set[int] = set()
+    order = [0]  # the vertices in discovery order
+    up = [0] * n  # tree parent, or the vertex itself below a bridge; later its piece
 
     disc[0] = 0
-    clock = 1
     root_children = 0
     # (vertex, its parent, its neighbours still to scan, edge-stack height
     # before its tree edge went on)
@@ -236,8 +229,8 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
             if w == parent:
                 continue
             if disc[w] == -1:
-                disc[w] = low[w] = clock
-                clock += 1
+                disc[w] = low[w] = len(order)
+                order.append(w)
                 stack.append((w, v, iter(adj[w]), len(edge_stack)))
                 edge_stack.append((v, w) if v < w else (w, v))
                 break
@@ -249,6 +242,7 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
             stack.pop()
             if not stack:
                 break
+            up[v] = parent if low[v] <= disc[parent] else v
             if low[v] < low[parent]:
                 low[parent] = low[v]
             if low[v] >= disc[parent]:
@@ -263,11 +257,13 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
         cuts.add(0)
     if edge_stack:
         raise AssertionError("edge stack not drained; decomposition bug")
+    for v in order:
+        up[v] = up[up[v]]
 
     block_vertices = tuple(frozenset().union(*blk) for blk in blocks)
     bridges = frozenset(e for blk in blocks if len(blk) == 1 for e in blk)
     return BlockDecomposition(tuple(blocks), block_vertices, frozenset(cuts),
-                              bridges)
+                              bridges, tuple(up))
 
 
 def block_graph(g: Graph, i: int) -> Graph:
@@ -275,8 +271,8 @@ def block_graph(g: Graph, i: int) -> Graph:
 
     A block is 2-connected or a single edge, so it is connected and its
     decomposition is known without running one: one block, no cut vertices,
-    and a bridge only when the block is one edge. Both are stored on the new
-    graph.
+    and a bridge, between two one-vertex pieces, only when the block is one
+    edge. Both are stored on the new graph.
     """
     verts = sorted(g.blocks.block_vertices[i], key=lambda v: g.labels[v])
     pos = {v: k for k, v in enumerate(verts)}
@@ -284,11 +280,7 @@ def block_graph(g: Graph, i: int) -> Graph:
               [(pos[a], pos[b]) for a, b in g.blocks.blocks[i]])
     edges = frozenset(h.edges)
     h._blocks = BlockDecomposition((edges,), (frozenset(range(h.n)),), frozenset(),
-                                   edges if h.m == 1 else frozenset())
+                                   edges if h.m == 1 else frozenset(),
+                                   (0, 1) if h.m == 1 else (0,) * h.n)
     h._connected = True
     return h
-
-
-def is_block_chain(g: Graph) -> bool:
-    """True when the block-cut tree of g is a path (single vertex included)."""
-    return g.blocks.is_block_chain

@@ -51,11 +51,16 @@ def from_edge_list(text: str) -> Graph:
 
 
 def to_edge_list(g: Graph) -> str:
-    """Serialize to edge-list text. Deterministic: edges sorted by token pair."""
+    """Serialize to edge-list text. Deterministic: edges sorted by token pair.
+
+    A line opening with the token ``v`` declares a vertex, so an edge at a
+    vertex named ``v`` is written with its other token first.
+    """
     lines = []
     isolated = sorted(g.labels[v] for v in range(g.n) if g.degree(v) == 0)
     lines.extend(f"v {tok}" for tok in isolated)
-    lines.extend(f"{a} {b}" for a, b in g.label_edges())
+    lines.extend(f"{b} {a}" if a == "v" else f"{a} {b}"
+                 for a, b in g.label_edges())
     return "\n".join(lines) + ("\n" if lines else "")
 
 

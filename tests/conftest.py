@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from hpindex import Graph, enumerate_free_trees
+from hpindex import BlockDecomposition, Graph, enumerate_free_trees
 
 
 def nx_graph(g: Graph) -> nx.Graph:
@@ -10,6 +10,19 @@ def nx_graph(g: Graph) -> nx.Graph:
     h.add_nodes_from(g.labels)
     h.add_edges_from(g.label_edges())
     return h
+
+
+def is_block_chain(dec: BlockDecomposition) -> bool:
+    """True when the block-cut tree is a path (single vertex included).
+
+    The block-cut incidence tree is a path exactly when no node of it has
+    degree three: no block with >2 cut vertices, no cut vertex in >2
+    blocks.
+    """
+    cuts = dec.cut_vertices
+    return (all(len(vs & cuts) <= 2 for vs in dec.block_vertices)
+            and all(sum(c in vs for vs in dec.block_vertices) <= 2
+                    for c in cuts))
 
 
 def all_trees(max_n: int) -> list[Graph]:

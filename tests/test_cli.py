@@ -159,6 +159,16 @@ def test_parse_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "a b\n"
 
 
+def test_parse_output_parses_back_with_an_edge_at_vertex_v(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("w v\nw x\n"))
+    assert main(["parse", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out == "w v\nw x\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    assert main(["parse", "-"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_parse_graph6_input(tmp_path, capsys):
     f = tmp_path / "g.g6"
     f.write_text("Ch\n")

@@ -1,15 +1,19 @@
 import sys
+from collections import Counter
 
+import networkx as nx
 import pytest
 
 from hpindex import (
     CappedError,
+    Graph,
     PreconditionError,
     blocks_and_cuts,
     bridge_reduction,
     compare_formula_oracle,
     cycle_graph,
     double_spider,
+    enumerate_connected_graphs,
     graph_from_token_edges,
     hp_blockchain_conjecture,
     hp_oracle,
@@ -22,6 +26,7 @@ from hpindex import (
     spider,
     star_graph,
 )
+from hpindex import formula
 from reference_formula import reduction_label_map
 
 DESK_EXAMPLES = [
@@ -180,6 +185,25 @@ def test_bridge_reduction_of_tree_is_identity_shaped():
     r = bridge_reduction(t)
     assert sorted(r.labels) == sorted(t.labels)
     assert sorted(r.label_edges()) == sorted(t.label_edges())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reduction_matches_networkx_on_every_connected_labelled_graph(n):
+    # the conjecture only reduces graphs whose 2-blocks have spanning
+    # cycles; the reduction itself is checked on every graph, against
+    # pieces, names and bridges all found by networkx
+    graphs = ([Graph(("a",), [])] if n == 1
+              else enumerate_connected_graphs(n))
+    for g in graphs:
+        to_r = reduction_label_map(g)
+        h = nx.Graph()
+        h.add_edges_from(g.label_edges())
+        edges = {tuple(sorted((to_r[a], to_r[b]))) for a, b in nx.bridges(h)}
+        hubs = {name for name, k in Counter(to_r.values()).items() if k > 1}
+        r, got_hubs = formula._reduce(g)
+        assert r.labels == tuple(sorted(set(to_r.values()))), g.label_edges()
+        assert r.label_edges() == tuple(sorted(edges)), g.label_edges()
+        assert {r.labels[v] for v in got_hubs} == hubs, g.label_edges()
 
 
 def test_conjecture_defers_to_trees():

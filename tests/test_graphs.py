@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpindex import (
+    FamilyParams,
     Graph,
     blocks_and_cuts,
     cycle_graph,
+    enumerate_connected_graphs,
     enumerate_free_trees,
+    gen_hamiltonian_2block_family,
     graph_from_token_edges,
     is_connected,
     is_path,
@@ -22,7 +25,7 @@ from hpindex import (
     star_graph,
 )
 from hpindex.graphs import _reaches_every_vertex, block_graph
-from conftest import nx_graph
+from conftest import is_block_chain, nx_graph
 
 
 def test_edges_deduplicate_and_normalize():
@@ -66,15 +69,15 @@ def test_blocks_of_a_triangle_with_tail():
     assert sizes == [1, 1, 3]
     assert sorted(g.labels[v] for v in dec.cut_vertices) == ["c", "d"]
     assert {g.label_edge(e) for e in dec.bridges} == {("c", "d"), ("d", "e")}
-    assert dec.is_block_chain
+    assert is_block_chain(dec)
 
 
 def test_block_chain_examples():
-    assert blocks_and_cuts(path_graph(6)).is_block_chain
-    assert blocks_and_cuts(cycle_graph(5)).is_block_chain
+    assert is_block_chain(blocks_and_cuts(path_graph(6)))
+    assert is_block_chain(blocks_and_cuts(cycle_graph(5)))
     # a star's block-cut tree is itself a star, not a path
-    assert not blocks_and_cuts(star_graph(3)).is_block_chain
-    assert not blocks_and_cuts(spider(2, 2, 2)).is_block_chain
+    assert not is_block_chain(blocks_and_cuts(star_graph(3)))
+    assert not is_block_chain(blocks_and_cuts(spider(2, 2, 2)))
 
 
 def test_end_blocks_and_two_blocks():
@@ -100,6 +103,81 @@ def test_blocks_match_networkx(seed):
     assert {g.labels[v] for v in dec.cut_vertices} == set(nx.articulation_points(h))
     assert ({g.label_edge(e) for e in dec.bridges}
             == {tuple(sorted(e)) for e in nx.bridges(h)})
+    assert _pieces(g, dec) == _pieces_by_networkx(g)
+
+
+def _pieces(g: Graph, dec) -> set[frozenset[str]]:
+    groups: dict[int, set[str]] = {}
+    for v, p in enumerate(dec.piece_of):
+        groups.setdefault(p, set()).add(g.labels[v])
+    return {frozenset(s) for s in groups.values()}
+
+
+def _pieces_by_networkx(g: Graph) -> set[frozenset[str]]:
+    # the components of g once its bridges are removed
+    h = nx_graph(g)
+    h.remove_edges_from(list(nx.bridges(h)))
+    return {frozenset(c) for c in nx.connected_components(h)}
+
+
+def _dfs_preorder(adj) -> list[int]:
+    # the order a recursive DFS from vertex 0 meets the vertices, scanning
+    # neighbours in adjacency order
+    seen, order, stack = set(), [], [0]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            order.append(v)
+            stack.extend(reversed(adj[v]))
+    return order
+
+
+def check_pieces(g: Graph) -> None:
+    """The pieces of g against networkx, each named by its first vertex in
+    DFS order."""
+    dec = blocks_and_cuts(g)
+    assert _pieces(g, dec) == _pieces_by_networkx(g), g.label_edges()
+    first: dict[int, int] = {}
+    for v in _dfs_preorder(g.adj):
+        first.setdefault(dec.piece_of[v], v)
+    assert all(p == v for p, v in first.items()), g.label_edges()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pieces_of_every_connected_labelled_graph(n):
+    graphs = ([Graph(("a",), [])] if n == 1
+              else list(enumerate_connected_graphs(n)))
+    for g in graphs:
+        check_pieces(g)
+    # connected labelled graphs on n vertices (OEIS A001187)
+    assert len(graphs) == (1, 1, 4, 38, 728, 26704)[n - 1]
+
+
+@pytest.mark.parametrize("cycle_sizes", [(3, 4, 5), (3,), (4, 6)])
+def test_pieces_of_the_glued_family_to_10_vertices(cycle_sizes):
+    family = gen_hamiltonian_2block_family(
+        FamilyParams(max_vertices=10, cycle_sizes=cycle_sizes))
+    for g, _ in family:
+        check_pieces(g)
+
+
+def test_bowtie_is_one_piece_of_two_blocks():
+    g = graph_from_token_edges(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
+    dec = blocks_and_cuts(g)
+    assert len(dec.blocks) == 2 and not dec.bridges
+    assert dec.piece_of == (0,) * 5
+
+
+def test_cycles_joined_by_a_bridge_are_two_pieces():
+    g = graph_from_token_edges(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "x"),
+         ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x")])
+    dec = blocks_and_cuts(g)
+    assert {g.label_edge(e) for e in dec.bridges} == {("c", "x")}
+    assert _pieces(g, dec) == {frozenset("abc"), frozenset("xyzw")}
+    assert dec.piece_of == (0, 0, 0, 3, 3, 3, 3)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32))
@@ -142,7 +220,7 @@ def test_memoised_blocks_match_a_fresh_decomposition():
         fresh = blocks_and_cuts(g)
         for f in fields(fresh):
             assert getattr(dec, f.name) == getattr(fresh, f.name), f.name
-        assert dec.is_block_chain == fresh.is_block_chain == _chain_by_networkx(g)
+        assert is_block_chain(dec) == is_block_chain(fresh) == _chain_by_networkx(g)
         for i in range(len(dec.blocks)):
             b = block_graph(g, i)
             assert b.blocks == blocks_and_cuts(b)

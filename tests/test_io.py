@@ -30,6 +30,26 @@ def test_edge_list_roundtrip():
     assert canonical_key(again) == canonical_key(g)
 
 
+@pytest.mark.parametrize("text", [
+    "w v\nw x\n",    # the edge v-w sorts as "v w", which reads as a vertex line
+    "a v\n",
+    "v v1\nv1 v\n",  # an isolated-vertex line for v1, then the edge v-v1
+    "v z\nz v\n",
+    "v v\nv a\nb c\n",
+])
+def test_edge_list_roundtrip_with_a_vertex_named_v(text):
+    g = from_edge_list(text)
+    again = from_edge_list(to_edge_list(g))
+    assert again.label_edges() == g.label_edges()
+    assert set(again.labels) == set(g.labels)
+    assert to_edge_list(again) == to_edge_list(g)
+
+
+def test_edge_list_without_a_vertex_v_prints_sorted_pairs():
+    g = from_edge_list("w u\nw x\nv a\n")
+    assert to_edge_list(g) == "v a\nu w\nw x\n"
+
+
 def test_edge_list_duplicate_edges_collapse():
     g = from_edge_list("a b\nb a\na b\n")
     assert g.m == 1

@@ -94,6 +94,16 @@ def modules_naming_attribute(modules: list[tuple[str, ast.AST]],
                          for node in ast.walk(module)))
 
 
+def modules_calling(modules: list[tuple[str, ast.AST]], name: str) -> list[str]:
+    """The modules that call `name`, bare or as an attribute, such as
+    `BlockDecomposition(...)` or `graphs.BlockDecomposition(...)`."""
+    return sorted(mod for mod, module in modules
+                  if any(isinstance(node, ast.Call)
+                         and name in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))
+                         for node in ast.walk(module)))
+
+
 def test_no_nested_function_refers_to_itself():
     found = [f"{name}:{fn}" for name, module in parsed_sources()
              for fn in self_referring_nested_functions(module)]
@@ -129,6 +139,31 @@ def test_the_check_finds_an_unchecked_construction():
     ]
     assert modules_naming_attribute(modules, "_trusted") == [
         "io.py", "linegraph.py"]
+
+
+def test_only_the_graph_module_builds_block_decompositions():
+    # the pieces, like the blocks and bridges, are decided in one place;
+    # every other module reads them off `Graph.blocks`
+    assert modules_calling(parsed_sources(), "BlockDecomposition") == [
+        "graphs.py"]
+
+
+def test_the_check_finds_a_block_decomposition_built_elsewhere():
+    modules = [
+        ("graphs.py", ast.parse(
+            "def blocks_and_cuts(g):\n"
+            "    return BlockDecomposition((), (), frozenset(), frozenset(), (0,))\n")),
+        ("formula.py", ast.parse(
+            "dec = graphs.BlockDecomposition(g.blocks.blocks, (), x, y, z)\n")),
+        ("oracles.py", ast.parse(
+            "from .graphs import BlockDecomposition\n"
+            "def pieces(dec: BlockDecomposition) -> tuple:\n"
+            "    return dec.piece_of\n")),
+        ("branches.py", ast.parse(
+            "h._blocks = BlockDecomposition(*fields)\n")),
+    ]
+    assert modules_calling(modules, "BlockDecomposition") == [
+        "branches.py", "formula.py", "graphs.py"]
 
 
 def test_the_check_finds_an_unused_private_definition():
