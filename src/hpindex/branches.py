@@ -54,8 +54,7 @@ def branches(g: Graph) -> tuple[Branch, ...]:
         raise PreconditionError("branch decomposition needs at least one edge")
     if not is_connected(g):
         raise PreconditionError("branch decomposition needs a connected graph")
-    # every edge of a tree is a bridge
-    bridges = frozenset(g.edges) if g.m == g.n - 1 else g.blocks.bridges
+    bridges = g.blocks.bridges
     junctions = sorted((v for v in range(g.n) if g.degree(v) != 2),
                        key=lambda v: g.labels[v])
     claimed: set[tuple[int, int]] = set()

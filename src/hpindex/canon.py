@@ -15,10 +15,10 @@ when they are isomorphic.
 from __future__ import annotations
 
 import hashlib
+import json
 
 from .errors import TooLargeError
 from .graphs import Graph
-from .io import to_edge_list
 
 CANONICAL_VERTEX_CAP = 16
 _LEAF_BUDGET = 250_000
@@ -28,13 +28,17 @@ def graph_key(g: Graph) -> str:
     """Stable identity string for a graph.
 
     Isomorphism-invariant ("canon:...") for graphs within the canonical cap;
-    larger graphs fall back to a hash of the labeled edge list ("sha256:..."),
-    which still deduplicates exact repeats but not relabelings.
+    larger graphs fall back to a hash of the sorted isolated labels and
+    labelled edges ("sha256:..."), which still deduplicates exact repeats but
+    not relabelings. JSON quotes every label, so no label can run into the
+    next, whatever characters it holds.
     """
     try:
         return "canon:" + canonical_key(g).hex()
     except TooLargeError:
-        return "sha256:" + hashlib.sha256(to_edge_list(g).encode()).hexdigest()
+        isolated = sorted(g.labels[v] for v in range(g.n) if g.degree(v) == 0)
+        text = json.dumps([isolated, g.label_edges()])
+        return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def canonical_key(g: Graph) -> bytes:

@@ -268,19 +268,8 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
 
 def block_graph(g: Graph, i: int) -> Graph:
     """Block i of a connected graph as a graph of its own, labels sorted.
-
-    A block is 2-connected or a single edge, so it is connected and its
-    decomposition is known without running one: one block, no cut vertices,
-    and a bridge, between two one-vertex pieces, only when the block is one
-    edge. Both are stored on the new graph.
-    """
+    Like any graph, it computes its decomposition on first access."""
     verts = sorted(g.blocks.block_vertices[i], key=lambda v: g.labels[v])
     pos = {v: k for k, v in enumerate(verts)}
-    h = Graph(tuple(g.labels[v] for v in verts),
-              [(pos[a], pos[b]) for a, b in g.blocks.blocks[i]])
-    edges = frozenset(h.edges)
-    h._blocks = BlockDecomposition((edges,), (frozenset(range(h.n)),), frozenset(),
-                                   edges if h.m == 1 else frozenset(),
-                                   (0, 1) if h.m == 1 else (0,) * h.n)
-    h._connected = True
-    return h
+    return Graph(tuple(g.labels[v] for v in verts),
+                 [(pos[a], pos[b]) for a, b in g.blocks.blocks[i]])

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from hpindex import (
@@ -6,6 +7,7 @@ from hpindex import (
     branches,
     cycle_graph,
     double_spider,
+    enumerate_connected_graphs,
     graph_from_token_edges,
     is_caterpillar,
     path_graph,
@@ -14,6 +16,7 @@ from hpindex import (
 )
 from hpindex.branches import endpaths
 
+from conftest import nx_graph
 from reference_formula import candidate_endpaths, maximal_pairs
 
 
@@ -88,6 +91,46 @@ def test_branch_endpoints_have_degree_other_than_two(trees_to_9):
             assert all(t.degree(t.index(v)) != 2 for v in ends)
             for v in b.vertices[1:-1]:
                 assert t.degree(t.index(v)) == 2
+
+
+def reference_branches(g):
+    """(walk, all-bridge flag, pendant flag) of each branch, sorted by walk,
+    from networkx's bridges and a corridor walk out of every junction.
+
+    A corridor that comes back to its own junction leaves only its first
+    edge as a branch. Each corridor between two junctions is walked once
+    from either end; the normalised walk, smaller end first, dedupes them.
+    """
+    h = nx_graph(g)
+    bridges = {frozenset(e) for e in nx.bridges(h)}
+    found = set()
+    for j in h:
+        if h.degree(j) == 2:
+            continue
+        for w in h[j]:
+            walk = [j, w]
+            while h.degree(walk[-1]) == 2:
+                walk.append(next(x for x in h[walk[-1]] if x != walk[-2]))
+            if walk[-1] == j:
+                walk = [j, w]
+            if walk[-1] < walk[0]:
+                walk.reverse()
+            found.add((tuple(walk),
+                       all(frozenset(e) in bridges for e in zip(walk, walk[1:])),
+                       h.degree(walk[0]) == 1 or h.degree(walk[-1]) == 1))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_branches_match_networkx_on_every_connected_labelled_graph(n):
+    count = 0
+    for g in enumerate_connected_graphs(n):
+        count += 1
+        got = [(b.vertices, b.is_bridge_branch, b.is_pendant_branch)
+               for b in branches(g)]
+        assert got == reference_branches(g), g.label_edges()
+    # connected labelled graphs on n vertices (OEIS A001187)
+    assert count == (1, 4, 38, 728, 26704)[n - 2]
 
 
 def test_single_vertex_rejected():

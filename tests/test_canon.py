@@ -15,6 +15,7 @@ from hpindex import (
     cycle_graph,
     enumerate_connected_graphs,
     enumerate_free_trees,
+    graph_from_token_edges,
     graph_key,
     path_graph,
     random_connected_graph,
@@ -79,6 +80,25 @@ def test_graph_key_forms():
     big = graph_key(path_graph(30))
     assert big.startswith("sha256:")
     assert graph_key(path_graph(30)) == big
+
+
+def test_graph_key_fallback_keeps_labels_with_spaces_apart():
+    # as edge-list text both read "a b c" after the same path
+    path = list(path_graph(16).label_edges())
+    g = graph_from_token_edges(path + [("a b", "c")])
+    h = graph_from_token_edges(path + [("a", "b c")])
+    assert g != h
+    assert graph_key(g).startswith("sha256:")
+    assert graph_key(g) != graph_key(h)
+
+
+def test_graph_key_fallback_ignores_vertex_order():
+    g = graph_from_token_edges(path_graph(20).label_edges(), isolated=["z", "y"])
+    order = g.labels[::-1]
+    h = Graph(order, [(order.index(a), order.index(b)) for a, b in g.label_edges()])
+    assert h.labels != g.labels and h.label_edges() == g.label_edges()
+    assert graph_key(h) == graph_key(g)
+    assert graph_key(h).startswith("sha256:")
 
 
 def test_graph_key_detects_relabeled_small_graphs():

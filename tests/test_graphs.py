@@ -24,7 +24,7 @@ from hpindex import (
     spider,
     star_graph,
 )
-from hpindex.graphs import _reaches_every_vertex, block_graph
+from hpindex.graphs import block_graph
 from conftest import is_block_chain, nx_graph
 
 
@@ -221,16 +221,32 @@ def test_memoised_blocks_match_a_fresh_decomposition():
         for f in fields(fresh):
             assert getattr(dec, f.name) == getattr(fresh, f.name), f.name
         assert is_block_chain(dec) == is_block_chain(fresh) == _chain_by_networkx(g)
-        for i in range(len(dec.blocks)):
-            b = block_graph(g, i)
-            assert b.blocks == blocks_and_cuts(b)
-            assert is_connected(b) and _reaches_every_vertex(b)
     # connected labelled graphs on 1..5 vertices (OEIS A001187)
     assert count == 1 + 1 + 4 + 38 + 728
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_block_graph_is_one_block(n):
+    # a block is 2-connected or one edge, so as a graph of its own it is one
+    # block without cut vertices, and a bridge only when it is one edge
+    for g in enumerate_connected_graphs(n):
+        for i, block in enumerate(g.blocks.blocks):
+            b = block_graph(g, i)
+            assert b.label_edges() == tuple(sorted(g.label_edge(e) for e in block))
+            assert list(b.labels) == sorted(b.labels)
+            assert is_connected(b)
+            dec = b.blocks
+            edges = frozenset(b.edges)
+            assert dec.blocks == (edges,)
+            assert dec.block_vertices == (frozenset(range(b.n)),)
+            assert dec.cut_vertices == frozenset()
+            assert dec.bridges == (edges if b.m == 1 else frozenset())
+            assert dec.piece_of == ((0, 1) if b.m == 1 else (0,) * b.n)
+
+
 def test_every_free_tree_edge_is_a_bridge():
-    # the premise of the tree shortcut in branches()
+    # branches() reads a tree's bridges off its decomposition; on a tree
+    # they must be all of its edges
     for n in range(2, 13):
         for t in enumerate_free_trees(n):
             assert blocks_and_cuts(t).bridges == frozenset(t.edges)

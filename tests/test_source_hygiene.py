@@ -94,14 +94,49 @@ def modules_naming_attribute(modules: list[tuple[str, ast.AST]],
                          for node in ast.walk(module)))
 
 
-def modules_calling(modules: list[tuple[str, ast.AST]], name: str) -> list[str]:
-    """The modules that call `name`, bare or as an attribute, such as
-    `BlockDecomposition(...)` or `graphs.BlockDecomposition(...)`."""
-    return sorted(mod for mod, module in modules
-                  if any(isinstance(node, ast.Call)
-                         and name in (getattr(node.func, "id", None),
-                                      getattr(node.func, "attr", None))
-                         for node in ast.walk(module)))
+def scoped_nodes(module: ast.AST):
+    """Each node of the module with the dotted name of the class or function
+    it sits in, such as `Graph.blocks`, or `<module>` at the top level."""
+    stack = [(module, "")]
+    while stack:
+        node, scope = stack.pop()
+        yield scope or "<module>", node
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def scopes_calling(modules: list[tuple[str, ast.AST]], name: str) -> list[str]:
+    """`module:scope` for each scope that calls `name`, bare or as an
+    attribute, such as `BlockDecomposition(...)` or
+    `graphs.BlockDecomposition(...)`."""
+    return sorted({f"{mod}:{scope}" for mod, module in modules
+                   for scope, node in scoped_nodes(module)
+                   if isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))})
+
+
+def sets_attribute(node: ast.AST, attrs: set[str]) -> bool:
+    """True when the node stores one of `attrs` on anything: as an
+    assignment target, plain, augmented, annotated or unpacked, or through
+    `setattr(obj, "name", value)` or `object.__setattr__`."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.ctx, ast.Store) and node.attr in attrs
+    return (isinstance(node, ast.Call)
+            and bool({"setattr", "__setattr__"}
+                     & {getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)})
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in attrs)
+
+
+def scopes_assigning(modules: list[tuple[str, ast.AST]],
+                     attrs: set[str]) -> list[str]:
+    """`module:scope` for each scope that sets one of the attributes `attrs`."""
+    return sorted({f"{mod}:{scope}" for mod, module in modules
+                   for scope, node in scoped_nodes(module)
+                   if sets_attribute(node, attrs)})
 
 
 def test_no_nested_function_refers_to_itself():
@@ -142,17 +177,25 @@ def test_the_check_finds_an_unchecked_construction():
 
 
 def test_only_the_graph_module_builds_block_decompositions():
-    # the pieces, like the blocks and bridges, are decided in one place;
-    # every other module reads them off `Graph.blocks`
-    assert modules_calling(parsed_sources(), "BlockDecomposition") == [
-        "graphs.py"]
+    # the blocks, cut vertices, bridges and pieces are decided in one place;
+    # every other function reads them off `Graph.blocks`
+    assert scopes_calling(parsed_sources(), "BlockDecomposition") == [
+        "graphs.py:blocks_and_cuts"]
 
 
 def test_the_check_finds_a_block_decomposition_built_elsewhere():
     modules = [
         ("graphs.py", ast.parse(
             "def blocks_and_cuts(g):\n"
-            "    return BlockDecomposition((), (), frozenset(), frozenset(), (0,))\n")),
+            "    if g.n == 1:\n"
+            "        return BlockDecomposition((), (), frozenset(), frozenset(), (0,))\n"
+            "    return BlockDecomposition(blocks, verts, cuts, bridges, up)\n"
+            "def block_graph(g, i):\n"
+            "    h = Graph(labels, pairs)\n"
+            "    edges = frozenset(h.edges)\n"
+            "    h._blocks = BlockDecomposition((edges,), (frozenset(range(h.n)),),\n"
+            "                                   frozenset(), frozenset(), (0,) * h.n)\n"
+            "    return h\n")),
         ("formula.py", ast.parse(
             "dec = graphs.BlockDecomposition(g.blocks.blocks, (), x, y, z)\n")),
         ("oracles.py", ast.parse(
@@ -160,10 +203,63 @@ def test_the_check_finds_a_block_decomposition_built_elsewhere():
             "def pieces(dec: BlockDecomposition) -> tuple:\n"
             "    return dec.piece_of\n")),
         ("branches.py", ast.parse(
-            "h._blocks = BlockDecomposition(*fields)\n")),
+            "class Walk:\n"
+            "    def fill(self, h):\n"
+            "        h._blocks = BlockDecomposition(*fields)\n")),
     ]
-    assert modules_calling(modules, "BlockDecomposition") == [
-        "branches.py", "formula.py", "graphs.py"]
+    assert scopes_calling(modules, "BlockDecomposition") == [
+        "branches.py:Walk.fill", "formula.py:<module>",
+        "graphs.py:block_graph", "graphs.py:blocks_and_cuts"]
+
+
+MEMO_SLOTS = {"_blocks", "_connected"}
+
+
+def test_only_their_accessors_fill_the_memo_slots():
+    # a value stored from outside would skip the decomposer and the
+    # connectivity search that the slots stand for
+    assert scopes_assigning(parsed_sources(), MEMO_SLOTS) == [
+        "graphs.py:Graph._fill", "graphs.py:Graph.blocks",
+        "graphs.py:is_connected"]
+
+
+def test_the_check_finds_a_memo_slot_filled_elsewhere():
+    modules = [
+        ("graphs.py", ast.parse(
+            "class Graph:\n"
+            "    def _fill(self, labels, adj, edges):\n"
+            "        self._blocks: BlockDecomposition | None = None\n"
+            "        self._connected: bool | None = None\n"
+            "    @property\n"
+            "    def blocks(self):\n"
+            "        if self._blocks is None:\n"
+            "            self._blocks = blocks_and_cuts(self)\n"
+            "        return self._blocks\n"
+            "def is_connected(g):\n"
+            "    if g._connected is None:\n"
+            "        g._connected = _reaches_every_vertex(g)\n"
+            "    return g._connected\n"
+            "def block_graph(g, i):\n"
+            "    h = Graph(labels, pairs)\n"
+            "    h._blocks = BlockDecomposition(*fields)\n"
+            "    h._connected = True\n"
+            "    return h\n")),
+        ("formula.py", ast.parse(
+            "def glue(h, dec):\n"
+            "    h._blocks, n = dec, 3\n"
+            "    return h._connected\n")),
+        ("oracles.py", ast.parse(
+            "def trust(h):\n"
+            "    setattr(h, '_connected', True)\n"
+            "def index(h):\n"
+            "    object.__setattr__(h, '_index', {})\n"
+            "def preset(h, dec):\n"
+            "    object.__setattr__(h, '_blocks', dec)\n")),
+    ]
+    assert scopes_assigning(modules, MEMO_SLOTS) == [
+        "formula.py:glue", "graphs.py:Graph._fill", "graphs.py:Graph.blocks",
+        "graphs.py:block_graph", "graphs.py:is_connected", "oracles.py:preset",
+        "oracles.py:trust"]
 
 
 def test_the_check_finds_an_unused_private_definition():
