@@ -54,11 +54,13 @@ def to_edge_list(g: Graph) -> str:
     """Serialize to edge-list text. Deterministic: edges sorted by token pair.
 
     A line opening with the token ``v`` declares a vertex, so an edge at a
-    vertex named ``v`` is written with its other token first.
+    vertex named ``v`` is written with its other token first. An empty label,
+    or one holding whitespace or ``#``, raises ValidationError.
     """
-    lines = []
+    if bad := [tok for tok in g.labels if not tok or re.search(r"[\s#]", tok)]:
+        raise ValidationError(f"label {bad[0]!r} cannot be written as an edge-list token")
     isolated = sorted(g.labels[v] for v in range(g.n) if g.degree(v) == 0)
-    lines.extend(f"v {tok}" for tok in isolated)
+    lines = [f"v {tok}" for tok in isolated]
     lines.extend(f"{b} {a}" if a == "v" else f"{a} {b}"
                  for a, b in g.label_edges())
     return "\n".join(lines) + ("\n" if lines else "")

@@ -3,11 +3,14 @@ import pytest
 
 from hpindex import (
     EdgeListParseError,
+    ValidationError,
+    bridge_reduction,
     canonical_key,
     complete_graph,
     cycle_graph,
     from_edge_list,
     from_graph6,
+    graph_from_token_edges,
     path_graph,
     random_connected_graph,
     to_dot,
@@ -48,6 +51,27 @@ def test_edge_list_roundtrip_with_a_vertex_named_v(text):
 def test_edge_list_without_a_vertex_v_prints_sorted_pairs():
     g = from_edge_list("w u\nw x\nv a\n")
     assert to_edge_list(g) == "v a\nu w\nw x\n"
+
+
+@pytest.mark.parametrize("label", ["a b", "a\tb", "a\nb", "a#b", "#", ""])
+def test_edge_list_refuses_labels_it_cannot_write(label):
+    # such text would split, comment out or drop the label when read back,
+    # on an edge line ("a b c") or on an isolated-vertex line
+    for g in (graph_from_token_edges([(label, "c")]),
+              graph_from_token_edges([], isolated=[label])):
+        with pytest.raises(ValidationError, match="cannot be written"):
+            to_edge_list(g)
+
+
+def test_edge_list_writes_contracted_piece_names():
+    # bridge_reduction names its pieces "[a+b+c]" and primes a name that is
+    # taken; these labels are not input tokens but hold no space or "#"
+    g = graph_from_token_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"),
+                                ("[a+b+c]", "x"), ("x", "y"), ("y", "[a+b+c]"),
+                                ("d", "x")])
+    r = bridge_reduction(g)
+    assert "[a+b+c]'" in r.labels
+    assert to_edge_list(r) == "[[a+b+c]+x+y] d\n[a+b+c]' d\n"
 
 
 def test_edge_list_duplicate_edges_collapse():

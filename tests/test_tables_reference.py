@@ -7,12 +7,14 @@ holds.
 """
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from hpindex import (
     CappedError,
+    Graph,
     IterationBudget,
     SearchBudget,
     enumerate_connected_graphs,
@@ -85,6 +87,59 @@ def test_stage_graphs_of_free_trees_up_to_10(monkeypatch):
         # the index-order prepass returns the table's own answer and witness
         assert has_hamiltonian_path(g) == has_hamiltonian_path(g, table_only)
         assert has_hamiltonian_cycle(g) == has_hamiltonian_cycle(g, table_only)
+
+
+def three_starts(n, rng):
+    # every vertex (path search), vertex 0 alone (cycle search), and a
+    # seeded mask of at least two vertices
+    full = (1 << n) - 1
+    mask = 0
+    while mask.bit_count() < 2:
+        mask = rng.randrange(1, full + 1)
+    return full, 1, mask
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_complete_graphs(n):
+    # every mask is live in every layer
+    g = Graph([str(i) for i in range(n)], list(combinations(range(n), 2)))
+    for starts in three_starts(n, random.Random(n)):
+        assert_same_table(g, starts)
+
+
+@pytest.mark.parametrize("a", range(1, 8))
+def test_unbalanced_complete_bipartite_graphs(a):
+    # no hamiltonian path, yet large live layers up to the last one
+    for b in range(a + 2, 17 - a):
+        g = Graph([str(i) for i in range(a + b)],
+                  [(i, a + j) for i in range(a) for j in range(b)])
+        for starts in three_starts(a + b, random.Random(a * 100 + b)):
+            assert_same_table(g, starts)
+
+
+@pytest.mark.parametrize("n", range(13, 19))
+def test_dense_random_graphs(n):
+    # edge densities 0.6 to 0.9
+    rng = random.Random(n)
+    pairs = n * (n - 1) // 2
+    for seed, density in enumerate((0.6, 0.7, 0.8, 0.9)):
+        g = random_connected_graph(n, round(density * pairs) - (n - 1), seed)
+        for starts in three_starts(n, rng):
+            assert_same_table(g, starts)
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_hamiltonian_cycles_with_chords(n):
+    # the cycle 0..n-1 plus random chords, 1.6 n edges in all, as in the
+    # benchmark's table queries
+    rng = random.Random(n)
+    cycle = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    chords = [p for p in combinations(range(n), 2) if p not in cycle]
+    for _ in range(2):
+        edges = sorted(cycle) + rng.sample(chords, round(0.6 * n))
+        g = Graph([str(i) for i in range(n)], edges)
+        for starts in three_starts(n, rng):
+            assert_same_table(g, starts)
 
 
 @pytest.mark.slow
