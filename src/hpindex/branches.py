@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .graphs import Graph, bfs_tree, is_connected, is_path, is_tree
 
 
@@ -79,7 +79,8 @@ def branches(g: Graph) -> tuple[Branch, ...]:
                          for a, b in zip(walk, walk[1:]))
         pendant = g.degree(walk[0]) == 1 or g.degree(walk[-1]) == 1
         # a corridor ending in a leaf is cut off by any of its edges
-        assert all_bridge or not pendant
+        if pendant and not all_bridge:
+            raise InternalCheckError("a corridor ending in a leaf has a non-bridge edge")
         toks = tuple(g.labels[v] for v in walk)
         if toks[-1] < toks[0]:
             toks = toks[::-1]

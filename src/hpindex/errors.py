@@ -58,7 +58,14 @@ class EdgeStarvationError(PreconditionError):
         self.stage = stage
 
 
-class EmptyCandidateError(HPIndexError):
+class InternalCheckError(HPIndexError):
+    """A built-in consistency check failed, e.g. a witness did not replay.
+
+    Indicates a bug in this package, not bad input.
+    """
+
+
+class EmptyCandidateError(InternalCheckError):
     """The min-max evaluator found fewer than two items on its tree.
 
     Unreachable on trees that are not paths, which have three branches or
@@ -71,10 +78,3 @@ class EmptyCandidateError(HPIndexError):
             + witness_edge_list
         )
         self.witness_edge_list = witness_edge_list
-
-
-class InternalCheckError(HPIndexError):
-    """A built-in consistency check failed, e.g. a witness did not replay.
-
-    Indicates a bug in this package, not bad input.
-    """

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, ValidationError
+from .errors import InternalCheckError, PreconditionError, ValidationError
 
 
 class Graph:
@@ -17,8 +17,11 @@ class Graph:
     be reassigned. That is what lets `blocks` compute the block decomposition,
     and `is_connected` its search, once and keep it for the graph's lifetime.
 
+    `adj[v]` lists v's neighbours ascending and `edges` holds each edge once
+    as (v, w), v < w, ascending; both constructors derive `adj` from `edges`.
     `__init__` checks its input; `Graph._trusted`, for `linegraph.line_graph`
-    alone, takes fields already canonical and checks nothing.
+    alone, trusts its caller for distinct labels and ascending, distinct,
+    in-range pairs (v, w), v < w, and checks nothing.
     """
 
     __slots__ = ("labels", "adj", "edges", "_index", "_blocks", "_connected")
@@ -28,39 +31,37 @@ class Graph:
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate vertex labels")
         n = len(labels)
-        adj_sets: list[set[int]] = [set() for _ in range(n)]
         edges: set[tuple[int, int]] = set()
         for u, v in edge_pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError("edge endpoint out of range")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {labels[u]!r}")
-            a, b = (u, v) if u < v else (v, u)
-            edges.add((a, b))
-            adj_sets[a].add(b)
-            adj_sets[b].add(a)
-        self._fill(labels, tuple(tuple(sorted(s)) for s in adj_sets),
-                   tuple(sorted(edges)))
+            edges.add((u, v) if u < v else (v, u))
+        self._fill(labels, tuple(sorted(edges)))
 
     @classmethod
-    def _trusted(cls, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...],
-                 edges: tuple[tuple[int, int], ...]) -> Graph:
+    def _trusted(cls, labels: tuple[str, ...], edges: tuple[tuple[int, int], ...]) -> Graph:
         """A graph from fields in the form `__init__` leaves them, unchecked.
 
-        The caller guarantees distinct labels; each `adj[v]` ascending,
-        without v or repeats, and symmetric; and `edges` the ascending pairs
-        (v, w), v < w, with w in `adj[v]`. Only `linegraph.line_graph` calls
+        The caller guarantees distinct labels and `edges` ascending, distinct
+        pairs (v, w) with 0 <= v < w < n. Only `linegraph.line_graph` calls
         it, which a test enforces; parsed and user-built graphs go through
         `__init__`.
         """
         g = cls.__new__(cls)
-        g._fill(labels, adj, edges)
+        g._fill(labels, edges)
         return g
 
-    def _fill(self, labels: tuple[str, ...], adj: tuple[tuple[int, ...], ...],
-              edges: tuple[tuple[int, int], ...]) -> None:
+    def _fill(self, labels: tuple[str, ...], edges: tuple[tuple[int, int], ...]) -> None:
+        # read in ascending order, the pairs fill each list ascending: first
+        # the neighbours below a vertex (pairs ending at it), then those above
+        adj: list[list[int]] = [[] for _ in labels]
+        for v, w in edges:
+            adj[v].append(w)
+            adj[w].append(v)
         self.labels = labels
-        self.adj = adj
+        self.adj = tuple(map(tuple, adj))
         self.edges = edges
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._blocks: BlockDecomposition | None = None
@@ -256,7 +257,7 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
     if root_children > 1:
         cuts.add(0)
     if edge_stack:
-        raise AssertionError("edge stack not drained; decomposition bug")
+        raise InternalCheckError("edge stack not drained; decomposition bug")
     for v in order:
         up[v] = up[up[v]]
 

@@ -52,11 +52,10 @@ def line_graph(g: Graph) -> LineGraphResult:
     fall back to opaque sequential names; the provenance map always recovers
     the source edge either way.
 
-    The graph skips `Graph.__init__`'s checks through `Graph._trusted`: the
-    names are distinct and each pair below joins two different edges of g,
-    once. Sorted, the pairs are the edge tuple; read in that order they
-    fill each adjacency list ascending, first the neighbours below a vertex
-    (pairs ending at it), then those above (pairs starting at it).
+    The graph skips `Graph.__init__`'s checks through `Graph._trusted`,
+    whose contract holds here: the names are distinct, and each pair below
+    joins two different edges of g once, lower index first, so sorted they
+    are ascending, distinct and in range.
     """
     if g.m == 0:
         raise PreconditionError("line graph of an edgeless graph is undefined")
@@ -73,11 +72,7 @@ def line_graph(g: Graph) -> LineGraphResult:
     # line-graph edge comes out once, lower index first
     edges = sorted(chain.from_iterable(
         combinations(shared, 2) for shared in incident.values()))
-    adj: list[list[int]] = [[] for _ in names]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    lg = Graph._trusted(tuple(names), tuple(map(tuple, adj)), tuple(edges))
+    lg = Graph._trusted(tuple(names), tuple(edges))
     return LineGraphResult(lg, dict(zip(names, token_edges)))
 
 

@@ -7,7 +7,8 @@ necessary conditions, then share one tiered search; a cycle is searched as a
 path from vertex 0 that must close back to it. The tiers, by vertex count n
 under a SearchBudget:
 
-- n > backtrack_vertex_cap (40): refused with CappedError;
+- n > backtrack_vertex_cap (40): refused with CappedError, unless the graph
+  is a path or a cycle, which is walked directly above dp_vertex_cap;
 - n <= dp_vertex_cap (24): a numpy subset table, a 2^n uint32 array filled
   a popcount layer at a time from that layer's live masks alone; a sparse
   24-vertex query takes about 0.05 s and peaks near 97 MB of process RSS;
@@ -58,7 +59,8 @@ class SearchBudget:
     which is exact and immune to adversarial structure; between that and
     backtrack_vertex_cap a pruned depth-first search that tries low-degree
     vertices first runs with a node budget. Anything larger is refused with
-    CappedError. prepass_nodes bounds the same search run before each table;
+    CappedError, but above dp_vertex_cap a path or a cycle is walked
+    directly at any size. prepass_nodes bounds the same search run before each table;
     below 17 vertices it walks vertices in index order instead and is also
     capped at _LEX_NODES. prepass_nodes=1 leaves every table-sized graph to
     the table.
@@ -376,7 +378,19 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     """The tiered search behind both public tests.
 
     A cycle is searched as a path from vertex 0 that must close back to it.
+    Above the table, a path or a cycle (connected, every degree at most two)
+    is walked directly at any size, along the walk the degree-ordered search
+    finds first: from its first start to the lower-index neighbour, then on
+    to the only unvisited one.
     """
+    check = check_cycle_witness if cycle else check_path_witness
+    if g.n > budget.dp_vertex_cap and all(len(a) <= 2 for a in g.adj):
+        walk = [0 if cycle else _path_starts(g)[0]]
+        walk.append(g.adj[walk[0]][0])
+        while len(walk) < g.n:
+            a, b = g.adj[walk[-1]]
+            walk.append(a if b == walk[-2] else b)
+        return _witnessed(g, walk, check)
     if g.n > budget.backtrack_vertex_cap:
         raise CappedError(f"{g.n} vertices exceed the search cap "
                           f"{budget.backtrack_vertex_cap}")
@@ -395,25 +409,26 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
         if not table:
             raise CappedError("backtracking node budget exhausted") from None
     else:
-        if walk and lex:
+        if walk is None:
+            return False, None
+        if lex:
             # the table reads the least walk back from its far end: a path
             # reversed, a cycle run the other way round
             walk = walk[:1] + walk[:0:-1] if cycle else walk[::-1]
-        return _verdict(g, walk, cycle)
+        return _witnessed(g, walk, check)
     dp = _dp_table_np(adj, 1 if cycle else full, deadline)
     ends = int(dp[full]) & (adj[0] if cycle else full)
     if not ends:
         return False, None
     end = (ends & -ends).bit_length() - 1
-    return _verdict(g, _walk_from_table(dp, adj, full, end), cycle)
+    return _witnessed(g, _walk_from_table(dp, adj, full, end), check)
 
 
-def _verdict(g: Graph, walk: list[int] | None, cycle: bool,
-             ) -> tuple[bool, tuple[str, ...] | None]:
-    if walk is None:
-        return False, None
+def _witnessed(g: Graph, walk: list[int], check, *args,
+               ) -> tuple[bool, tuple[str, ...]]:
+    """The walk's labels, once `check` (a check_*_witness) has replayed them."""
     toks = tuple(g.labels[v] for v in walk)
-    (check_cycle_witness if cycle else check_path_witness)(g, toks)
+    check(g, toks, *args)
     return True, toks
 
 
@@ -449,7 +464,7 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         # a closed trail may be the start alone; an open one needs an edge
         # unless the graph has none
         if incident[start] == full and (closed or not full):
-            return _trail_verdict(g, [start], closed)
+            return _witnessed(g, [start], check_trail_witness, closed)
         failed: set[tuple[int, int]] = set()  # (vertex, used) with no completion
         # one entry per trail vertex: (vertex, used, covered, untried edges)
         stack = [(start, 0, incident[start], incident[start])]
@@ -468,17 +483,11 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
             if not nodes % 4096 and time.monotonic() > deadline:
                 raise CappedError("time limit hit during trail search")
             if covered == full and (not closed or w == start):
-                return _trail_verdict(g, [s[0] for s in stack] + [w], closed)
+                return _witnessed(g, [s[0] for s in stack] + [w],
+                                  check_trail_witness, closed)
             if (w, used) not in failed:
                 stack.append((w, used, covered, incident[w] & ~used))
     return False, None
-
-
-def _trail_verdict(g: Graph, walk: list[int], closed: bool,
-                   ) -> tuple[bool, tuple[str, ...]]:
-    toks = tuple(g.labels[v] for v in walk)
-    check_trail_witness(g, toks, closed)
-    return True, toks
 
 
 def has_dominating_closed_trail(g: Graph,

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from hpindex import BlockDecomposition, Graph, enumerate_free_trees
+from hpindex import BlockDecomposition, Graph, cycle_graph, enumerate_free_trees, path_graph
 
 
 def nx_graph(g: Graph) -> nx.Graph:
@@ -23,6 +23,21 @@ def is_block_chain(dec: BlockDecomposition) -> bool:
     return (all(len(vs & cuts) <= 2 for vs in dec.block_vertices)
             and all(sum(c in vs for vs in dec.block_vertices) <= 2
                     for c in cuts))
+
+
+def tadpole(n: int) -> Graph:
+    """path_graph(n) with an edge closing a triangle at p0: p2 has degree
+    three, so above the vertex cap the search refuses it."""
+    g = path_graph(n)
+    return Graph(g.labels, g.edges + ((0, 2),))
+
+
+def chorded_cycle(n: int) -> Graph:
+    """cycle_graph(n) with one chord, c0 to its opposite vertex: two-connected
+    with two vertices of degree three, so above the vertex cap both searches
+    refuse it."""
+    g = cycle_graph(n)
+    return Graph(g.labels, g.edges + ((0, n // 2),))
 
 
 def all_trees(max_n: int) -> list[Graph]:

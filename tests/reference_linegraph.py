@@ -2,8 +2,9 @@
 
 `hpindex.linegraph.line_graph` used to hand its vertex pairs to
 `Graph.__init__`, which checks every pair again and sorts through sets. It
-now builds the sorted adjacency and edge tuples itself and goes through
-`Graph._trusted`; the differential tests compare the two field for field.
+now builds the sorted edge tuple itself and goes through `Graph._trusted`,
+which derives the adjacency from it; the differential tests compare the two
+field for field.
 """
 
 from __future__ import annotations

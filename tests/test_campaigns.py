@@ -71,8 +71,9 @@ def test_verify_trees_rerun_is_byte_identical():
 
 
 def test_verify_trees_tight_budget_caps_honestly():
-    # stage graphs above five vertices are refused, so big trees cap
-    budget = SearchBudget(dp_vertex_cap=5, backtrack_vertex_cap=5)
+    # stage graphs above four vertices are refused unless they are paths or
+    # cycles, so big trees cap
+    budget = SearchBudget(dp_vertex_cap=4, backtrack_vertex_cap=4)
     report = verify_trees(6, budget=budget)
     assert report.instances == 14
     assert report.counts["capped"] > 0

@@ -35,6 +35,7 @@ from hpindex import (
 from hpindex.campaigns import CampaignReport, _TrailRecord
 from hpindex.cli import _emit_report, main
 from hpindex.version import __version__
+from conftest import tadpole
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -280,9 +281,9 @@ TRIANGLE_WITH_TAILS = "t1 t2\nt2 t3\nt3 t1\nt1 a\na b\n"
     (["hp", "conjecture"], TRIANGLE_WITH_TAILS, 0, "0\n"),
     (["hp", "conjecture", "--json"], TRIANGLE_WITH_TAILS, 0,
      "e73f6d18933b78cb7b8bf40c6d1efb0abc0814116b99ad29e01d713061b16905"),
-    (["hp", "oracle"], path_graph(50), 1, "capped\n"),
-    (["hp", "oracle", "--json"], path_graph(50), 1,
-     "b8cfd5bfc6ab1bea18b0249af3f2f5888551ed8db6f9d3181515c15b6f717153"),
+    (["hp", "oracle"], tadpole(50), 1, "capped\n"),
+    (["hp", "oracle", "--json"], tadpole(50), 1,
+     "c2a46c0f1722c433b6f54ff88f8cf9c917abfda858e4c5059bc855c2bc0e60f3"),
     (["h", "oracle"], spider(1, 1, 2), 0, "2\n"),
     (["h", "oracle", "--json"], spider(1, 1, 2), 0,
      "3fd942a66a41fd91905a58b31df3d21d4548864f8323047833d88d845bfa7d72"),
@@ -509,7 +510,7 @@ def test_hp_oracle_value(tmp_path, capsys):
 
 
 def test_hp_oracle_caps_on_long_path(tmp_path, capsys):
-    assert main(["hp", "oracle", write_graph(tmp_path, path_graph(50))]) == 1
+    assert main(["hp", "oracle", write_graph(tmp_path, tadpole(50))]) == 1
     assert capsys.readouterr().out == "capped\n"
 
 

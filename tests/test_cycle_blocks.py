@@ -85,15 +85,15 @@ def test_other_two_blocks_are_still_searched():
 
 
 def test_a_cycle_block_is_not_refused_by_the_search_cap():
-    # a 6-cycle glued to a path's end: the searching reference refuses the
-    # 6-vertex block under a cap of 4, the formula does not search it
+    # a 6-cycle glued to a path's end: the formula does not search the
+    # 6-vertex block under a cap of 4, and the searching reference walks it,
+    # as the search walks a cycle of any size
     g = graph_from_token_edges(
         [("p1", "p2"), ("p2", "c0")]
         + [(f"c{i}", f"c{(i + 1) % 6}") for i in range(6)])
     small = SearchBudget(dp_vertex_cap=4, backtrack_vertex_cap=4)
-    with pytest.raises(CappedError):
-        searching_every_block(g, small)
-    assert hp_blockchain_conjecture(g, small) == hp_blockchain_conjecture(g)
+    assert (hp_blockchain_conjecture(g, small) == searching_every_block(g, small)
+            == hp_blockchain_conjecture(g))
     # a 5-vertex block that is not a cycle is searched, and refused
     dense = graph_from_token_edges(
         [("p1", "p2"), ("p2", "k0")]

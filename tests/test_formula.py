@@ -28,6 +28,7 @@ from hpindex import (
 )
 from hpindex import formula
 from reference_formula import reduction_label_map
+from conftest import tadpole
 
 DESK_EXAMPLES = [
     (path_graph(7), 0),
@@ -322,7 +323,7 @@ def test_compare_record_fields():
 
 
 def test_compare_capped_oracle_reports_capped():
-    rec = compare_formula_oracle(path_graph(50))
+    rec = compare_formula_oracle(tadpole(50))
     assert rec.verdict == "capped"
     assert rec.to_json_dict()["oracle_value"] == "capped"
 

@@ -33,6 +33,7 @@ from hpindex import (
 )
 from hpindex import oracles
 from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail_witness
+from conftest import chorded_cycle, tadpole
 
 BOWTIE = graph_from_token_edges(
     [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
@@ -71,9 +72,25 @@ def test_hamiltonian_cycle_negatives():
 
 def test_size_cap_raises():
     with pytest.raises(CappedError):
-        has_hamiltonian_path(path_graph(41))
+        has_hamiltonian_path(tadpole(41))
     with pytest.raises(CappedError):
-        has_hamiltonian_cycle(cycle_graph(41))
+        has_hamiltonian_cycle(chorded_cycle(41))
+
+
+@pytest.mark.parametrize("n", [41, 50, 500])
+def test_paths_and_cycles_above_the_cap_are_walked(n):
+    p, c = path_graph(n), cycle_graph(n)
+    for oracle, g, check in ((hp_oracle, p, check_path_witness),
+                             (hp_oracle, c, check_path_witness),
+                             (h_oracle, c, check_cycle_witness)):
+        res = oracle(g)
+        assert res.value == 0
+        assert [s.verdict for s in res.stages] == [
+            "hamiltonian" if oracle is h_oracle else "traceable"]
+        check(g, res.witness)
+    # from the lower-label leaf, and on a cycle from c0 to c1
+    assert hp_oracle(p).witness == p.labels
+    assert h_oracle(c).witness == hp_oracle(c).witness == c.labels
 
 
 def test_budget_validation():
@@ -109,8 +126,9 @@ def test_nan_budget_fields_are_refused(budget, field, error, message):
 
 
 def test_backtracking_solver_used_above_dp_cap():
-    # petersen-like ring that still fits the backtracking tier
-    g = cycle_graph(30)
+    # a ring with a chord, not walked like a bare cycle, that still fits the
+    # backtracking tier
+    g = chorded_cycle(30)
     budget = SearchBudget(dp_vertex_cap=4)
     ok, walk = has_hamiltonian_path(g, budget)
     assert ok
@@ -122,8 +140,8 @@ def test_backtracking_solver_used_above_dp_cap():
 
 def test_backtracking_walks_longer_than_the_recursion_limit():
     # the DFS keeps its own stack, so a raised vertex cap cannot overflow
-    # the interpreter's
-    g = cycle_graph(1200)
+    # the interpreter's; the chord keeps the graph from being walked
+    g = chorded_cycle(1200)
     budget = SearchBudget(backtrack_vertex_cap=1200)
     for search in (has_hamiltonian_path, has_hamiltonian_cycle):
         ok, walk = search(g, budget)
@@ -133,7 +151,7 @@ def test_backtracking_walks_longer_than_the_recursion_limit():
 def test_backtracking_deadline_is_read_often_on_large_graphs():
     # a node on 1200 vertices costs about half a millisecond, so the clock
     # is read every 4096 // n nodes, not every 4096
-    g = cycle_graph(1200)
+    g = chorded_cycle(1200)
     budget = SearchBudget(backtrack_vertex_cap=1200, time_limit_s=0.05)
     for search in (has_hamiltonian_path, has_hamiltonian_cycle):
         with pytest.raises(CappedError,
@@ -358,9 +376,9 @@ def test_dead_end_matches_its_definition(n):
 
 
 def test_backtracking_search_leaves_nothing_to_collect():
-    # dp_vertex_cap=5 sends a 30-vertex graph to backtracking; its DFS must
-    # not stay alive in a reference cycle after the call returns
-    g = cycle_graph(30)
+    # dp_vertex_cap=5 sends a 30-vertex graph with a chord to backtracking;
+    # its DFS must not stay alive in a reference cycle after the call returns
+    g = chorded_cycle(30)
     budget = SearchBudget(dp_vertex_cap=5)
     gc.collect()
     gc.disable()
@@ -437,7 +455,7 @@ def test_hp_oracle_rejects_disconnected():
 
 
 def test_hp_oracle_caps_honestly():
-    res = hp_oracle(path_graph(50))
+    res = hp_oracle(tadpole(50))
     assert res.value is None
     assert res.capped_reason
     assert res.stages[-1].verdict == "capped"
@@ -499,10 +517,10 @@ _SPIDER_333 = ((0, 10, 9), (1, 9, 9), (2, 9, 12))
     (h_oracle, spider(3, 3, 3), SearchBudget(dp_vertex_cap=1, node_budget=1), _capped(
         "backtracking node budget exhausted",
         *[s + ("not-hamiltonian",) for s in _SPIDER_333], (3, 12, 27, "capped"))),
-    (h_oracle, cycle_graph(41), SearchBudget(), _capped(
-        "41 vertices exceed the search cap 40", (0, 41, 41, "capped"))),
-    (hp_oracle, cycle_graph(41), SearchBudget(), _capped(
-        "41 vertices exceed the search cap 40", (0, 41, 41, "capped"))),
+    (h_oracle, chorded_cycle(41), SearchBudget(), _capped(
+        "41 vertices exceed the search cap 40", (0, 41, 42, "capped"))),
+    (hp_oracle, chorded_cycle(41), SearchBudget(), _capped(
+        "41 vertices exceed the search cap 40", (0, 41, 42, "capped"))),
 ], ids=["h-stage", "hp-stage", "h-iteration", "hp-iteration", "hp-nodes", "h-nodes",
         "h-vertices", "hp-vertices"])
 def test_capped_results_are_pinned(oracle, g, budget, expected):

@@ -94,6 +94,15 @@ def modules_naming_attribute(modules: list[tuple[str, ast.AST]],
                          for node in ast.walk(module)))
 
 
+def assertions(module: ast.AST) -> list[int]:
+    """Line numbers of each `assert` statement and each mention of
+    `AssertionError`, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(module)
+                  if isinstance(node, ast.Assert)
+                  or getattr(node, "id", getattr(node, "attr", None))
+                  == "AssertionError")
+
+
 def scoped_nodes(module: ast.AST):
     """Each node of the module with the dotted name of the class or function
     it sits in, such as `Graph.blocks`, or `<module>` at the top level."""
@@ -153,6 +162,27 @@ def test_no_function_calls_itself():
 
 def test_every_private_definition_is_used():
     assert unused_private_definitions(parsed_sources()) == []
+
+
+def test_internal_faults_raise_internal_check_errors():
+    # `python -O` strips assert statements, and an AssertionError escapes
+    # `except HPIndexError`; an internal fault raises InternalCheckError
+    found = [f"{name}:{line}" for name, module in parsed_sources()
+             for line in assertions(module)]
+    assert found == []
+
+
+def test_the_check_finds_assertions():
+    module = ast.parse(
+        "def pick(walk, ends):\n"
+        "    assert walk, 'empty walk'\n"
+        "    if not ends:\n"
+        "        raise AssertionError('no end')\n"
+        "    try:\n"
+        "        return walk[ends[0]]\n"
+        "    except builtins.AssertionError:\n"
+        "        raise InternalCheckError('bad end') from None\n")
+    assert assertions(module) == [2, 4, 7]
 
 
 def test_only_the_line_graph_builds_unchecked_graphs():
