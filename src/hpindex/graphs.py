@@ -20,8 +20,8 @@ class Graph:
     `adj[v]` lists v's neighbours ascending and `edges` holds each edge once
     as (v, w), v < w, ascending; both constructors derive `adj` from `edges`.
     `__init__` checks its input; `Graph._trusted`, for `linegraph.line_graph`
-    alone, trusts its caller for distinct labels and ascending, distinct,
-    in-range pairs (v, w), v < w, and checks nothing.
+    alone, takes distinct labels and edges already in that form, and checks
+    nothing.
     """
 
     __slots__ = ("labels", "adj", "edges", "_index", "_blocks", "_connected")

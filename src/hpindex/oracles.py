@@ -60,10 +60,10 @@ class SearchBudget:
     backtrack_vertex_cap a pruned depth-first search that tries low-degree
     vertices first runs with a node budget. Anything larger is refused with
     CappedError, but above dp_vertex_cap a path or a cycle is walked
-    directly at any size. prepass_nodes bounds the same search run before each table;
-    below 17 vertices it walks vertices in index order instead and is also
-    capped at _LEX_NODES. prepass_nodes=1 leaves every table-sized graph to
-    the table.
+    directly at any size. prepass_nodes bounds the same search run before
+    each table; below 17 vertices it walks vertices in index order instead
+    and is also capped at _LEX_NODES. prepass_nodes=1 leaves every
+    table-sized graph to the table.
     """
 
     dp_vertex_cap: int = 24
