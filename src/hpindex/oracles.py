@@ -7,8 +7,9 @@ necessary conditions, then share one tiered search; a cycle is searched as a
 path from vertex 0 that must close back to it. The tiers, by vertex count n
 under a SearchBudget:
 
-- n > backtrack_vertex_cap (40): refused with CappedError, unless the graph
-  is a path or a cycle, which is walked directly above dp_vertex_cap;
+- n > backtrack_vertex_cap (40): refused with CappedError, unless every
+  degree is at most two (a path or a cycle), which the backtracking tier
+  walks at any size;
 - n <= dp_vertex_cap (24): a numpy subset table, a 2^n uint32 array filled
   a popcount layer at a time from that layer's live masks alone; a sparse
   24-vertex query takes about 0.05 s and peaks near 97 MB of process RSS;
@@ -59,11 +60,11 @@ class SearchBudget:
     which is exact and immune to adversarial structure; between that and
     backtrack_vertex_cap a pruned depth-first search that tries low-degree
     vertices first runs with a node budget. Anything larger is refused with
-    CappedError, but above dp_vertex_cap a path or a cycle is walked
-    directly at any size. prepass_nodes bounds the same search run before
-    each table; below 17 vertices it walks vertices in index order instead
-    and is also capped at _LEX_NODES. prepass_nodes=1 leaves every
-    table-sized graph to the table.
+    CappedError, except a path or a cycle, which that search walks at any
+    size under the same node and time limits. prepass_nodes bounds the same
+    search run before each table; below 17 vertices it walks vertices in
+    index order instead and is also capped at _LEX_NODES. prepass_nodes=1
+    leaves every table-sized graph to the table.
     """
 
     dp_vertex_cap: int = 24
@@ -378,20 +379,11 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     """The tiered search behind both public tests.
 
     A cycle is searched as a path from vertex 0 that must close back to it.
-    Above the table, a path or a cycle (connected, every degree at most two)
-    is walked directly at any size, along the walk the degree-ordered search
-    finds first: from its first start to the lower-index neighbour, then on
-    to the only unvisited one.
+    A path or a cycle (connected, every degree at most two) is not refused
+    by the vertex cap: the backtracking search walks it in n nodes.
     """
     check = check_cycle_witness if cycle else check_path_witness
-    if g.n > budget.dp_vertex_cap and all(len(a) <= 2 for a in g.adj):
-        walk = [0 if cycle else _path_starts(g)[0]]
-        walk.append(g.adj[walk[0]][0])
-        while len(walk) < g.n:
-            a, b = g.adj[walk[-1]]
-            walk.append(a if b == walk[-2] else b)
-        return _witnessed(g, walk, check)
-    if g.n > budget.backtrack_vertex_cap:
+    if g.n > budget.backtrack_vertex_cap and any(len(a) > 2 for a in g.adj):
         raise CappedError(f"{g.n} vertices exceed the search cap "
                           f"{budget.backtrack_vertex_cap}")
     deadline = time.monotonic() + budget.time_limit_s

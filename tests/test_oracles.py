@@ -88,9 +88,19 @@ def test_paths_and_cycles_above_the_cap_are_walked(n):
         assert [s.verdict for s in res.stages] == [
             "hamiltonian" if oracle is h_oracle else "traceable"]
         check(g, res.witness)
-    # from the lower-label leaf, and on a cycle from c0 to c1
+    # the search walks them from the lower-label leaf, and on a cycle from
+    # c0 to c1
     assert hp_oracle(p).witness == p.labels
     assert h_oracle(c).witness == hp_oracle(c).witness == c.labels
+
+
+@pytest.mark.parametrize("g, search", [
+    (cycle_graph(30), has_hamiltonian_path), (cycle_graph(30), has_hamiltonian_cycle),
+    (path_graph(50), has_hamiltonian_path), (cycle_graph(50), has_hamiltonian_cycle)])
+def test_paths_and_cycles_keep_the_node_budget(g, search):
+    # below the vertex cap and above it, the same budgeted search walks them
+    with pytest.raises(CappedError, match="node budget exhausted"):
+        search(g, SearchBudget(dp_vertex_cap=4, node_budget=1))
 
 
 def test_budget_validation():
@@ -126,9 +136,8 @@ def test_nan_budget_fields_are_refused(budget, field, error, message):
 
 
 def test_backtracking_solver_used_above_dp_cap():
-    # a ring with a chord, not walked like a bare cycle, that still fits the
-    # backtracking tier
-    g = chorded_cycle(30)
+    # petersen-like ring that still fits the backtracking tier
+    g = cycle_graph(30)
     budget = SearchBudget(dp_vertex_cap=4)
     ok, walk = has_hamiltonian_path(g, budget)
     assert ok
@@ -140,8 +149,8 @@ def test_backtracking_solver_used_above_dp_cap():
 
 def test_backtracking_walks_longer_than_the_recursion_limit():
     # the DFS keeps its own stack, so a raised vertex cap cannot overflow
-    # the interpreter's; the chord keeps the graph from being walked
-    g = chorded_cycle(1200)
+    # the interpreter's
+    g = cycle_graph(1200)
     budget = SearchBudget(backtrack_vertex_cap=1200)
     for search in (has_hamiltonian_path, has_hamiltonian_cycle):
         ok, walk = search(g, budget)
@@ -151,7 +160,7 @@ def test_backtracking_walks_longer_than_the_recursion_limit():
 def test_backtracking_deadline_is_read_often_on_large_graphs():
     # a node on 1200 vertices costs about half a millisecond, so the clock
     # is read every 4096 // n nodes, not every 4096
-    g = chorded_cycle(1200)
+    g = cycle_graph(1200)
     budget = SearchBudget(backtrack_vertex_cap=1200, time_limit_s=0.05)
     for search in (has_hamiltonian_path, has_hamiltonian_cycle):
         with pytest.raises(CappedError,
@@ -376,9 +385,9 @@ def test_dead_end_matches_its_definition(n):
 
 
 def test_backtracking_search_leaves_nothing_to_collect():
-    # dp_vertex_cap=5 sends a 30-vertex graph with a chord to backtracking;
-    # its DFS must not stay alive in a reference cycle after the call returns
-    g = chorded_cycle(30)
+    # dp_vertex_cap=5 sends a 30-vertex graph to backtracking; its DFS must
+    # not stay alive in a reference cycle after the call returns
+    g = cycle_graph(30)
     budget = SearchBudget(dp_vertex_cap=5)
     gc.collect()
     gc.disable()

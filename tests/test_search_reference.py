@@ -8,19 +8,15 @@ both sides, since a drain hands the graph to the table or caps it.
 `oracles._dp_table_np` must build the table of `_dp_table_py` entry for
 entry, as the witness walk is read back from it. The explicit-stack
 `oracles.has_dominating_trail` must give the recursive search's answer and
-walk, open and closed, or raise the same CappedError. Paths and cycles
-above the table, which `oracles._hamiltonian` walks directly, must get the
-walk that the degree-ordered `oracles._dfs` finds first.
+walk, open and closed, or raise the same CappedError.
 """
 
 import random
 
 import pytest
 
-from hpindex import (DEFAULT_SEARCH_BUDGET, CappedError, Graph,
-                     enumerate_connected_graphs, enumerate_free_trees,
-                     has_hamiltonian_cycle, has_hamiltonian_path,
-                     random_connected_graph)
+from hpindex import (CappedError, enumerate_connected_graphs,
+                     enumerate_free_trees, random_connected_graph)
 from hpindex import oracles
 from reference_search import (_backtrack, _dp_table_py, _lex_backtrack,
                               has_dominating_trail)
@@ -61,32 +57,6 @@ def assert_same_search(g, budgets):
             if new != "drained":
                 new = _table_order(new, cycle)
             assert new == ref, ("index", g.label_edges(), close_to, nodes)
-
-
-def shuffled_path_or_cycle(n, seed, closed):
-    """A path, or a cycle when `closed`, whose labels and vertex indices run
-    in two seeded random orders."""
-    rng = random.Random(seed)
-    labels = [f"v{i}" for i in range(n)]
-    rng.shuffle(labels)
-    order = rng.sample(range(n), n)
-    return Graph(labels, zip(order, order[1:] + order[:1] if closed else order[1:]))
-
-
-@pytest.mark.parametrize("n", range(25, 41))
-def test_paths_and_cycles_are_walked_as_the_search_finds_them(n):
-    # five paths and five cycles per order; a cycle is searched both ways
-    for seed in range(5):
-        for closed in (False, True):
-            g = shuffled_path_or_cycle(n, seed, closed)
-            adj = oracles._adj_masks(g)
-            for close_to in (None, 0) if closed else (None,):
-                search = has_hamiltonian_path if close_to is None else has_hamiltonian_cycle
-                starts = oracles._path_starts(g) if close_to is None else [0]
-                walk = oracles._dfs(adj, n, starts, DEFAULT_SEARCH_BUDGET.node_budget,
-                                    NO_DEADLINE, close_to, True)
-                assert search(g) == (True, tuple(g.labels[v] for v in walk)), (
-                    g.label_edges(), close_to)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
