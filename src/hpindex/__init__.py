@@ -6,7 +6,7 @@ iterated-search oracle for general graphs, dominating-trail checks, and the
 enumeration/verification harness that compares them at scale.
 """
 
-from .branches import Branch, absorption_time, branches, is_caterpillar
+from .branches import Branch, absorption_time, branches
 from .campaigns import (
     CampaignReport,
     explore_conclusion,
@@ -65,9 +65,7 @@ from .linegraph import (
     IterationBudget,
     LineGraphResult,
     iterate,
-    iterate_with_provenance,
     line_graph,
-    original_edge_support,
     predict_line_size,
 )
 from .oracles import (
@@ -76,7 +74,6 @@ from .oracles import (
     SearchBudget,
     StageRecord,
     h_oracle,
-    has_dominating_closed_trail,
     has_dominating_trail,
     has_hamiltonian_cycle,
     has_hamiltonian_path,
@@ -128,21 +125,17 @@ __all__ = [
     "graph_from_token_edges",
     "graph_key",
     "h_oracle",
-    "has_dominating_closed_trail",
     "has_dominating_trail",
     "has_hamiltonian_cycle",
     "has_hamiltonian_path",
     "hp_blockchain_conjecture",
     "hp_oracle",
     "hp_tree",
-    "is_caterpillar",
     "is_connected",
     "is_path",
     "is_tree",
     "iterate",
-    "iterate_with_provenance",
     "line_graph",
-    "original_edge_support",
     "path_graph",
     "predict_line_size",
     "random_connected_graph",

@@ -99,15 +99,6 @@ def absorption_time(b: Branch) -> int:
     return b.edge_count if b.is_pendant_branch else b.edge_count + 1
 
 
-def is_caterpillar(t: Graph) -> bool:
-    """True if deleting every leaf of the tree leaves a (possibly empty) path."""
-    if not is_tree(t):
-        raise PreconditionError("caterpillar test needs a tree")
-    internal = [v for v in range(t.n) if t.degree(v) >= 2]
-    return all(sum(1 for w in t.adj[v] if t.degree(w) >= 2) <= 2
-               for v in internal)
-
-
 @dataclass(frozen=True)
 class Endpath:
     """A leaf-to-leaf path of a tree together with the branches lying on it."""

@@ -33,6 +33,9 @@ class Graph:
         n = len(labels)
         edges: set[tuple[int, int]] = set()
         for u, v in edge_pairs:
+            # exactly int: bools and numpy integers would be stored as given
+            if type(u) is not int or type(v) is not int:
+                raise ValidationError("edge endpoints must be int indices")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError("edge endpoint out of range")
             if u == v:

@@ -78,23 +78,11 @@ def line_graph(g: Graph) -> LineGraphResult:
 
 def iterate(g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET) -> Graph:
     """n-fold line graph of g under a size budget; n=0 returns g itself."""
-    graph, _ = iterate_with_provenance(g, n, budget)
-    return graph
-
-
-def iterate_with_provenance(
-        g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET,
-) -> tuple[Graph, tuple[dict[str, tuple[str, str]], ...]]:
-    """Like iterate(), also returning every stage's vertex-to-edge map."""
     if n < 0:
         raise ValidationError("iteration count must be non-negative")
-    cur = g
-    chain: list[dict[str, tuple[str, str]]] = []
     for stage in range(1, n + 1):
-        result = iteration_step(cur, stage, budget)
-        cur = result.graph
-        chain.append(result.provenance)
-    return cur, tuple(chain)
+        g = iteration_step(g, stage, budget).graph
+    return g
 
 
 def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphResult:
@@ -109,22 +97,3 @@ def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphRe
     if pv > budget.max_vertices or pe > budget.max_edges:
         raise BudgetExceededError(stage, pv, pe, budget.max_vertices, budget.max_edges)
     return line_graph(g)
-
-
-def original_edge_support(vertex: str, chain: tuple[dict[str, tuple[str, str]], ...],
-                          ) -> frozenset[tuple[str, str]]:
-    """Edges of the stage-0 graph underlying a vertex of the final iterate.
-
-    `chain` is the provenance from iterate_with_provenance. A stage-k vertex
-    unwinds to a pair of stage-(k-1) vertices and so on; the last unwinding
-    step through chain[0] lands on original edges as sorted token pairs.
-    """
-    if not chain:
-        return frozenset()
-    frontier = {vertex}
-    for prov in reversed(chain[1:]):
-        nxt: set[str] = set()
-        for v in frontier:
-            nxt.update(prov[v])
-        frontier = nxt
-    return frozenset(chain[0][v] for v in frontier)

@@ -482,12 +482,6 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
     return False, None
 
 
-def has_dominating_closed_trail(g: Graph,
-                                budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
-                                ) -> tuple[bool, tuple[str, ...] | None]:
-    return has_dominating_trail(g, budget, closed=True)
-
-
 # ---------------------------------------------------------------------------
 # stage loops
 
@@ -546,7 +540,7 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
         except CappedError as exc:
             stages.append(StageRecord(n, cur.n, cur.m, "capped"))
             return IndexResult(None, tuple(stages), None, str(exc))
-        if n == 1 and (3 if cycle else 1) <= g.m <= TRAIL_EDGE_CAP:
+        if n == 1 and g.m >= (3 if cycle else 1):
             try:
                 dom, _ = has_dominating_trail(g, _time_left(budget, deadline),
                                               closed=cycle)

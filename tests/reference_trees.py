@@ -9,7 +9,8 @@ them with the package's breadth-first coder and centroid-first filter.
 
 The classical counting recurrences for rooted trees, free trees and
 connected labelled graphs follow, as an independent check on the lengths of
-the package's streams.
+the package's streams. `is_caterpillar` recognises the trees whose index
+is 1, for the closed form's tests.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Sequence
 
+from hpindex.errors import PreconditionError
 from hpindex.generators import _level_sequences, _tree_from_levels
-from hpindex.graphs import Graph
+from hpindex.graphs import Graph, is_tree
 
 
 def _rooted_sequence(adj: Sequence[Sequence[int]], root: int,
@@ -136,3 +138,12 @@ def connected_graph_counts(n_max: int) -> list[int]:
         )
         c[n] = total - rooted
     return c
+
+
+def is_caterpillar(t: Graph) -> bool:
+    """True if deleting every leaf of the tree leaves a (possibly empty) path."""
+    if not is_tree(t):
+        raise PreconditionError("caterpillar test needs a tree")
+    internal = [v for v in range(t.n) if t.degree(v) >= 2]
+    return all(sum(1 for w in t.adj[v] if t.degree(w) >= 2) <= 2
+               for v in internal)

@@ -19,10 +19,8 @@ from hpindex import (
     graph_from_token_edges,
     hp_oracle,
     hp_tree,
-    is_caterpillar,
     is_path,
     iterate,
-    iterate_with_provenance,
     line_graph,
     path_graph,
     predict_line_size,
@@ -34,9 +32,10 @@ from hpindex import (
     verify_xiongzong,
 )
 from hpindex.cli import main
-from hpindex.linegraph import original_edge_support
 from hpindex.oracles import SearchBudget, h_oracle
 from conftest import is_block_chain
+from reference_linegraph import iterate_with_provenance, original_edge_support
+from reference_trees import is_caterpillar
 
 
 def test_criterion_01_tree_formula_matches_oracle():

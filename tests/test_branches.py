@@ -9,7 +9,6 @@ from hpindex import (
     double_spider,
     enumerate_connected_graphs,
     graph_from_token_edges,
-    is_caterpillar,
     path_graph,
     spider,
     star_graph,
@@ -18,6 +17,7 @@ from hpindex.branches import endpaths
 
 from conftest import nx_graph
 from reference_formula import candidate_endpaths, maximal_pairs
+from reference_trees import is_caterpillar
 
 
 def branch_map(g):

@@ -18,7 +18,6 @@ from hpindex import (
     hp_blockchain_conjecture,
     hp_oracle,
     hp_tree,
-    is_caterpillar,
     is_path,
     line_graph,
     path_graph,
@@ -91,13 +90,6 @@ def test_pair_choice_does_not_change_the_value(trees_to_11):
             continue
         res = hp_tree(t)
         assert {v for _, v in res.per_pair} == {res.value}, t.label_edges()
-
-
-def test_value_one_iff_caterpillar(trees_to_11):
-    for t in trees_to_11:
-        if is_path(t):
-            continue
-        assert (hp_tree(t).value == 1) == is_caterpillar(t), t.label_edges()
 
 
 def test_index_drops_by_one_per_line_graph(trees_to_9):

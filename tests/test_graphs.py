@@ -2,6 +2,7 @@ from dataclasses import fields
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hpindex import (
     FamilyParams,
     Graph,
+    ValidationError,
     blocks_and_cuts,
     cycle_graph,
     enumerate_connected_graphs,
@@ -33,6 +35,14 @@ def test_edges_deduplicate_and_normalize():
     assert g.m == 2
     assert g.edges == ((0, 1), (1, 2))
     assert g.degree(1) == 2
+
+
+@pytest.mark.parametrize("pair", [(False, True), (0.0, 1), (np.int64(0), 1),
+                                  (0, np.int64(1))],
+                         ids=["bool", "float", "int64", "int64-second"])
+def test_endpoints_must_be_plain_ints(pair):
+    with pytest.raises(ValidationError, match="^edge endpoints must be int indices$"):
+        Graph(("a", "b"), [pair])
 
 
 def test_label_lookup_roundtrip():

@@ -16,9 +16,7 @@ from hpindex import (
     is_connected,
     is_path,
     iterate,
-    iterate_with_provenance,
     line_graph,
-    original_edge_support,
     path_graph,
     predict_line_size,
     random_connected_graph,
@@ -26,6 +24,7 @@ from hpindex import (
     star_graph,
 )
 from conftest import nx_graph
+from reference_linegraph import iterate_with_provenance, original_edge_support
 
 
 def test_line_of_path_is_shorter_path():

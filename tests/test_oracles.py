@@ -20,7 +20,6 @@ from hpindex import (
     enumerate_connected_graphs,
     graph_from_token_edges,
     h_oracle,
-    has_dominating_closed_trail,
     has_dominating_trail,
     has_hamiltonian_cycle,
     has_hamiltonian_path,
@@ -148,12 +147,11 @@ def test_backtracking_solver_used_above_dp_cap():
 
 
 def test_backtracking_walks_longer_than_the_recursion_limit():
-    # the DFS keeps its own stack, so a raised vertex cap cannot overflow
-    # the interpreter's
+    # the DFS keeps its own stack, so a walk of 1200 vertices cannot
+    # overflow the interpreter's
     g = cycle_graph(1200)
-    budget = SearchBudget(backtrack_vertex_cap=1200)
     for search in (has_hamiltonian_path, has_hamiltonian_cycle):
-        ok, walk = search(g, budget)
+        ok, walk = search(g)
         assert ok and len(walk) == 1200
 
 
@@ -161,7 +159,7 @@ def test_backtracking_deadline_is_read_often_on_large_graphs():
     # a node on 1200 vertices costs about half a millisecond, so the clock
     # is read every 4096 // n nodes, not every 4096
     g = cycle_graph(1200)
-    budget = SearchBudget(backtrack_vertex_cap=1200, time_limit_s=0.05)
+    budget = SearchBudget(time_limit_s=0.05)
     for search in (has_hamiltonian_path, has_hamiltonian_cycle):
         with pytest.raises(CappedError,
                            match="^time limit hit during backtracking search$"):
@@ -172,8 +170,9 @@ def test_backtracking_deadline_is_read_often_on_large_graphs():
                                           (h_oracle, "has_hamiltonian_cycle")])
 def test_one_deadline_covers_the_whole_stage_loop(monkeypatch, oracle, name):
     # every stage search takes a quarter of the limit and says no; cycle
-    # iterates stay cycles, and 25 edges keep the trail cross-check out,
-    # so only the deadline can end the loop before the stage cap
+    # iterates stay cycles, and the trail search refuses 25 edges, so the
+    # cross-check takes no time and only the deadline can end the loop
+    # before the stage cap
     limit, step = 0.4, 0.1
     limits = []
 
@@ -327,14 +326,14 @@ def test_dominating_trail_examples():
 
 def test_dominating_closed_trail_examples():
     # a single vertex meeting every edge counts as a closed trail
-    ok, walk = has_dominating_closed_trail(star_graph(4))
+    ok, walk = has_dominating_trail(star_graph(4), closed=True)
     assert ok and len(walk) == 1
 
-    ok, walk = has_dominating_closed_trail(cycle_graph(5))
+    ok, walk = has_dominating_trail(cycle_graph(5), closed=True)
     assert ok
     check_trail_witness(cycle_graph(5), walk, closed=True)
 
-    assert has_dominating_closed_trail(path_graph(4)) == (False, None)
+    assert has_dominating_trail(path_graph(4), closed=True) == (False, None)
 
 
 def test_dominating_trail_search_frees_its_memo():
@@ -439,7 +438,7 @@ def test_closed_trail_criterion_for_hamiltonian_line_graphs():
         for g in enumerate_connected_graphs(n):
             if g.m < 3:
                 continue
-            trail_ok, _ = has_dominating_closed_trail(g)
+            trail_ok, _ = has_dominating_trail(g, closed=True)
             cycle_ok, _ = has_hamiltonian_cycle(line_graph(g).graph)
             assert trail_ok == cycle_ok
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import hpindex
 
@@ -146,6 +147,30 @@ def scopes_assigning(modules: list[tuple[str, ast.AST]],
     return sorted({f"{mod}:{scope}" for mod, module in modules
                    for scope, node in scoped_nodes(module)
                    if sets_attribute(node, attrs)})
+
+
+def exported_names(package: ModuleType) -> list[str]:
+    """The public names the package binds, submodules left out, plus
+    `__version__`: what its `__all__` should list."""
+    return sorted({name for name, value in vars(package).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, ModuleType)} | {"__version__"})
+
+
+def test_all_lists_every_public_name_once():
+    # a name taken out of the imports but left in __all__, or the reverse,
+    # would otherwise go unnoticed
+    assert len(set(hpindex.__all__)) == len(hpindex.__all__)
+    assert sorted(hpindex.__all__) == exported_names(hpindex)
+
+
+def test_the_check_finds_the_public_names():
+    package = ModuleType("package")
+    package.graphs = ModuleType("package.graphs")
+    package.Graph = type("Graph", (), {})
+    package.iterate = len
+    package._cap = 80
+    assert exported_names(package) == ["Graph", "__version__", "iterate"]
 
 
 def test_no_nested_function_refers_to_itself():
