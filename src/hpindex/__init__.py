@@ -16,15 +16,11 @@ from .campaigns import (
 )
 from .canon import canonical_key, graph_key
 from .errors import (
-    BudgetExceededError,
     CappedError,
     EdgeListParseError,
-    EdgeStarvationError,
-    EmptyCandidateError,
     HPIndexError,
     InternalCheckError,
     PreconditionError,
-    TooLargeError,
     ValidationError,
 )
 from .formula import (
@@ -85,13 +81,10 @@ from .version import __version__
 __all__ = [
     "Branch",
     "BlockDecomposition",
-    "BudgetExceededError",
     "CampaignReport",
     "CappedError",
     "DEFAULT_SEARCH_BUDGET",
     "EdgeListParseError",
-    "EdgeStarvationError",
-    "EmptyCandidateError",
     "ExplorerRecord",
     "FamilyParams",
     "FormulaResult",
@@ -105,7 +98,6 @@ __all__ = [
     "SearchBudget",
     "SplitMix64",
     "StageRecord",
-    "TooLargeError",
     "ValidationError",
     "absorption_time",
     "blocks_and_cuts",

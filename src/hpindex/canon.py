@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .errors import TooLargeError
+from .errors import CappedError
 from .graphs import Graph
 
 CANONICAL_VERTEX_CAP = 16
@@ -35,7 +35,7 @@ def graph_key(g: Graph) -> str:
     """
     try:
         return "canon:" + canonical_key(g).hex()
-    except TooLargeError:
+    except CappedError:
         isolated = sorted(g.labels[v] for v in range(g.n) if g.degree(v) == 0)
         text = json.dumps([isolated, g.label_edges()])
         return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
@@ -47,8 +47,8 @@ def canonical_key(g: Graph) -> bytes:
     whole bytes most significant bit first."""
     n = g.n
     if n > CANONICAL_VERTEX_CAP:
-        raise TooLargeError(f"canonical_key supports at most "
-                            f"{CANONICAL_VERTEX_CAP} vertices, got {n}")
+        raise CappedError(f"canonical_key supports at most "
+                          f"{CANONICAL_VERTEX_CAP} vertices, got {n}")
     adj = [frozenset(nb) for nb in g.adj]
     best = None
     leaves = 0
@@ -73,7 +73,7 @@ def canonical_key(g: Graph) -> bytes:
             continue
         leaves += 1
         if leaves > _LEAF_BUDGET:
-            raise TooLargeError("canonical labeling search exceeded its leaf budget")
+            raise CappedError("canonical labeling search exceeded its leaf budget")
         # a leaf's colours are 0..n-1, each vertex's position in the order
         bits = 0
         for v in sorted(range(n), key=colors.__getitem__):

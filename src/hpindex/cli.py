@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .branches import absorption_time, branches
 from .campaigns import (
+    VERDICTS,
     CampaignReport,
     explore_conclusion,
     verify_hnw,
@@ -72,8 +73,6 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
 
 
 def _iterated(args: argparse.Namespace) -> list[tuple[str, Graph]]:
-    if args.n < 0:
-        raise ValidationError("-n must be nonnegative")
     budget = IterationBudget(max_vertices=args.max_v, max_edges=args.max_e)
     return [("G", iterate(_read_graph(args), args.n, budget))]
 
@@ -88,7 +87,7 @@ def _emit_report(report: CampaignReport, args: argparse.Namespace) -> None:
     if report.seed is not None:
         print(f"  seed = {report.seed}")
     print(f"instances {report.instances}")
-    print("  " + "  ".join(f"{v} {report.counts[v]}" for v in ("agree", "mismatch", "capped")))
+    print("  " + "  ".join(f"{v} {report.counts[v]}" for v in VERDICTS))
     if report.witnesses:
         print("witnesses:")
         for w in report.witnesses:

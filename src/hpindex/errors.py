@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: EdgeListParseError, ValidationError and
-the PreconditionError family (EdgeStarvationError included) exit 2; the
-CappedError family (TooLargeError and BudgetExceededError included) exits 1.
+One class per outcome, and the CLI maps each onto an exit code:
+EdgeListParseError, ValidationError and PreconditionError exit 2, CappedError
+exits 1. InternalCheckError marks a fault in this package, and the CLI lets
+it escape as a traceback.
 """
 
 from __future__ import annotations
@@ -29,33 +30,9 @@ class PreconditionError(HPIndexError):
 
 
 class CappedError(HPIndexError):
-    """An exact search ran out of time or size budget. Never a wrong answer."""
-
-
-class TooLargeError(CappedError):
-    """Instance exceeds a hard feasibility cap (canonicalization size, search blowup)."""
-
-
-class BudgetExceededError(CappedError):
-    """An iterated line graph would outgrow the configured budget."""
-
-    def __init__(self, stage: int, predicted_vertices: int, predicted_edges: int,
-                 max_vertices: int, max_edges: int):
-        super().__init__(
-            f"stage {stage}: predicted size |V|={predicted_vertices}, "
-            f"|E|={predicted_edges} exceeds budget ({max_vertices}, {max_edges})"
-        )
-        self.stage = stage
-        self.predicted_vertices = predicted_vertices
-        self.predicted_edges = predicted_edges
-
-
-class EdgeStarvationError(PreconditionError):
-    """Iteration asked to take the line graph of an edgeless graph."""
-
-    def __init__(self, stage: int):
-        super().__init__(f"stage {stage}: graph has no edges left to iterate")
-        self.stage = stage
+    """A size, time or budget cap stopped an exact computation: too many
+    vertices to canonicalize or search, a clock or node budget run out, an
+    iterated line graph over its budget. Never a wrong answer."""
 
 
 class InternalCheckError(HPIndexError):
@@ -64,17 +41,3 @@ class InternalCheckError(HPIndexError):
     Indicates a bug in this package, not bad input.
     """
 
-
-class EmptyCandidateError(InternalCheckError):
-    """The min-max evaluator found fewer than two items on its tree.
-
-    Unreachable on trees that are not paths, which have three branches or
-    more; the graph is serialized into the message so a report can be filed.
-    """
-
-    def __init__(self, witness_edge_list: str):
-        super().__init__(
-            "no endpath contains a maximal branch pair; witness graph:\n"
-            + witness_edge_list
-        )
-        self.witness_edge_list = witness_edge_list

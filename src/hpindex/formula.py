@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .canon import graph_key
-from .errors import CappedError, EmptyCandidateError, PreconditionError
+from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, bfs_tree, block_graph, is_connected, is_path, is_tree
 from .io import to_edge_list
 from .oracles import (DEFAULT_SEARCH_BUDGET, IndexResult, SearchBudget,
@@ -156,8 +156,9 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
         jpar[x] = v
         kids[v].append(x)
         jdepth[x] = jdepth[v] + 1
-    if len(walks) < 2:
-        raise EmptyCandidateError(to_edge_list(tree))
+    if len(walks) < 2:  # unreachable: a tree that is not a path has 3+ branches
+        raise InternalCheckError("no endpath contains a maximal branch pair; "
+                                 "witness graph:\n" + to_edge_list(tree))
     cw = [0] * n  # heaviest item in the corridor above each junction
     for c, w in zip(corridor, weight):
         cw[c] = max(cw[c], w)

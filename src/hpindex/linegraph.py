@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .errors import (BudgetExceededError, EdgeStarvationError, PreconditionError,
-                     ValidationError)
+from .errors import CappedError, PreconditionError, ValidationError
 from .graphs import Graph
 
 _NAME_CAP = 80
@@ -79,7 +78,7 @@ def line_graph(g: Graph) -> LineGraphResult:
 def iterate(g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET) -> Graph:
     """n-fold line graph of g under a size budget; n=0 returns g itself."""
     if n < 0:
-        raise ValidationError("iteration count must be non-negative")
+        raise ValidationError("-n must be nonnegative")
     for stage in range(1, n + 1):
         g = iteration_step(g, stage, budget).graph
     return g
@@ -88,12 +87,13 @@ def iterate(g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET
 def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphResult:
     """Line graph of g as iteration stage `stage`, checked against the budget.
 
-    Raises EdgeStarvationError for an edgeless g and BudgetExceededError when
-    the predicted size is over budget, before anything is built.
+    Raises PreconditionError for an edgeless g and CappedError when the
+    predicted size is over budget, before anything is built.
     """
     if g.m == 0:
-        raise EdgeStarvationError(stage)
+        raise PreconditionError(f"stage {stage}: graph has no edges left to iterate")
     pv, pe = predict_line_size(g)
     if pv > budget.max_vertices or pe > budget.max_edges:
-        raise BudgetExceededError(stage, pv, pe, budget.max_vertices, budget.max_edges)
+        raise CappedError(f"stage {stage}: predicted size |V|={pv}, |E|={pe} "
+                          f"exceeds budget ({budget.max_vertices}, {budget.max_edges})")
     return line_graph(g)

@@ -39,8 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (BudgetExceededError, CappedError, InternalCheckError,
-                     PreconditionError)
+from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, is_connected, is_path
 from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
 
@@ -563,6 +562,6 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
             raise InternalCheckError("stage loop reached an edgeless graph")
         try:
             cur = iteration_step(cur, n + 1, budget.iteration).graph
-        except BudgetExceededError as exc:
+        except CappedError as exc:
             return IndexResult(None, tuple(stages), None, str(exc))
         n += 1

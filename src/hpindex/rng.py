@@ -16,6 +16,8 @@ exactly uniform.
 
 from __future__ import annotations
 
+from .errors import ValidationError
+
 _MASK = (1 << 64) - 1
 
 
@@ -35,7 +37,7 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
-            raise ValueError("below() needs n >= 1")
+            raise ValidationError("below() needs n >= 1")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             r = self.next_u64()

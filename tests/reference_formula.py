@@ -24,7 +24,7 @@ import networkx as nx
 
 from hpindex.branches import (Branch, Endpath, absorption_time, branches,
                               endpaths)
-from hpindex.errors import EmptyCandidateError
+from hpindex.errors import InternalCheckError
 from hpindex.formula import FormulaResult, PairValue, bridge_reduction
 from hpindex.graphs import Graph, is_path, is_tree
 from hpindex.io import to_edge_list
@@ -131,7 +131,8 @@ def _evaluate(tree: Graph, items: tuple[ReferenceItem, ...],
     candidates = [(ep, inside) for ep, inside in containment
                   if any(p <= inside for p in pairs)]
     if not candidates:
-        raise EmptyCandidateError(to_edge_list(tree))
+        raise InternalCheckError("no endpath contains a maximal branch pair; "
+                                 "witness graph:\n" + to_edge_list(tree))
 
     chosen = None
     chosen_value = -1
@@ -202,5 +203,6 @@ def candidate_endpaths(t: Graph) -> tuple[CandidateEndpath, ...]:
         if covered:
             out.append(CandidateEndpath(ep, covered))
     if not out:
-        raise EmptyCandidateError(to_edge_list(t))
+        raise InternalCheckError("no endpath contains a maximal branch pair; "
+                                 "witness graph:\n" + to_edge_list(t))
     return tuple(out)

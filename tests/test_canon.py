@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hpindex import (
     Graph,
+    CappedError,
     SplitMix64,
-    TooLargeError,
     canonical_key,
     complete_graph,
     cycle_graph,
@@ -70,7 +70,8 @@ def test_twin_heavy_graphs():
 
 
 def test_size_cap():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(CappedError,
+                       match=r"^canonical_key supports at most 16 vertices, got 17$"):
         canonical_key(path_graph(17))
     assert len(canonical_key(path_graph(16))) > 0
 

@@ -15,11 +15,6 @@ import pytest
 
 import hpindex
 from hpindex import (
-    BudgetExceededError,
-    CappedError,
-    EdgeStarvationError,
-    PreconditionError,
-    TooLargeError,
     canonical_key,
     complete_graph,
     cycle_graph,
@@ -704,8 +699,3 @@ def test_enum_trees_bad_n_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_capped_error_family():
-    # main() maps each family to one exit code: CappedError 1, PreconditionError 2
-    assert issubclass(TooLargeError, CappedError)
-    assert issubclass(BudgetExceededError, CappedError)
-    assert issubclass(EdgeStarvationError, PreconditionError)

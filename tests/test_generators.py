@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hpindex import (
     FamilyParams,
     PreconditionError,
+    SplitMix64,
     ValidationError,
     canonical_key,
     enumerate_connected_graphs,
@@ -196,6 +197,11 @@ def test_connected_enumeration_bounds_rejected():
 
 
 # -------------------------------------------------------------- random draws
+
+
+def test_below_rejects_an_empty_range():
+    with pytest.raises(ValidationError, match=r"^below\(\) needs n >= 1$"):
+        SplitMix64(0).below(0)
 
 
 def test_random_tree_is_deterministic():

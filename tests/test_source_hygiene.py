@@ -149,6 +149,38 @@ def scopes_assigning(modules: list[tuple[str, ast.AST]],
                    if sets_attribute(node, attrs)})
 
 
+def main_guarded(module: ast.AST) -> set[int]:
+    """The ids of the nodes inside the module's `if __name__ == "__main__":`."""
+    return {id(node) for stmt in module.body
+            if isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Compare)
+            and getattr(stmt.test.left, "id", None) == "__name__"
+            and [getattr(c, "value", None) for c in stmt.test.comparators]
+            == ["__main__"]
+            for node in ast.walk(stmt)}
+
+
+def stray_raises(modules: list[tuple[str, ast.AST]],
+                 taxonomy: set[str]) -> list[str]:
+    """`module:line name` for each `raise` that names neither a class of
+    `taxonomy`, nor a private class of its own module, nor `SystemExit`
+    under a `__main__` guard. A bare `raise` re-raises and is not listed."""
+    found = []
+    for mod, module in modules:
+        own = {node.name for node in module.body
+               if isinstance(node, ast.ClassDef) and node.name.startswith("_")}
+        guarded = main_guarded(module)
+        for node in ast.walk(module):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            if (name in taxonomy or name in own
+                    or (name == "SystemExit" and id(node) in guarded)):
+                continue
+            found.append(f"{mod}:{node.lineno} {name}")
+    return found
+
+
 def exported_names(package: ModuleType) -> list[str]:
     """The public names the package binds, submodules left out, plus
     `__version__`: what its `__all__` should list."""
@@ -208,6 +240,42 @@ def test_the_check_finds_assertions():
         "    except builtins.AssertionError:\n"
         "        raise InternalCheckError('bad end') from None\n")
     assert assertions(module) == [2, 4, 7]
+
+
+def test_every_raise_is_in_the_taxonomy():
+    # callers tell outcomes apart by the classes of errors.py, and the CLI
+    # maps each to an exit code; any other class slips past
+    # `except HPIndexError`
+    sources = parsed_sources()
+    errors = next(module for name, module in sources if name == "errors.py")
+    taxonomy = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert stray_raises(sources, taxonomy) == []
+
+
+def test_the_check_finds_a_stray_raise():
+    modules = [
+        ("rng.py", ast.parse(
+            "def below(n):\n"
+            "    if n <= 0:\n"
+            "        raise ValueError('needs n >= 1')\n"
+            "    raise errors.ValidationError('fine')\n")),
+        ("oracles.py", ast.parse(
+            "class _Inconclusive(Exception):\n"
+            "    pass\n"
+            "def search(g):\n"
+            "    try:\n"
+            "        raise _Inconclusive\n"
+            "    except KeyError:\n"
+            "        raise\n"
+            "    raise _Elsewhere()\n")),
+        ("cli.py", ast.parse(
+            "def main():\n"
+            "    raise SystemExit(2)\n"
+            "if __name__ == '__main__':\n"
+            "    raise SystemExit(main())\n")),
+    ]
+    assert stray_raises(modules, {"ValidationError"}) == [
+        "rng.py:3 ValueError", "oracles.py:8 _Elsewhere", "cli.py:2 SystemExit"]
 
 
 def test_only_the_line_graph_builds_unchecked_graphs():
