@@ -11,7 +11,9 @@ Any two branches share an endpath, so the maximal pairs are the pairs of the
 two largest weights, and the best endpath through a pair extends the pair's
 hull as cheaply as it can at both ends; sweeps over the junction tree give
 those costs for both directions of every branch (see _evaluate). Ties break
-as a scan of every endpath in leaf-pair order would break them. The work is
+as a scan of every endpath in leaf-pair order would break them. The largest
+and least values at each junction are picked by linear scans, and a
+branch's vertex walk is built only when the result reports it. The work is
 O(n) plus the hull lengths of the maximal pairs, where listing endpaths
 cost O(leaves^2 * n).
 
@@ -26,7 +28,7 @@ loop.
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,25 +70,51 @@ class FormulaResult:
         }
 
 
+def _largest3(keys: list) -> tuple[int, int, int]:
+    """Positions of the three largest keys, largest first, in one scan.
+
+    Equal keys go to the lower position first, as with heapq.nlargest; -1
+    fills the places of a list shorter than three.
+    """
+    t0 = t1 = t2 = -1
+    m0 = m1 = m2 = -math.inf
+    for i, x in enumerate(keys):
+        if x > m2:
+            if x <= m1:
+                t2, m2 = i, x
+            elif x <= m0:
+                t1, t2, m1, m2 = i, t1, x, m1
+            else:
+                t0, t1, t2, m0, m1, m2 = i, t0, t1, x, m0, m1
+    return t0, t1, t2
+
+
 def _exits(s: list[int], f: list, combine) -> list:
     """Best way on from a junction of degree d >= 3, for each neighbour skipped.
 
     Entry j is the least combine(m, f[i]) over positions i != j, where m is
     the largest s[k] over positions k other than i and j. `combine` must
-    not decrease in either argument, so only the three largest s and the
-    two least f matter: O(d) in all.
+    not decrease in either argument, so only the three largest s (t0, t1,
+    t2) and the two least f other than f[t0] (at g0 and g1) matter, each
+    found in one scan with ties to the lower position. Every j outside
+    {t0, t1, g0} gets the same value, so combine runs six times per
+    junction: O(d) in all.
     """
-    t0, t1, t2 = heapq.nlargest(3, range(len(s)), key=s.__getitem__)
-    g0, g1 = heapq.nsmallest(2, (i for i in range(len(s)) if i != t0),
-                             key=f.__getitem__)
-    out = []
-    for j in range(len(s)):
-        if j == t0:
-            out.append(min(combine(s[t1], f[g0 if g0 != t1 else g1]),
-                           combine(s[t2], f[t1])))
-        else:
-            out.append(min(combine(s[t0], f[g0 if g0 != j else g1]),
-                           combine(s[t1] if j != t1 else s[t2], f[t0])))
+    t0, t1, t2 = _largest3(s)
+    g0, f0, f1 = -1, math.inf, math.inf
+    for i, y in enumerate(f):
+        if y < f1 and i != t0:
+            if y < f0:
+                g0, f0, f1 = i, y, f0
+            else:
+                f1 = y
+    near, far = combine(s[t0], f0), combine(s[t0], f1)  # i = g0, i = g1
+    second, third = combine(s[t1], f[t0]), combine(s[t2], f[t0])  # i = t0
+    out = [min(near, second)] * len(s)
+    out[g0] = min(far, third if g0 == t1 else second)
+    if g0 != t1:
+        out[t1] = min(near, third)
+    out[t0] = min(combine(s[t1], f1 if g0 == t1 else f0), combine(s[t2], f[t1]))
     return out
 
 
@@ -117,8 +145,11 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     label reachable at cost at most V; the endpath joins the least such
     leaf pair over the pairs of value V. The off-path item is the least
     walk of weight V left off it, and pairs are listed in the order of
-    their sorted walks. The cost is O(n) plus the hull lengths of the
-    maximal pairs, without recursion.
+    their sorted walks. An item is kept as its lower end, weight and
+    corridor; its walk is climbed from the lower end only for the items
+    reported: those in a maximal pair and the off-path candidates of
+    weight V. The cost is O(n) plus the hull lengths of the maximal pairs,
+    without recursion.
     """
     adj, n = tree.adj, tree.n
     junction = [len(a) != 2 for a in adj]
@@ -130,55 +161,61 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     jorder = [v for v in order if junction[v]]
     # climb each corridor from its lower junction x to its parent junction
     # jpar[x], naming every edge (v, parent[v]) on the way by x and cutting
-    # an item at each hub
+    # an item at each hub; an item's walk is rebuilt from its lower end
+    # only if the result reports it
     low = list(range(n))
     jpar = [-1] * n
     kids: list[list[int]] = [[] for _ in range(n)]
     jdepth = [0] * n
-    walks, weight, corridor = [], [], []  # per item; walks from the smaller end
+    cw = [0] * n  # heaviest item in the corridor above each junction
+    lower, weight, corridor = [], [], []  # per item
     for x in jorder[1:]:
-        v, piece = x, [x]
+        v = end = x
         while True:
             v = parent[v]
-            piece.append(v)
             if not junction[v]:
                 low[v] = x
                 if v not in hubs:
                     continue
-            toks = tuple(tree.labels[u] for u in piece)
-            walks.append(min(toks, toks[::-1]))
-            pendant = len(adj[piece[0]]) == 1 and piece[0] not in hubs
-            weight.append(len(piece) - pendant)
+            # edges, plus one unless the item is pendant
+            w = depth[end] - depth[v] + (len(adj[end]) != 1 or end in hubs)
+            lower.append(end)
+            weight.append(w)
             corridor.append(x)
+            cw[x] = max(cw[x], w)
             if junction[v]:
                 break
-            piece = [v]
+            end = v
         jpar[x] = v
         kids[v].append(x)
         jdepth[x] = jdepth[v] + 1
-    if len(walks) < 2:  # unreachable: a tree that is not a path has 3+ branches
+    if len(weight) < 2:  # unreachable: a tree that is not a path has 3+ branches
         raise InternalCheckError("no endpath contains a maximal branch pair; "
                                  "witness graph:\n" + to_edge_list(tree))
-    cw = [0] * n  # heaviest item in the corridor above each junction
-    for c, w in zip(corridor, weight):
-        cw[c] = max(cw[c], w)
 
     # Heaviest item on each side of the corridor above junction x: in x's
     # subtree, that corridor included (sub[x]), and everywhere else
     # (side[x], the parent neighbour's share as seen from x). sib[x] is the
-    # heaviest subtree of x's siblings.
+    # heaviest subtree of x's siblings. A junction with kids has two or
+    # more; shares[p] lists their sub, then side[p] unless p is the root.
     sub = cw[:]
     for x in reversed(jorder[1:]):
         sub[jpar[x]] = max(sub[jpar[x]], sub[x])
     sib, side = [0] * n, [0] * n
-    top3: list[list[int]] = [[] for _ in range(n)]
+    top3: dict[int, list[int]] = {}
+    shares: dict[int, list[int]] = {}
     for p in jorder:
-        if kids[p]:
-            top3[p] = heapq.nlargest(3, kids[p], key=sub.__getitem__)
-            best = [sub[k] for k in top3[p][:2]] + [0]
-            for x in kids[p]:
-                sib[x] = best[1] if x == top3[p][0] else best[0]
+        ks = kids[p]
+        if ks:
+            s = [sub[k] for k in ks]
+            t0, t1, t2 = _largest3(s)
+            top3[p] = [ks[t] for t in (t0, t1, t2) if t >= 0]
+            for i, x in enumerate(ks):
+                sib[x] = s[t1] if i == t0 else s[t0]
                 side[x] = max(cw[x], side[p], sib[x])
+            if p != root:
+                s.append(side[p])
+            shares[p] = s
 
     def sweep(combine, leaf_value) -> list:
         # entry x: going on from junction x away from its parent junction;
@@ -191,12 +228,10 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
             ks = kids[p]
             if not ks:
                 continue
-            s = [sub[k] for k in ks]
             f = [out[k] for k in ks]
             if p != root:
-                s.append(side[p])
                 f.append(out[n + p])
-            for x, v in zip(ks, _exits(s, f, combine)):
+            for x, v in zip(ks, _exits(shares[p], f, combine)):
                 out[n + x] = v
         return out
 
@@ -224,14 +259,30 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
         rest = next((sub[k] for k in top3[meet] if k != a and k != b), 0)
         return max(hang, rest, side[meet]), cx, cy
 
-    ranked = sorted(range(len(walks)), key=lambda i: -weight[i])
-    w1, w2 = weight[ranked[0]], weight[ranked[1]]
-    heavy = [i for i in ranked if weight[i] == w1]
+    walks: dict[int, tuple[str, ...]] = {}
+
+    def walk_of(i: int) -> tuple[str, ...]:
+        """Item i's vertex walk from its smaller end: the climb from its
+        lower end to the first junction or hub."""
+        if i not in walks:
+            v = lower[i]
+            toks = [tree.labels[v]]
+            while True:
+                v = parent[v]
+                toks.append(tree.labels[v])
+                if junction[v] or v in hubs:
+                    break
+            walks[i] = min(tuple(toks), tuple(reversed(toks)))
+        return walks[i]
+
+    w1 = max(weight)
+    heavy = [i for i, w in enumerate(weight) if w == w1]
     if len(heavy) > 1:
         pairs = [(i, j) for a, i in enumerate(heavy) for j in heavy[a + 1:]]
     else:
-        pairs = [(heavy[0], j) for j in ranked[1:] if weight[j] == w2]
-    pairs.sort(key=lambda p: sorted((walks[p[0]], walks[p[1]])))
+        w2 = max(w for w in weight if w != w1)
+        pairs = [(heavy[0], j) for j, w in enumerate(weight) if w == w2]
+    pairs.sort(key=lambda p: sorted((walk_of(p[0]), walk_of(p[1]))))
 
     valued = []
     for i, j in pairs:
@@ -240,7 +291,7 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     value = min(v for v, _, _ in valued)
 
     leaves = sorted((v for v in range(n) if len(adj[v]) == 1),
-                    key=lambda v: tree.labels[v])
+                    key=tree.labels.__getitem__)
     rank = {v: r for r, v in enumerate(leaves)}
     beyond = len(leaves)  # rank of no leaf: more than every real rank
     reach = sweep(lambda m, r: r if m <= value else beyond, rank.__getitem__)
@@ -254,9 +305,9 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     walk = left + right[-2::-1]
     on_path = {low[a] if parent[a] == b else low[b]
                for a, b in zip(walk, walk[1:])}
-    heaviest = [w for w, c, wt in zip(walks, corridor, weight)
-                if c not in on_path and wt == value]
-    per_pair = tuple(((min(walks[i], walks[j]), max(walks[i], walks[j])), v)
+    heaviest = [walk_of(i) for i, (c, w) in enumerate(zip(corridor, weight))
+                if w == value and c not in on_path]
+    per_pair = tuple((tuple(sorted((walk_of(i), walk_of(j)))), v)
                      for (i, j), (v, _, _) in zip(pairs, valued))
     return (value, tuple(tree.labels[v] for v in walk),
             min(heaviest) if heaviest else None, per_pair)

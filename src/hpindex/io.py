@@ -19,12 +19,6 @@ def from_edge_list(text: str) -> Graph:
     """
     order: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
-
-    def vertex(tok: str) -> int:
-        if tok not in order:
-            order[tok] = len(order)
-        return order[tok]
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -35,17 +29,20 @@ def from_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(line_no, "vertex line must be 'v TOKEN'")
             if not TOKEN_RE.match(parts[1]):
                 raise EdgeListParseError(line_no, f"bad vertex token {parts[1]!r}")
-            vertex(parts[1])
+            order.setdefault(parts[1], len(order))
             continue
         if len(parts) != 2:
             raise EdgeListParseError(
                 line_no, f"expected two tokens, got {len(parts)}")
-        for tok in parts:
-            if not TOKEN_RE.match(tok):
-                raise EdgeListParseError(line_no, f"bad vertex token {tok!r}")
-        if parts[0] == parts[1]:
-            raise EdgeListParseError(line_no, f"self-loop at {parts[0]!r}")
-        pairs.append((vertex(parts[0]), vertex(parts[1])))
+        a, b = parts
+        if not TOKEN_RE.match(a):
+            raise EdgeListParseError(line_no, f"bad vertex token {a!r}")
+        if not TOKEN_RE.match(b):
+            raise EdgeListParseError(line_no, f"bad vertex token {b!r}")
+        if a == b:
+            raise EdgeListParseError(line_no, f"self-loop at {a!r}")
+        pairs.append((order.setdefault(a, len(order)),
+                      order.setdefault(b, len(order))))
 
     return Graph(tuple(order), pairs)
 

@@ -3,6 +3,8 @@ from collections import Counter
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpindex import (
     CappedError,
@@ -352,3 +354,28 @@ def test_random_tree_with_100000_vertices():
     edges = set(t.label_edges())
     assert all((min(a, b), max(a, b)) in edges
                for a, b in zip(res.endpath, res.endpath[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=8))
+def test_largest3_breaks_ties_like_a_stable_sort(keys):
+    # heapq.nlargest's order: largest first, equal keys lower position first
+    ranked = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    assert formula._largest3(keys) == tuple((ranked + [-1] * 3)[:3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(0, 3), min_size=d, max_size=d),
+    st.lists(st.integers(0, 3), min_size=d, max_size=d))),
+    st.integers(0, 3))
+def test_exits_matches_its_definition(sf, bound):
+    # entry j is the least combine(max(s[k] for k not in {i, j}), f[i]) over
+    # i != j, for both combines _evaluate passes; small values make ties common
+    s, f = sf
+    d = len(s)
+    beyond = 4  # more than every f, as the rank of no leaf
+    for combine in (max, lambda m, r: r if m <= bound else beyond):
+        want = [min(combine(max(s[k] for k in range(d) if k not in (i, j)), f[i])
+                    for i in range(d) if i != j) for j in range(d)]
+        assert formula._exits(s, f, combine) == want

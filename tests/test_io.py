@@ -92,6 +92,25 @@ def test_edge_list_errors_carry_line_numbers(text, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a b\nc! d\n", "line 2: bad vertex token 'c!'"),
+    ("a b\n\nc d!\n", "line 3: bad vertex token 'd!'"),
+    ("a b\nc! d!\n", "line 2: bad vertex token 'c!'"),
+    ("a b\nc d e  # three\n", "line 2: expected two tokens, got 3"),
+    ("a b\n# note\nc\n", "line 3: expected two tokens, got 1"),
+    ("a b\nc c\n", "line 2: self-loop at 'c'"),
+    ("a b\nc! c!\n", "line 2: bad vertex token 'c!'"),
+    ("a b\nv c d\n", "line 2: vertex line must be 'v TOKEN'"),
+    ("a b\n  v\n", "line 2: vertex line must be 'v TOKEN'"),
+    ("a b\nv c?\n", "line 2: bad vertex token 'c?'"),
+], ids=["bad-first", "bad-second", "both-bad", "three-tokens", "one-token",
+        "self-loop", "bad-self-loop", "v-three-tokens", "v-alone", "v-bad"])
+def test_edge_list_errors_are_pinned(text, message):
+    with pytest.raises(EdgeListParseError) as exc:
+        from_edge_list(text)
+    assert str(exc.value) == message
+
+
 # frozen vectors cross-checked against networkx's encoder below
 G6_VECTORS = [
     (complete_graph(2), "A_"),
