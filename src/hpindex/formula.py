@@ -165,7 +165,7 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     # only if the result reports it
     low = list(range(n))
     jpar = [-1] * n
-    kids: list[list[int]] = [[] for _ in range(n)]
+    kids: dict[int, list[int]] = {}  # only junctions with kid junctions
     jdepth = [0] * n
     cw = [0] * n  # heaviest item in the corridor above each junction
     lower, weight, corridor = [], [], []  # per item
@@ -187,7 +187,7 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
                 break
             end = v
         jpar[x] = v
-        kids[v].append(x)
+        kids.setdefault(v, []).append(x)
         jdepth[x] = jdepth[v] + 1
     if len(weight) < 2:  # unreachable: a tree that is not a path has 3+ branches
         raise InternalCheckError("no endpath contains a maximal branch pair; "
@@ -205,7 +205,7 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     top3: dict[int, list[int]] = {}
     shares: dict[int, list[int]] = {}
     for p in jorder:
-        ks = kids[p]
+        ks = kids.get(p)
         if ks:
             s = [sub[k] for k in ks]
             t0, t1, t2 = _largest3(s)
@@ -223,9 +223,9 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
         out = [None] * (2 * n)
         for x in reversed(jorder[1:]):
             out[x] = (min(combine(sib[k], out[k]) for k in kids[x])
-                      if kids[x] else leaf_value(x))
+                      if x in kids else leaf_value(x))
         for p in jorder:
-            ks = kids[p]
+            ks = kids.get(p)
             if not ks:
                 continue
             f = [out[k] for k in ks]

@@ -23,8 +23,14 @@ min(prepass_nodes, _LEX_NODES) nodes, and its walk, flipped, is exactly the
 walk the table would return; from 17 on, and in the backtracking tier, it
 tries low-degree vertices first, capped at prepass_nodes or node_budget
 nodes. It reads the clock every max(1, 4096 // n) nodes, as a node's
-dead-end check grows with n. The dominating-trail search keeps its own
-stack too, so neither search can exhaust Python's recursion limit.
+dead-end check grows with n.
+
+has_dominating_trail splits its question at the bridges: the pieces of g
+without its bridges, contracted, form the bridge tree, and the trail's
+route through that tree is fixed before any search runs, so a tree is
+settled without one. Each piece on the route then gets an explicit-stack
+search of its own, and all of them draw from one node_budget; there is no
+edge cap. Neither it nor _dfs can exhaust Python's recursion limit.
 
 Every positive answer carries a witness walk and every witness is replayed
 against the graph before being returned; a failed replay raises
@@ -42,10 +48,6 @@ import numpy as np
 from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, is_connected, is_path
 from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
-
-# the dominating-trail search keys its states by edge bitmasks, Python ints
-# of any width; this cap bounds the search's cost, not the masks
-TRAIL_EDGE_CAP = 20
 
 _PREPASS_FLOOR = 17    # below: index-order prepass; from here: degree-ordered
 _LEX_NODES = 1_000     # index-order prepass cap, about the 16-vertex table's time
@@ -435,50 +437,173 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
     trail-dominated by its center alone; open trails must use at least one
     edge whenever the graph has any. The witness is the trail as a vertex
     walk, from which its edge sequence can be read off pairwise.
+
+    The question splits at the bridges into one search per bridgeless piece
+    (`g.blocks.piece_of`). A closed trail crosses no bridge, so it stays in
+    a piece that touches every edge and visits that piece's bridge ends. An
+    open trail crosses each bridge at most once, so the pieces it visits
+    form a path of the bridge tree, which must hold every piece with an
+    inner edge and every tree node of degree two or more; a trail running
+    on past the ends of that path only reaches leaves. Each piece on the
+    path gets a trail of its own, from the bridge it is entered by to the
+    bridge it is left by, through all its bridge ends. On a tree every
+    piece is one vertex, so the split alone decides. The piece searches
+    share one count of budget.node_budget nodes and one deadline, and raise
+    CappedError when either runs out; there is no size cap.
     """
     if g.n == 0:
         raise PreconditionError("dominating trails need a nonempty graph")
     if not is_connected(g):
         return False, None
-    if g.m > TRAIL_EDGE_CAP:
-        raise CappedError(f"{g.m} edges exceed the trail search cap {TRAIL_EDGE_CAP}")
-    deadline = time.monotonic() + budget.time_limit_s
-    full = (1 << g.m) - 1
-    incident = [0] * g.n
-    ends = []  # edge i's far end from v is v ^ ends[i]
-    for i, (a, b) in enumerate(g.edges):
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
-        ends.append(a ^ b)
-    nodes = 0
-    for start in sorted(range(g.n), key=lambda v: g.labels[v]):
-        # a closed trail may be the start alone; an open one needs an edge
-        # unless the graph has none
-        if incident[start] == full and (closed or not full):
-            return _witnessed(g, [start], check_trail_witness, closed)
-        failed: set[tuple[int, int]] = set()  # (vertex, used) with no completion
-        # one entry per trail vertex: (vertex, used, covered, untried edges)
-        stack = [(start, 0, incident[start], incident[start])]
-        while stack:
-            cur, used, covered, free = stack[-1]
-            if not free:
-                failed.add((cur, used))
-                stack.pop()
-                continue
-            bit = free & -free
-            stack[-1] = (cur, used, covered, free ^ bit)
-            w = cur ^ ends[bit.bit_length() - 1]
-            used |= bit
-            covered |= incident[w]
-            nodes += 1
-            if not nodes % 4096 and time.monotonic() > deadline:
-                raise CappedError("time limit hit during trail search")
-            if covered == full and (not closed or w == start):
-                return _witnessed(g, [s[0] for s in stack] + [w],
-                                  check_trail_witness, closed)
-            if (w, used) not in failed:
-                stack.append((w, used, covered, incident[w] & ~used))
-    return False, None
+    # with n - 1 edges g has no cycle and each vertex is a piece of its own;
+    # a decomposition would cost more than the split, and stay on g
+    piece = range(g.n) if g.m == g.n - 1 else g.blocks.piece_of
+    # each piece's inner edges, and its bridges as (own end, far end)
+    inner: dict[int, list[tuple[int, int]]] = {p: [] for p in piece}
+    links: dict[int, list[tuple[int, int]]] = {p: [] for p in inner}
+    for a, b in g.edges:
+        if piece[a] == piece[b]:
+            inner[piece[a]].append((a, b))
+        else:
+            links[piece[a]].append((a, b))
+            links[piece[b]].append((b, a))
+    search = _PieceSearch(budget)
+    if closed:
+        p = next((p for p in inner if len(inner[p]) + len(links[p]) == g.m), None)
+        if p is None:
+            return False, None
+        if not inner[p]:  # a star's centre, or K1
+            return _witnessed(g, [p], check_trail_witness, True)
+        need = {a for a, _ in links[p]}
+        # a closed trail can start at any vertex it visits: one in `need`,
+        # or else an end of the edge of least degree sum
+        starts = [min(need)] if need else min(
+            inner[p], key=lambda e: g.degree(e[0]) + g.degree(e[1]))
+        for s in starts:
+            walk = search.trail(inner[p], s, s, need)
+            if walk is not None:
+                return _witnessed(g, walk, check_trail_witness, True)
+        return False, None
+    core = {p for p in inner if inner[p] or len(links[p]) > 1} or {piece[0]}
+    steps = {p: [ab for ab in links[p] if piece[ab[1]] in core] for p in core}
+    if any(len(s) > 2 for s in steps.values()):
+        return False, None
+    # the core is a path of the bridge tree; walk it from one end
+    p = next(p for p in core if len(steps[p]) < 2)
+    prev = entry = None
+    walk = []
+    while True:
+        out = next((ab for ab in steps[p] if piece[ab[1]] != prev), None)
+        if inner[p]:
+            sub = search.trail(inner[p], entry, None if out is None else out[0],
+                               {a for a, _ in links[p]})
+            if sub is None:
+                return False, None
+            walk += sub
+        else:
+            walk.append(p)
+        if out is None:
+            break
+        prev, entry, p = p, out[1], piece[out[1]]
+    if len(walk) == 1 and g.m:
+        # only a star's centre, or an end of K2: cross one of its edges
+        walk.append(g.adj[walk[0]][0])
+    return _witnessed(g, walk, check_trail_witness, False)
+
+
+class _PieceSearch:
+    """Trail searches inside bridgeless pieces, under one node count and
+    one deadline."""
+
+    def __init__(self, budget: SearchBudget):
+        self.node_budget = budget.node_budget
+        self.deadline = time.monotonic() + budget.time_limit_s
+        self.nodes = 0
+
+    def trail(self, edges: list[tuple[int, int]], start: int | None,
+              end: int | None, need: set[int]) -> list[int] | None:
+        """A trail over `edges` that touches each of them and visits every
+        vertex of `need`, as a vertex walk, or None when there is none.
+
+        `start` and `end` fix the trail's ends, None leaving one free, and
+        start == end asks for a closed trail. One entry per trail vertex is
+        stacked, and a state (vertex, edges used) that had no completion is
+        kept in a memo; the used edges fix the start, so one memo serves
+        every start. A step is taken only while every untouched edge, every
+        unvisited vertex of `need` and the fixed end are still reachable over
+        unused edges. Each step counts as one node against the shared budget.
+        """
+        # a trail read backwards is a trail: fix the start rather than the end
+        flip = start is None and end is not None
+        if flip:
+            start, end = end, None
+        verts = sorted({v for e in edges for v in e})
+        pos = {v: i for i, v in enumerate(verts)}
+        full = (1 << len(edges)) - 1
+        incident = [0] * len(verts)
+        arcs: list[list[tuple[int, int]]] = [[] for _ in verts]  # (edge bit, far end)
+        ends = []  # edge i's far end from v is v ^ ends[i]
+        for i, (a, b) in enumerate(edges):
+            a, b = pos[a], pos[b]
+            incident[a] |= 1 << i
+            incident[b] |= 1 << i
+            arcs[a].append((1 << i, b))
+            arcs[b].append((1 << i, a))
+            ends.append(a ^ b)
+        want = sum(1 << pos[v] for v in need)
+        stop = -1 if end is None else pos[end]
+        nodes, cap, deadline = self.nodes, self.node_budget, self.deadline
+        failed: set[tuple[int, int]] = set()
+        for s in range(len(verts)) if start is None else (pos[start],):
+            # one entry per trail vertex: (vertex, used, covered, seen, untried edges)
+            stack = [(s, 0, incident[s], 1 << s, incident[s])]
+            while stack:
+                cur, used, covered, seen, free = stack[-1]
+                if not free:
+                    failed.add((cur, used))
+                    stack.pop()
+                    continue
+                bit = free & -free
+                stack[-1] = (cur, used, covered, seen, free ^ bit)
+                w = cur ^ ends[bit.bit_length() - 1]
+                used |= bit
+                if (w, used) in failed:
+                    continue
+                nodes += 1
+                if nodes > cap:
+                    raise CappedError("trail search node budget exhausted")
+                if not nodes % 4096 and time.monotonic() > deadline:
+                    raise CappedError("time limit hit during trail search")
+                covered |= incident[w]
+                seen |= 1 << w
+                if covered == full and seen & want == want and stop in (-1, w):
+                    self.nodes = nodes
+                    walk = [verts[t[0]] for t in stack] + [verts[w]]
+                    return walk[::-1] if flip else walk
+                reach, touch = _flood_edges(w, full & ~used, incident, arcs)
+                if ((covered | touch) != full or want & ~(seen | reach)
+                        or stop >= 0 and not reach >> stop & 1):
+                    failed.add((w, used))
+                    continue
+                stack.append((w, used, covered, seen, incident[w] & ~used))
+        self.nodes = nodes
+        return None
+
+
+def _flood_edges(v: int, unused: int, incident: list[int],
+                 arcs: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """The vertices reachable from v over `unused` edges, as a mask, and the
+    edges those vertices touch; arcs[x] lists x's (edge bit, far end)."""
+    reach = 1 << v
+    touch = 0
+    todo = [v]
+    for x in todo:  # grows while it is read
+        touch |= incident[x]
+        for bit, w in arcs[x]:
+            if unused & bit and not reach >> w & 1:
+                reach |= 1 << w
+                todo.append(w)
+    return reach, touch
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +613,7 @@ def hp_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexRe
     """Iterate the line-graph map until the graph is traceable.
 
     Cross-checks the first iterate's verdict against a dominating-trail search
-    on the original graph whenever the latter is feasible.
+    on the original graph whenever that search settles within the budget.
     """
     if not is_connected(g):
         raise PreconditionError("the index is defined for connected graphs")

@@ -8,7 +8,9 @@ field for field.
 
 `iterate_with_provenance` and `original_edge_support` trace each vertex of
 an iterate back to the edges of the stage-0 graph beneath it, for the tests
-of how branches shrink under iteration.
+of how branches shrink under iteration. `trail_as_line_walk` carries a
+dominating-trail witness over to the line graph, where the hamiltonian
+witness checks replay it.
 """
 
 from __future__ import annotations
@@ -60,3 +62,35 @@ def original_edge_support(vertex: str, maps: tuple[dict[str, tuple[str, str]], .
     for prov in reversed(maps[1:]):
         frontier = {u for v in frontier for u in prov[v]}
     return frozenset(maps[0][v] for v in frontier)
+
+
+def trail_as_line_walk(g: Graph, walk: tuple[str, ...],
+                       provenance: dict[str, tuple[str, str]]) -> tuple[str, ...]:
+    """A dominating trail w0 e1 w1 ... ek wk of g, given as its vertex walk,
+    as a walk through L(g).
+
+    The walk lists the off-trail edges at w0, then e1, then the off-trail
+    edges at w1 not listed yet, then e2, and so on, ending with those at
+    wk. Consecutive entries share a vertex of g, so an open trail gives a
+    hamiltonian path of L(g) and a closed one a hamiltonian cycle. Each
+    edge is named through `provenance`, L(g)'s vertex-to-edge map, by its
+    token pair.
+    """
+    name = {pair: v for v, pair in provenance.items()}
+    on_trail = {g.label_edge((g.index(a), g.index(b))) for a, b in zip(walk, walk[1:])}
+    listed: set[tuple[str, str]] = set()
+    out: list[str] = []
+
+    def off_trail_at(x: str) -> None:
+        v = g.index(x)
+        for w in g.adj[v]:
+            e = g.label_edge((v, w))
+            if e not in on_trail and e not in listed:
+                listed.add(e)
+                out.append(name[e])
+
+    off_trail_at(walk[0])
+    for a, b in zip(walk, walk[1:]):
+        out.append(name[g.label_edge((g.index(a), g.index(b)))])
+        off_trail_at(b)
+    return tuple(out)

@@ -5,10 +5,11 @@ the next vertex by (unvisited-neighbour count, index), and `_lex_backtrack`,
 an explicit-stack DFS that tries vertices in index order and returns its
 walk flipped into the order the subset table reads it back. Every table is
 now `hpindex.oracles._dp_table_np`, which replaced `_dp_table_py` below.
-`has_dominating_trail` below is the recursive trail search that the
-explicit-stack `hpindex.oracles.has_dominating_trail` replaced. The four
-are copied here unchanged; `_lex_backtrack` takes its start vertices as a
-mask. The differential tests compare them with the code that replaced them.
+`has_dominating_trail` below is the exhaustive edge-mask trail search over
+the whole graph, with its 20-edge cap, that the piece-by-piece
+`hpindex.oracles.has_dominating_trail` replaced. The four are copied here
+unchanged; `_lex_backtrack` takes its start vertices as a mask. The
+differential tests compare them with the code that replaced them.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import time
 
 from hpindex.errors import CappedError, PreconditionError
 from hpindex.graphs import Graph, is_connected
-from hpindex.oracles import (DEFAULT_SEARCH_BUDGET, TRAIL_EDGE_CAP,
-                             SearchBudget, _dead_end, _Inconclusive,
-                             check_trail_witness)
+from hpindex.oracles import (DEFAULT_SEARCH_BUDGET, SearchBudget, _dead_end,
+                             _Inconclusive, _witnessed, check_trail_witness)
+
+# the edge-mask trail search keys its states by edge bitmasks; this cap
+# bounds its cost, not the masks
+TRAIL_EDGE_CAP = 20
 
 
 def _dp_table_py(adj: list[int], starts: int) -> list[int]:
@@ -155,54 +159,38 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         raise CappedError(f"{g.m} edges exceed the trail search cap {TRAIL_EDGE_CAP}")
     deadline = time.monotonic() + budget.time_limit_s
     full = (1 << g.m) - 1
-    epos = {e: i for i, e in enumerate(g.edges)}
     incident = [0] * g.n
-    other = [dict() for _ in range(g.n)]
-    for e, i in epos.items():
-        a, b = e
+    ends = []  # edge i's far end from v is v ^ ends[i]
+    for i, (a, b) in enumerate(g.edges):
         incident[a] |= 1 << i
         incident[b] |= 1 << i
-        other[a][i] = b
-        other[b][i] = a
+        ends.append(a ^ b)
     nodes = 0
     for start in sorted(range(g.n), key=lambda v: g.labels[v]):
-        failed: set[tuple[int, int]] = set()
-
-        def dfs(cur: int, used: int, covered: int, walk: list[int]) -> bool:
-            nonlocal nodes
+        # a closed trail may be the start alone; an open one needs an edge
+        # unless the graph has none
+        if incident[start] == full and (closed or not full):
+            return _witnessed(g, [start], check_trail_witness, closed)
+        failed: set[tuple[int, int]] = set()  # (vertex, used) with no completion
+        # one entry per trail vertex: (vertex, used, covered, untried edges)
+        stack = [(start, 0, incident[start], incident[start])]
+        while stack:
+            cur, used, covered, free = stack[-1]
+            if not free:
+                failed.add((cur, used))
+                stack.pop()
+                continue
+            bit = free & -free
+            stack[-1] = (cur, used, covered, free ^ bit)
+            w = cur ^ ends[bit.bit_length() - 1]
+            used |= bit
+            covered |= incident[w]
             nodes += 1
             if not nodes % 4096 and time.monotonic() > deadline:
                 raise CappedError("time limit hit during trail search")
-            if covered == full:
-                if closed:
-                    if cur == start:
-                        return True
-                elif used or not full:
-                    # open trails need an edge unless the graph has none
-                    return True
-            if (cur, used) in failed:
-                return False
-            free = incident[cur] & ~used
-            while free:
-                bit = free & -free
-                free ^= bit
-                w = other[cur][bit.bit_length() - 1]
-                walk.append(w)
-                if dfs(w, used | bit, covered | incident[w], walk):
-                    return True
-                walk.pop()
-            failed.add((cur, used))
-            return False
-
-        walk = [start]
-        try:
-            found = dfs(start, 0, incident[start], walk)
-        finally:
-            # dfs reaches itself through a closure cell, a reference cycle
-            # that would keep `failed` alive until a full collection
-            del dfs
-        if found:
-            toks = tuple(g.labels[v] for v in walk)
-            check_trail_witness(g, toks, closed)
-            return True, toks
+            if covered == full and (not closed or w == start):
+                return _witnessed(g, [s[0] for s in stack] + [w],
+                                  check_trail_witness, closed)
+            if (w, used) not in failed:
+                stack.append((w, used, covered, incident[w] & ~used))
     return False, None

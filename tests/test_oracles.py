@@ -170,9 +170,8 @@ def test_backtracking_deadline_is_read_often_on_large_graphs():
                                           (h_oracle, "has_hamiltonian_cycle")])
 def test_one_deadline_covers_the_whole_stage_loop(monkeypatch, oracle, name):
     # every stage search takes a quarter of the limit and says no; cycle
-    # iterates stay cycles, and the trail search refuses 25 edges, so the
-    # cross-check takes no time and only the deadline can end the loop
-    # before the stage cap
+    # iterates stay cycles, and the trail cross-check agrees at once, so only
+    # the deadline can end the loop before the stage cap
     limit, step = 0.4, 0.1
     limits = []
 
@@ -182,6 +181,8 @@ def test_one_deadline_covers_the_whole_stage_loop(monkeypatch, oracle, name):
         return False, None
 
     monkeypatch.setattr(oracles, name, slow_no)
+    monkeypatch.setattr(oracles, "has_dominating_trail",
+                        lambda g, budget, closed: (False, None))
     t0 = time.monotonic()
     res = oracle(cycle_graph(25), SearchBudget(time_limit_s=limit))
     elapsed = time.monotonic() - t0
@@ -400,8 +401,39 @@ def test_backtracking_search_leaves_nothing_to_collect():
 
 
 def test_dominating_trail_edge_cap():
-    with pytest.raises(CappedError):
-        has_dominating_trail(complete_graph(7))
+    # K7 has 21 edges, past the 20-edge cap the whole-graph search had; the
+    # engine has no cap, and K7's degrees are all even, so it has both trails
+    g = complete_graph(7)
+    for closed in (False, True):
+        ok, walk = has_dominating_trail(g, closed=closed)
+        assert ok
+        check_trail_witness(g, walk, closed)
+
+
+def test_piece_search_spends_the_node_budget():
+    # K5 is one piece, and its trail takes more than one step
+    with pytest.raises(CappedError, match="^trail search node budget exhausted$"):
+        has_dominating_trail(complete_graph(5), SearchBudget(node_budget=1))
+
+
+def test_dominating_trail_edge_cases():
+    # K1 open and every star closed: the one-vertex walk
+    assert has_dominating_trail(path_graph(1)) == (True, ("p0",))
+    for leaves in (1, 2, 5):
+        ok, walk = has_dominating_trail(star_graph(leaves), closed=True)
+        assert ok and len(walk) == 1
+        check_trail_witness(star_graph(leaves), walk, closed=True)
+    # an open trail on a graph with edges crosses one: K2 and every star
+    # make a core of one single-vertex piece
+    for g in (path_graph(2), star_graph(3), star_graph(6)):
+        ok, walk = has_dominating_trail(g)
+        assert ok and len(walk) == 2
+        check_trail_witness(g, walk, closed=False)
+    disconnected = graph_from_token_edges([("a", "b")], isolated=["c"])
+    for closed in (False, True):
+        assert has_dominating_trail(disconnected, closed=closed) == (False, None)
+    with pytest.raises(PreconditionError):
+        has_dominating_trail(Graph((), ()))
 
 
 def _stack_depth():
@@ -412,16 +444,21 @@ def _stack_depth():
 
 
 def test_dominating_trail_search_keeps_its_own_stack():
-    # a trail of 20 edges, the cap, found 15 frames from the recursion limit
-    g = path_graph(21)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 15)
-    try:
-        ok, walk = has_dominating_trail(g)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert ok
-    check_trail_witness(g, walk, closed=False)
+    # trails found 15 frames from the recursion limit: on a path and a
+    # caterpillar of 5,000 vertices, split at their bridges, and on C500,
+    # one piece searched with a stack entry per trail vertex
+    spine = [(f"s{i}", f"s{i + 1}") for i in range(2_499)]
+    caterpillar = graph_from_token_edges(spine + [(f"s{i}", f"x{i}") for i in range(2_500)])
+    for g, closed in ((path_graph(5_000), False), (caterpillar, False),
+                      (cycle_graph(500), False), (cycle_graph(500), True)):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 15)
+        try:
+            ok, walk = has_dominating_trail(g, closed=closed)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ok
+        check_trail_witness(g, walk, closed)
 
 
 def test_trail_criterion_for_traceable_line_graphs():

@@ -1,4 +1,4 @@
-"""The one DFS, the numpy table and the trail search against the engines
+"""The one DFS, the numpy table and the trail engine against the searches
 they replaced.
 
 `oracles._dfs` in degree order must do what `_backtrack` did, and in index
@@ -6,18 +6,22 @@ order what `_lex_backtrack` did once its walk is flipped into the table's
 read-back order: the same walk, the same None, or a drained node budget on
 both sides, since a drain hands the graph to the table or caps it.
 `oracles._dp_table_np` must build the table of `_dp_table_py` entry for
-entry, as the witness walk is read back from it. The explicit-stack
-`oracles.has_dominating_trail` must give the recursive search's answer and
-walk, open and closed, or raise the same CappedError.
+entry, as the witness walk is read back from it. The piece-by-piece
+`oracles.has_dominating_trail` must give the verdict of the edge-mask
+search over the whole graph, open and closed, wherever that search does not
+cap, and a witness that replays in g and, mapped, in L(g).
 """
 
 import random
 
 import pytest
 
-from hpindex import (CappedError, enumerate_connected_graphs,
-                     enumerate_free_trees, random_connected_graph)
+from hpindex import (CappedError, FamilyParams, enumerate_connected_graphs,
+                     enumerate_free_trees, gen_hamiltonian_2block_family,
+                     graph_from_token_edges, line_graph, random_connected_graph)
 from hpindex import oracles
+from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail_witness
+from reference_linegraph import trail_as_line_walk
 from reference_search import (_backtrack, _dp_table_py, _lex_backtrack,
                               has_dominating_trail)
 
@@ -99,34 +103,80 @@ def test_numpy_table_matches_python_table_on_seeded_graphs():
         assert_same_table(g, (1 << n) - 1 if seed % 2 == 0 else 1)
 
 
-def _trail(search, g, closed):
-    try:
-        return search(g, closed=closed)
-    except CappedError as exc:
-        return str(exc)
+def bridged_graphs(seed, count):
+    """Random small connected graphs joined by bridges into a random tree of
+    pieces, up to 20 edges in all, so that the engine runs one search per
+    piece with fixed and free ends."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        edges, names = [], []
+        for k in range(rng.randint(2, 5)):
+            n = rng.randint(1, 5)
+            labels = [f"{k}.{v}" for v in range(n)]
+            if n > 1:
+                part = random_connected_graph(n, rng.randint(0, 4), rng.randrange(10**6))
+                edges += [(labels[a], labels[b]) for a, b in part.edges]
+            if names:
+                edges.append((rng.choice(rng.choice(names)), rng.choice(labels)))
+            names.append(labels)
+        if len(edges) <= 20:
+            out.append(graph_from_token_edges(edges))
+    return out
 
 
-def assert_same_trails(graphs):
+def assert_engine_matches_reference(graphs):
+    """The engine's verdict equals the edge-mask search's wherever that
+    search does not cap, and every witness replays in g and, mapped, in
+    L(g): as a hamiltonian path, or for a closed trail on 3 or more edges
+    (Harary-Nash-Williams) a hamiltonian cycle."""
     for g in graphs:
+        lg = line_graph(g) if g.m else None
         for closed in (False, True):
-            new = _trail(oracles.has_dominating_trail, g, closed)
-            ref = _trail(has_dominating_trail, g, closed)
-            assert new == ref, (g.label_edges(), closed)
+            ok, walk = oracles.has_dominating_trail(g, closed=closed)
+            try:
+                ref, _ = has_dominating_trail(g, closed=closed)
+            except CappedError:
+                ref = ok
+            assert ok == ref, (g.label_edges(), closed)
+            if not ok:
+                continue
+            check_trail_witness(g, walk, closed)
+            if closed and g.m >= 3:
+                check_cycle_witness(lg.graph, trail_as_line_walk(g, walk, lg.provenance))
+            elif not closed and g.m:
+                check_path_witness(lg.graph, trail_as_line_walk(g, walk, lg.provenance))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_trail_search_matches_the_recursive_one_on_every_small_graph(n):
-    assert_same_trails(enumerate_connected_graphs(n))
+    assert_engine_matches_reference(enumerate_connected_graphs(n))
 
 
 @pytest.mark.parametrize("block", range(4))
 def test_trail_search_matches_the_recursive_one_on_seeded_graphs(block):
-    # 400 graphs of 4-17 vertices with 0-8 extra edges; those past 20 edges
-    # must raise the same cap on both sides
-    assert_same_trails(
+    # 400 graphs of 4-17 vertices with 0-8 extra edges; past 20 edges the
+    # reference caps, and only the engine's witnesses are checked
+    assert_engine_matches_reference(
         random_connected_graph(4 + seed % 14, seed * 7 % 9, seed)
         for seed in range(block * 100, block * 100 + 100))
 
 
 def test_trail_search_matches_the_recursive_one_on_free_trees():
-    assert_same_trails(t for n in range(1, 13) for t in enumerate_free_trees(n))
+    assert_engine_matches_reference(
+        t for n in range(1, 13) for t in enumerate_free_trees(n))
+
+
+@pytest.mark.parametrize("cycle_sizes", [(3, 4, 5), (3,), (4, 6)])
+def test_trail_engine_matches_the_reference_on_the_glued_family(cycle_sizes):
+    family = gen_hamiltonian_2block_family(
+        FamilyParams(max_vertices=10, cycle_sizes=cycle_sizes))
+    assert_engine_matches_reference(g for g, _ in family)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_trail_engine_matches_the_reference_on_bridged_graphs(block):
+    graphs = bridged_graphs(block, 250)
+    assert all(g.blocks.bridges for g in graphs)
+    assert sum(len(g.blocks.two_blocks()) >= 2 for g in graphs) >= 50
+    assert_engine_matches_reference(graphs)
