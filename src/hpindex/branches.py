@@ -54,7 +54,7 @@ def branches(g: Graph) -> tuple[Branch, ...]:
         raise PreconditionError("branch decomposition needs at least one edge")
     if not is_connected(g):
         raise PreconditionError("branch decomposition needs a connected graph")
-    bridges = g.blocks.bridges
+    piece = g.blocks.piece_of
     junctions = sorted((v for v in range(g.n) if g.degree(v) != 2),
                        key=lambda v: g.labels[v])
     claimed: set[tuple[int, int]] = set()
@@ -75,8 +75,8 @@ def branches(g: Graph) -> tuple[Branch, ...]:
             walks.append(walk)
     out = []
     for walk in walks:
-        all_bridge = all(((a, b) if a < b else (b, a)) in bridges
-                         for a, b in zip(walk, walk[1:]))
+        # a bridge joins two pieces
+        all_bridge = all(piece[a] != piece[b] for a, b in zip(walk, walk[1:]))
         pendant = g.degree(walk[0]) == 1 or g.degree(walk[-1]) == 1
         # a corridor ending in a leaf is cut off by any of its edges
         if pendant and not all_bridge:

@@ -353,7 +353,7 @@ def _reduce(g: Graph) -> tuple[Graph, frozenset[int]]:
     labels = sorted(label_of.values())
     pos = {lab: i for i, lab in enumerate(labels)}
     edges = [(pos[label_of[piece[a]]], pos[label_of[piece[b]]])
-             for a, b in g.blocks.bridges]
+             for a, b in g.edges if piece[a] != piece[b]]
     return (Graph(tuple(labels), edges),
             frozenset(pos[label_of[r]] for r, ms in members.items() if len(ms) > 1))
 
@@ -370,20 +370,19 @@ def hp_blockchain_conjecture(g: Graph,
     of g, weighted as in g: a branch ending on a hub is charged like one
     running into a junction, even where the hub is a leaf.
 
-    The hypothesis is checked block by block. A 2-block with as many edges
-    as vertices is a cycle, its own spanning cycle, so it is not searched
-    and never hits the search cap; every other 2-block is searched under
-    `budget`.
+    The hypothesis is checked block by block. A 2-block in which every
+    vertex has two neighbours inside the block is a cycle, its own spanning
+    cycle, so it is not searched and never hits the search cap; every other
+    2-block is searched, as `block_graph`, under `budget`.
     """
     if not is_connected(g):
         raise PreconditionError("the conjectural formula needs a connected graph")
     if is_tree(g):
         return hp_tree(g)
-    blocks = g.blocks
-    for bi in blocks.two_blocks():
-        if len(blocks.blocks[bi]) == len(blocks.block_vertices[bi]):
+    for block in g.blocks.two_blocks:
+        if all(len(block.intersection(g.adj[v])) == 2 for v in block):
             continue
-        ok, _ = has_hamiltonian_cycle(block_graph(g, bi), budget)
+        ok, _ = has_hamiltonian_cycle(block_graph(g, block), budget)
         if not ok:
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "

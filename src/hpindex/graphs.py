@@ -28,6 +28,9 @@ class Graph:
 
     def __init__(self, labels: Sequence[str], edge_pairs: Iterable[tuple[int, int]]):
         labels = tuple(labels)
+        # exactly str: every reader sorts, joins and quotes labels as text
+        if any(type(lab) is not str for lab in labels):
+            raise ValidationError("vertex labels must be str")
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate vertex labels")
         n = len(labels)
@@ -176,56 +179,49 @@ def is_path(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (as edge sets), cut vertices, bridges and bridgeless pieces of a
-    connected graph. A piece is a component of the graph without its bridges,
-    and `piece_of[v]` names v's piece by its first vertex in DFS order.
+    """The 2-blocks, cut vertices and bridgeless pieces of a connected graph.
+
+    `two_blocks` holds the vertex sets of the blocks on three or more
+    vertices; the other blocks are the bridges, the edges (a, b) with
+    `piece_of[a] != piece_of[b]`. A piece is a component of the graph without
+    its bridges, and `piece_of[v]` names v's piece by its first DFS vertex.
     """
 
-    blocks: tuple[frozenset[tuple[int, int]], ...]
-    block_vertices: tuple[frozenset[int], ...]
+    two_blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
-    bridges: frozenset[tuple[int, int]]
     piece_of: tuple[int, ...]
-
-    def end_blocks(self) -> tuple[int, ...]:
-        """Indices of blocks containing at most one cut vertex."""
-        return tuple(i for i, vs in enumerate(self.block_vertices)
-                     if len(vs & self.cut_vertices) <= 1)
-
-    def two_blocks(self) -> tuple[int, ...]:
-        """Indices of blocks on at least three vertices."""
-        return tuple(i for i, vs in enumerate(self.block_vertices) if len(vs) >= 3)
 
 
 def blocks_and_cuts(g: Graph) -> BlockDecomposition:
     """Hopcroft-Tarjan block decomposition of a connected graph.
 
     Iterative so deep graphs (long paths, big iterates) never hit the
-    recursion limit. Every edge lands in exactly one block; bridges are the
-    one-edge blocks. Every bridge is a DFS tree edge, so the pieces are the
-    DFS subtrees the bridges cut apart. This is the pure decomposer: it
-    computes afresh on every call, and `Graph.blocks` is the memoised view
-    that callers share, sound because a Graph never changes.
+    recursion limit. Backing out of v with low[v] >= disc[parent] closes a
+    block, the parent and the vertices stacked since v, a bridge if only v.
+    Every bridge is a DFS tree edge, so the pieces are the DFS subtrees the
+    bridges cut apart. This is the pure decomposer: it computes afresh on
+    every call, and `Graph.blocks` is the memoised view that callers share,
+    sound because a Graph never changes.
     """
     if not is_connected(g):
         raise PreconditionError("block decomposition needs a connected graph")
     n = g.n
     if n == 1:
-        return BlockDecomposition((), (), frozenset(), frozenset(), (0,))
+        return BlockDecomposition((), frozenset(), (0,))
 
     adj = g.adj
     disc = [-1] * n
     low = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[frozenset[tuple[int, int]]] = []
+    pending: list[int] = []  # discovered vertices not yet in a closed block
+    two_blocks: list[frozenset[int]] = []
     cuts: set[int] = set()
     order = [0]  # the vertices in discovery order
     up = [0] * n  # tree parent, or the vertex itself below a bridge; later its piece
 
     disc[0] = 0
     root_children = 0
-    # (vertex, its parent, its neighbours still to scan, edge-stack height
-    # before its tree edge went on)
+    # (vertex, its parent, its neighbours still to scan, height of `pending`
+    # before the vertex went on)
     stack = [(0, -1, iter(adj[0]), 0)]
     while stack:
         v, parent, todo, mark = stack[-1]
@@ -235,13 +231,11 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
             if disc[w] == -1:
                 disc[w] = low[w] = len(order)
                 order.append(w)
-                stack.append((w, v, iter(adj[w]), len(edge_stack)))
-                edge_stack.append((v, w) if v < w else (w, v))
+                stack.append((w, v, iter(adj[w]), len(pending)))
+                pending.append(w)
                 break
-            if disc[w] < disc[v]:
-                edge_stack.append((v, w) if v < w else (w, v))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
+            if disc[w] < low[v]:
+                low[v] = disc[w]
         else:
             stack.pop()
             if not stack:
@@ -250,30 +244,29 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
             if low[v] < low[parent]:
                 low[parent] = low[v]
             if low[v] >= disc[parent]:
-                # the tree edge into v and everything stacked above it
-                blocks.append(frozenset(edge_stack[mark:]))
-                del edge_stack[mark:]
+                # the parent, v and everything stacked above v
+                if len(pending) - mark > 1:
+                    two_blocks.append(frozenset((parent, *pending[mark:])))
+                del pending[mark:]
                 if parent != 0:
                     cuts.add(parent)
                 else:
                     root_children += 1
     if root_children > 1:
         cuts.add(0)
-    if edge_stack:
-        raise InternalCheckError("edge stack not drained; decomposition bug")
+    if pending:
+        raise InternalCheckError("vertex stack not drained; decomposition bug")
     for v in order:
         up[v] = up[up[v]]
-
-    block_vertices = tuple(frozenset().union(*blk) for blk in blocks)
-    bridges = frozenset(e for blk in blocks if len(blk) == 1 for e in blk)
-    return BlockDecomposition(tuple(blocks), block_vertices, frozenset(cuts),
-                              bridges, tuple(up))
+    return BlockDecomposition(tuple(two_blocks), frozenset(cuts), tuple(up))
 
 
-def block_graph(g: Graph, i: int) -> Graph:
-    """Block i of a connected graph as a graph of its own, labels sorted.
-    Like any graph, it computes its decomposition on first access."""
-    verts = sorted(g.blocks.block_vertices[i], key=lambda v: g.labels[v])
+def block_graph(g: Graph, block: frozenset[int]) -> Graph:
+    """A block of g, given by its vertex set, as a graph of its own with
+    labels sorted: its edges are g's edges inside that set, as two blocks
+    share at most one vertex. It computes its decomposition on first access."""
+    verts = sorted(block, key=lambda v: g.labels[v])
     pos = {v: k for k, v in enumerate(verts)}
     return Graph(tuple(g.labels[v] for v in verts),
-                 [(pos[a], pos[b]) for a, b in g.blocks.blocks[i]])
+                 [(pos[a], pos[b]) for a in verts for b in g.adj[a]
+                  if b in pos and pos[a] < pos[b]])

@@ -355,10 +355,13 @@ def has_hamiltonian_path(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         return True, (g.labels[0],)
     if not is_connected(g):
         return False, None
-    if sum(1 for v in range(g.n) if g.degree(v) == 1) > 2:
+    leaves = sum(1 for v in range(g.n) if g.degree(v) == 1)
+    if leaves > 2:
         return False, None
-    if len(g.blocks.end_blocks()) > 2:
-        # every leaf block needs its own path endpoint
+    # every leaf block needs its own path endpoint: the bridge at each leaf
+    # and each 2-block with at most one cut vertex (exact from n = 3 on)
+    cuts = g.blocks.cut_vertices
+    if leaves + sum(len(b & cuts) <= 1 for b in g.blocks.two_blocks) > 2:
         return False, None
     return _hamiltonian(g, budget, cycle=False)
 
@@ -455,9 +458,7 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         raise PreconditionError("dominating trails need a nonempty graph")
     if not is_connected(g):
         return False, None
-    # with n - 1 edges g has no cycle and each vertex is a piece of its own;
-    # a decomposition would cost more than the split, and stay on g
-    piece = range(g.n) if g.m == g.n - 1 else g.blocks.piece_of
+    piece = g.blocks.piece_of
     # each piece's inner edges, and its bridges as (own end, far end)
     inner: dict[int, list[tuple[int, int]]] = {p: [] for p in piece}
     links: dict[int, list[tuple[int, int]]] = {p: [] for p in inner}

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from hpindex import BlockDecomposition, Graph, cycle_graph, enumerate_free_trees, path_graph
+from hpindex import Graph, cycle_graph, enumerate_free_trees, path_graph
 
 
 def nx_graph(g: Graph) -> nx.Graph:
@@ -12,17 +12,22 @@ def nx_graph(g: Graph) -> nx.Graph:
     return h
 
 
-def is_block_chain(dec: BlockDecomposition) -> bool:
-    """True when the block-cut tree is a path (single vertex included).
+def is_block_chain(g: Graph) -> bool:
+    """True when the block-cut tree of a connected graph is a path (single
+    vertex included).
 
     The block-cut incidence tree is a path exactly when no node of it has
     degree three: no block with >2 cut vertices, no cut vertex in >2
-    blocks.
+    blocks. The blocks are the 2-blocks and the bridges, the edges between
+    two pieces.
     """
+    dec = g.blocks
+    piece = dec.piece_of
+    blocks = [*dec.two_blocks,
+              *({a, b} for a, b in g.edges if piece[a] != piece[b])]
     cuts = dec.cut_vertices
-    return (all(len(vs & cuts) <= 2 for vs in dec.block_vertices)
-            and all(sum(c in vs for vs in dec.block_vertices) <= 2
-                    for c in cuts))
+    return (all(len(vs & cuts) <= 2 for vs in blocks)
+            and all(sum(c in vs for vs in blocks) <= 2 for c in cuts))
 
 
 def tadpole(n: int) -> Graph:

@@ -157,7 +157,7 @@ def test_criterion_07_final_iterate_is_a_block_chain(trees_to_9):
         if is_path(t):
             continue
         m = hp_tree(t).value
-        assert is_block_chain(iterate(t, m).blocks), t.label_edges()
+        assert is_block_chain(iterate(t, m)), t.label_edges()
         completed += 1
     assert completed == 86
     print(f"criterion 7: L^m block chain on {completed} trees PASS")

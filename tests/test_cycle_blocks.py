@@ -19,8 +19,8 @@ from hpindex.graphs import block_graph
 def searching_every_block(g, budget=SearchBudget()):
     """hp_blockchain_conjecture as it was: every 2-block searched, in order."""
     if is_connected(g) and not is_tree(g):
-        for bi in g.blocks.two_blocks():
-            ok, _ = has_hamiltonian_cycle(block_graph(g, bi), budget)
+        for block in g.blocks.two_blocks:
+            ok, _ = has_hamiltonian_cycle(block_graph(g, block), budget)
             if not ok:
                 raise PreconditionError(
                     "the conjectural formula requires a spanning cycle in "
@@ -36,9 +36,9 @@ def outcome(formula, g):
 
 
 def cycle_blocks(g):
-    blocks = g.blocks
-    return [bi for bi in blocks.two_blocks()
-            if len(blocks.blocks[bi]) == len(blocks.block_vertices[bi])]
+    # the 2-blocks with as many edges as vertices
+    return [block for block in g.blocks.two_blocks
+            if block_graph(g, block).m == len(block)]
 
 
 def check(graphs):
@@ -47,8 +47,8 @@ def check(graphs):
     for g in graphs:
         seen += 1
         if not is_tree(g):
-            for bi in cycle_blocks(g):
-                assert has_hamiltonian_cycle(block_graph(g, bi))[0]
+            for block in cycle_blocks(g):
+                assert has_hamiltonian_cycle(block_graph(g, block))[0]
                 blocks += 1
         got = outcome(hp_blockchain_conjecture, g)
         assert got == outcome(searching_every_block, g), g.label_edges()
@@ -79,7 +79,7 @@ def test_other_two_blocks_are_still_searched():
         [("u1", "w1"), ("u1", "w2"), ("u1", "w3"),
          ("u2", "w1"), ("u2", "w2"), ("u2", "w3"),
          ("u1", "t1"), ("t1", "t2"), ("t2", "u1")])
-    assert len(cycle_blocks(g)) == 1 and len(g.blocks.two_blocks()) == 2
+    assert len(cycle_blocks(g)) == 1 and len(g.blocks.two_blocks) == 2
     with pytest.raises(PreconditionError, match="spanning cycle"):
         hp_blockchain_conjecture(g)
 

@@ -20,6 +20,7 @@ from hpindex import (
     is_connected,
     is_path,
     is_tree,
+    line_graph,
     path_graph,
     random_connected_graph,
     random_tree,
@@ -43,6 +44,16 @@ def test_edges_deduplicate_and_normalize():
 def test_endpoints_must_be_plain_ints(pair):
     with pytest.raises(ValidationError, match="^edge endpoints must be int indices$"):
         Graph(("a", "b"), [pair])
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 2, 3), ("c", 1, 2, 3), (b"a", "b"),
+                                    ("a", None)],
+                         ids=["int", "mixed", "bytes", "none"])
+def test_labels_must_be_str(labels):
+    # such a graph would build, and then die with a TypeError wherever
+    # labels are sorted or joined
+    with pytest.raises(ValidationError, match="^vertex labels must be str$"):
+        Graph(labels, [(0, 1)])
 
 
 def test_label_lookup_roundtrip():
@@ -75,27 +86,46 @@ def test_blocks_of_a_triangle_with_tail():
     g = graph_from_token_edges(
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e")])
     dec = blocks_and_cuts(g)
-    sizes = sorted(len(b) for b in dec.blocks)
-    assert sizes == [1, 1, 3]
+    assert [_labels(g, b) for b in dec.two_blocks] == [frozenset("abc")]
     assert sorted(g.labels[v] for v in dec.cut_vertices) == ["c", "d"]
-    assert {g.label_edge(e) for e in dec.bridges} == {("c", "d"), ("d", "e")}
-    assert is_block_chain(dec)
+    assert _bridges(g, dec) == {("c", "d"), ("d", "e")}
+    assert is_block_chain(g)
 
 
 def test_block_chain_examples():
-    assert is_block_chain(blocks_and_cuts(path_graph(6)))
-    assert is_block_chain(blocks_and_cuts(cycle_graph(5)))
+    assert is_block_chain(path_graph(6))
+    assert is_block_chain(cycle_graph(5))
     # a star's block-cut tree is itself a star, not a path
-    assert not is_block_chain(blocks_and_cuts(star_graph(3)))
-    assert not is_block_chain(blocks_and_cuts(spider(2, 2, 2)))
+    assert not is_block_chain(star_graph(3))
+    assert not is_block_chain(spider(2, 2, 2))
 
 
 def test_end_blocks_and_two_blocks():
+    # the end blocks are the bridge at leaf e and the triangle, whose only
+    # cut vertex is c
     g = graph_from_token_edges(
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e")])
     dec = blocks_and_cuts(g)
-    assert len(dec.end_blocks()) == 2
-    assert len(dec.two_blocks()) == 1
+    assert leaf_blocks(g) == 2
+    assert len(dec.two_blocks) == 1
+
+
+def _labels(g: Graph, vs) -> frozenset[str]:
+    return frozenset(g.labels[v] for v in vs)
+
+
+def _bridges(g: Graph, dec) -> set[tuple[str, str]]:
+    # a bridge is an edge between two pieces
+    return {g.label_edge((a, b)) for a, b in g.edges
+            if dec.piece_of[a] != dec.piece_of[b]}
+
+
+def leaf_blocks(g: Graph) -> int:
+    """Leaf blocks as `has_hamiltonian_path` counts them: the leaves, each
+    at the end of a bridge, and the 2-blocks with at most one cut vertex."""
+    dec = g.blocks
+    return (sum(1 for v in range(g.n) if g.degree(v) == 1)
+            + sum(len(b & dec.cut_vertices) <= 1 for b in dec.two_blocks))
 
 
 @pytest.mark.parametrize("seed", range(300))
@@ -105,14 +135,12 @@ def test_blocks_match_networkx(seed):
     h = nx_graph(g)
     dec = blocks_and_cuts(g)
 
-    ours = {frozenset(g.label_edge(e) for e in blk) for blk in dec.blocks}
-    theirs = {frozenset(tuple(sorted(e)) for e in blk)
-              for blk in nx.biconnected_component_edges(h)}
-    assert ours == theirs
+    ours = {_labels(g, b) for b in dec.two_blocks}
+    theirs = {frozenset(b) for b in nx.biconnected_components(h) if len(b) >= 3}
+    assert ours == theirs and len(ours) == len(dec.two_blocks)
 
     assert {g.labels[v] for v in dec.cut_vertices} == set(nx.articulation_points(h))
-    assert ({g.label_edge(e) for e in dec.bridges}
-            == {tuple(sorted(e)) for e in nx.bridges(h)})
+    assert _bridges(g, dec) == {tuple(sorted(e)) for e in nx.bridges(h)}
     assert _pieces(g, dec) == _pieces_by_networkx(g)
 
 
@@ -176,7 +204,7 @@ def test_bowtie_is_one_piece_of_two_blocks():
     g = graph_from_token_edges(
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
     dec = blocks_and_cuts(g)
-    assert len(dec.blocks) == 2 and not dec.bridges
+    assert len(dec.two_blocks) == 2 and not _bridges(g, dec)
     assert dec.piece_of == (0,) * 5
 
 
@@ -185,7 +213,7 @@ def test_cycles_joined_by_a_bridge_are_two_pieces():
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "x"),
          ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x")])
     dec = blocks_and_cuts(g)
-    assert {g.label_edge(e) for e in dec.bridges} == {("c", "x")}
+    assert _bridges(g, dec) == {("c", "x")}
     assert _pieces(g, dec) == {frozenset("abc"), frozenset("xyzw")}
     assert dec.piece_of == (0, 0, 0, 3, 3, 3, 3)
 
@@ -195,8 +223,10 @@ def test_cycles_joined_by_a_bridge_are_two_pieces():
 def test_tree_edges_are_all_bridges(n, seed):
     t = random_tree(n, seed)
     dec = blocks_and_cuts(t)
-    assert len(dec.bridges) == t.m
-    assert all(len(b) == 1 for b in dec.blocks)
+    assert dec.two_blocks == ()
+    # every vertex is a piece of its own
+    assert dec.piece_of == tuple(range(t.n))
+    assert len(_bridges(t, dec)) == t.m
 
 
 def _connected_labelled_graphs(max_n: int):
@@ -230,7 +260,7 @@ def test_memoised_blocks_match_a_fresh_decomposition():
         fresh = blocks_and_cuts(g)
         for f in fields(fresh):
             assert getattr(dec, f.name) == getattr(fresh, f.name), f.name
-        assert is_block_chain(dec) == is_block_chain(fresh) == _chain_by_networkx(g)
+        assert is_block_chain(g) == _chain_by_networkx(g)
     # connected labelled graphs on 1..5 vertices (OEIS A001187)
     assert count == 1 + 1 + 4 + 38 + 728
 
@@ -240,17 +270,17 @@ def test_every_block_graph_is_one_block(n):
     # a block is 2-connected or one edge, so as a graph of its own it is one
     # block without cut vertices, and a bridge only when it is one edge
     for g in enumerate_connected_graphs(n):
-        for i, block in enumerate(g.blocks.blocks):
-            b = block_graph(g, i)
-            assert b.label_edges() == tuple(sorted(g.label_edge(e) for e in block))
+        piece = g.blocks.piece_of
+        bridges = [frozenset(e) for e in g.edges if piece[e[0]] != piece[e[1]]]
+        for block in [*g.blocks.two_blocks, *bridges]:
+            b = block_graph(g, block)
+            assert set(b.labels) == _labels(g, block)
             assert list(b.labels) == sorted(b.labels)
             assert is_connected(b)
             dec = b.blocks
-            edges = frozenset(b.edges)
-            assert dec.blocks == (edges,)
-            assert dec.block_vertices == (frozenset(range(b.n)),)
+            assert dec.two_blocks == (() if b.m == 1 else (frozenset(range(b.n)),))
             assert dec.cut_vertices == frozenset()
-            assert dec.bridges == (edges if b.m == 1 else frozenset())
+            assert _bridges(b, dec) == (set(b.label_edges()) if b.m == 1 else set())
             assert dec.piece_of == ((0, 1) if b.m == 1 else (0,) * b.n)
 
 
@@ -259,4 +289,43 @@ def test_every_free_tree_edge_is_a_bridge():
     # they must be all of its edges
     for n in range(2, 13):
         for t in enumerate_free_trees(n):
-            assert blocks_and_cuts(t).bridges == frozenset(t.edges)
+            assert _bridges(t, blocks_and_cuts(t)) == set(t.label_edges())
+
+
+def _networkx_checks(g: Graph) -> None:
+    """The leaf-block count of `has_hamiltonian_path` gives the verdict of
+    counting every networkx block with at most one articulation point (the
+    counts are equal from three vertices on), and each block's edges are g's
+    edges inside its vertex set."""
+    h = nx_graph(g)
+    cuts = set(nx.articulation_points(h))
+    blocks = list(nx.biconnected_component_edges(h))
+    theirs = sum(len({v for e in blk for v in e} & cuts) <= 1 for blk in blocks)
+    ours = leaf_blocks(g)
+    leaves = sum(1 for v in range(g.n) if g.degree(v) == 1)
+    assert (leaves > 2 or ours > 2) == (leaves > 2 or theirs > 2), g.label_edges()
+    assert ours == theirs or g.n == 2, g.label_edges()
+    for blk in blocks:
+        verts = {v for e in blk for v in e}
+        assert ({tuple(sorted(e)) for e in blk}
+                == set(block_graph(g, frozenset(map(g.index, verts))).label_edges()))
+
+
+def _check_with_its_line_graph(g: Graph) -> None:
+    for h in (g, line_graph(g).graph if g.m else g):
+        if h.n >= 2:
+            _networkx_checks(h)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_leaf_blocks_and_block_edges_match_networkx(n):
+    for g in enumerate_connected_graphs(n):
+        _check_with_its_line_graph(g)
+
+
+@pytest.mark.parametrize("cycle_sizes", [(3, 4, 5), (3,), (4, 6)])
+def test_leaf_blocks_and_block_edges_match_networkx_on_the_glued_family(cycle_sizes):
+    family = gen_hamiltonian_2block_family(
+        FamilyParams(max_vertices=10, cycle_sizes=cycle_sizes))
+    for g, _ in family:
+        _check_with_its_line_graph(g)

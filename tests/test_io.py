@@ -3,6 +3,7 @@ import pytest
 
 from hpindex import (
     EdgeListParseError,
+    Graph,
     ValidationError,
     bridge_reduction,
     canonical_key,
@@ -155,6 +156,14 @@ def test_dot_output():
     g = from_edge_list("a b\nv q\n")
     dot = to_dot(g, "H")
     assert dot == 'graph H {\n  "q";\n  "a" -- "b";\n}\n'
+
+
+def test_dot_output_escapes_quotes_and_backslashes():
+    g = Graph(('say"hi', "back\\slash", 'x\\"'), [(0, 1)])
+    assert to_dot(g) == ('graph G {\n'
+                         '  "x\\\\\\"";\n'
+                         '  "back\\\\slash" -- "say\\"hi";\n'
+                         '}\n')
 
 
 @pytest.mark.parametrize("n", range(2, 122))

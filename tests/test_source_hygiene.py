@@ -300,7 +300,7 @@ def test_the_check_finds_an_unchecked_construction():
 
 
 def test_only_the_graph_module_builds_block_decompositions():
-    # the blocks, cut vertices, bridges and pieces are decided in one place;
+    # the 2-blocks, cut vertices and pieces are decided in one place;
     # every other function reads them off `Graph.blocks`
     assert scopes_calling(parsed_sources(), "BlockDecomposition") == [
         "graphs.py:blocks_and_cuts"]
@@ -311,16 +311,15 @@ def test_the_check_finds_a_block_decomposition_built_elsewhere():
         ("graphs.py", ast.parse(
             "def blocks_and_cuts(g):\n"
             "    if g.n == 1:\n"
-            "        return BlockDecomposition((), (), frozenset(), frozenset(), (0,))\n"
-            "    return BlockDecomposition(blocks, verts, cuts, bridges, up)\n"
-            "def block_graph(g, i):\n"
+            "        return BlockDecomposition((), frozenset(), (0,))\n"
+            "    return BlockDecomposition(two_blocks, cuts, up)\n"
+            "def block_graph(g, block):\n"
             "    h = Graph(labels, pairs)\n"
-            "    edges = frozenset(h.edges)\n"
-            "    h._blocks = BlockDecomposition((edges,), (frozenset(range(h.n)),),\n"
-            "                                   frozenset(), frozenset(), (0,) * h.n)\n"
+            "    h._blocks = BlockDecomposition((frozenset(range(h.n)),),\n"
+            "                                   frozenset(), (0,) * h.n)\n"
             "    return h\n")),
         ("formula.py", ast.parse(
-            "dec = graphs.BlockDecomposition(g.blocks.blocks, (), x, y, z)\n")),
+            "dec = graphs.BlockDecomposition(g.blocks.two_blocks, x, y)\n")),
         ("oracles.py", ast.parse(
             "from .graphs import BlockDecomposition\n"
             "def pieces(dec: BlockDecomposition) -> tuple:\n"
@@ -362,7 +361,7 @@ def test_the_check_finds_a_memo_slot_filled_elsewhere():
             "    if g._connected is None:\n"
             "        g._connected = _reaches_every_vertex(g)\n"
             "    return g._connected\n"
-            "def block_graph(g, i):\n"
+            "def block_graph(g, block):\n"
             "    h = Graph(labels, pairs)\n"
             "    h._blocks = BlockDecomposition(*fields)\n"
             "    h._connected = True\n"
