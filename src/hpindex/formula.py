@@ -29,6 +29,7 @@ loop.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +38,7 @@ from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, bfs_tree, block_graph, is_connected, is_path, is_tree
 from .io import to_edge_list
 from .oracles import (DEFAULT_SEARCH_BUDGET, IndexResult, SearchBudget,
-                      has_hamiltonian_cycle, hp_oracle)
+                      _time_left, has_hamiltonian_cycle, hp_oracle)
 
 PairValue = tuple[tuple[tuple[str, ...], tuple[str, ...]], int | None]
 
@@ -373,16 +374,18 @@ def hp_blockchain_conjecture(g: Graph,
     The hypothesis is checked block by block. A 2-block in which every
     vertex has two neighbours inside the block is a cycle, its own spanning
     cycle, so it is not searched and never hits the search cap; every other
-    2-block is searched, as `block_graph`, under `budget`.
+    2-block is searched, as `block_graph`, under `budget` and one deadline.
     """
     if not is_connected(g):
         raise PreconditionError("the conjectural formula needs a connected graph")
     if is_tree(g):
         return hp_tree(g)
-    for block in g.blocks.two_blocks:
-        if all(len(block.intersection(g.adj[v])) == 2 for v in block):
-            continue
-        ok, _ = has_hamiltonian_cycle(block_graph(g, block), budget)
+    deadline = time.monotonic() + budget.time_limit_s
+    searched = [b for b in g.blocks.two_blocks
+                if any(len(b.intersection(g.adj[v])) != 2 for v in b)]
+    for i, block in enumerate(searched):
+        ok, _ = has_hamiltonian_cycle(block_graph(g, block),
+                                      _time_left(budget, deadline) if i else budget)
         if not ok:
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "

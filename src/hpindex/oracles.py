@@ -28,9 +28,11 @@ dead-end check grows with n.
 has_dominating_trail splits its question at the bridges: the pieces of g
 without its bridges, contracted, form the bridge tree, and the trail's
 route through that tree is fixed before any search runs, so a tree is
-settled without one. Each piece on the route then gets an explicit-stack
-search of its own, and all of them draw from one node_budget; there is no
-edge cap. Neither it nor _dfs can exhaust Python's recursion limit.
+settled without one; a closed trail's route is a single piece. Each piece
+on the route gets an explicit-stack search that reads the clock every
+max(1, 4096 // m) nodes on m edges, and all of them draw from one
+node_budget; there is no edge cap. Neither it nor _dfs can exhaust
+Python's recursion limit.
 
 Every positive answer carries a witness walk and every witness is replayed
 against the graph before being returned; a failed replay raises
@@ -442,17 +444,17 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
     walk, from which its edge sequence can be read off pairwise.
 
     The question splits at the bridges into one search per bridgeless piece
-    (`g.blocks.piece_of`). A closed trail crosses no bridge, so it stays in
-    a piece that touches every edge and visits that piece's bridge ends. An
-    open trail crosses each bridge at most once, so the pieces it visits
-    form a path of the bridge tree, which must hold every piece with an
-    inner edge and every tree node of degree two or more; a trail running
-    on past the ends of that path only reaches leaves. Each piece on the
-    path gets a trail of its own, from the bridge it is entered by to the
-    bridge it is left by, through all its bridge ends. On a tree every
-    piece is one vertex, so the split alone decides. The piece searches
-    share one count of budget.node_budget nodes and one deadline, and raise
-    CappedError when either runs out; there is no size cap.
+    (`g.blocks.piece_of`). A trail crosses each bridge at most once, so the
+    pieces it visits form a path of the bridge tree, its route, which must
+    hold every piece with an inner edge and every tree node of degree two
+    or more; a trail running on past the route's ends only reaches leaves.
+    Each piece on the route gets a trail of its own, from the bridge it is
+    entered by to the bridge it is left by, through all its bridge ends. A
+    closed trail crosses no bridge, so its route is one piece, and its
+    trail there ends where it starts. On a tree every piece is one vertex,
+    so the split alone decides. The piece searches share one count of
+    budget.node_budget nodes and one deadline, and raise CappedError when
+    either runs out; there is no size cap.
     """
     if g.n == 0:
         raise PreconditionError("dominating trails need a nonempty graph")
@@ -468,27 +470,12 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         else:
             links[piece[a]].append((a, b))
             links[piece[b]].append((b, a))
-    search = _PieceSearch(budget)
-    if closed:
-        p = next((p for p in inner if len(inner[p]) + len(links[p]) == g.m), None)
-        if p is None:
-            return False, None
-        if not inner[p]:  # a star's centre, or K1
-            return _witnessed(g, [p], check_trail_witness, True)
-        need = {a for a, _ in links[p]}
-        # a closed trail can start at any vertex it visits: one in `need`,
-        # or else an end of the edge of least degree sum
-        starts = [min(need)] if need else min(
-            inner[p], key=lambda e: g.degree(e[0]) + g.degree(e[1]))
-        for s in starts:
-            walk = search.trail(inner[p], s, s, need)
-            if walk is not None:
-                return _witnessed(g, walk, check_trail_witness, True)
-        return False, None
     core = {p for p in inner if inner[p] or len(links[p]) > 1} or {piece[0]}
     steps = {p: [ab for ab in links[p] if piece[ab[1]] in core] for p in core}
-    if any(len(s) > 2 for s in steps.values()):
+    # a closed trail crosses no bridge, so its core is one piece
+    if closed and len(core) > 1 or any(len(s) > 2 for s in steps.values()):
         return False, None
+    search = _PieceSearch(budget)
     # the core is a path of the bridge tree; walk it from one end
     p = next(p for p in core if len(steps[p]) < 2)
     prev = entry = None
@@ -496,9 +483,17 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
     while True:
         out = next((ab for ab in steps[p] if piece[ab[1]] != prev), None)
         if inner[p]:
-            sub = search.trail(inner[p], entry, None if out is None else out[0],
-                               {a for a, _ in links[p]})
-            if sub is None:
+            need = {a for a, _ in links[p]}
+            end = None if out is None else out[0]
+            # a closed trail can start at any vertex it visits: one in
+            # `need`, or else an end of the edge of least degree sum
+            starts = [entry] if not closed else [min(need)] if need else min(
+                inner[p], key=lambda e: g.degree(e[0]) + g.degree(e[1]))
+            for s in starts:
+                sub = search.trail(inner[p], s, s if closed else end, need)
+                if sub is not None:
+                    break
+            else:
                 return False, None
             walk += sub
         else:
@@ -506,10 +501,10 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         if out is None:
             break
         prev, entry, p = p, out[1], piece[out[1]]
-    if len(walk) == 1 and g.m:
+    if len(walk) == 1 and g.m and not closed:
         # only a star's centre, or an end of K2: cross one of its edges
         walk.append(g.adj[walk[0]][0])
-    return _witnessed(g, walk, check_trail_witness, False)
+    return _witnessed(g, walk, check_trail_witness, closed)
 
 
 class _PieceSearch:
@@ -554,6 +549,7 @@ class _PieceSearch:
         want = sum(1 << pos[v] for v in need)
         stop = -1 if end is None else pos[end]
         nodes, cap, deadline = self.nodes, self.node_budget, self.deadline
+        tick = max(1, 4096 // len(edges))  # each node floods the piece
         failed: set[tuple[int, int]] = set()
         for s in range(len(verts)) if start is None else (pos[start],):
             # one entry per trail vertex: (vertex, used, covered, seen, untried edges)
@@ -573,7 +569,7 @@ class _PieceSearch:
                 nodes += 1
                 if nodes > cap:
                     raise CappedError("trail search node budget exhausted")
-                if not nodes % 4096 and time.monotonic() > deadline:
+                if not nodes % tick and time.monotonic() > deadline:
                     raise CappedError("time limit hit during trail search")
                 covered |= incident[w]
                 seen |= 1 << w
@@ -637,7 +633,7 @@ def h_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexRes
 def _time_left(budget: SearchBudget, deadline: float) -> SearchBudget:
     left = deadline - time.monotonic()
     if left <= 0:
-        raise CappedError("time limit hit before a stage search")
+        raise CappedError("time limit hit before a search")
     return replace(budget, time_limit_s=left)
 
 

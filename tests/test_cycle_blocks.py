@@ -3,11 +3,15 @@
 The formula no longer searches a 2-block with as many edges as vertices for
 a spanning cycle, since such a block is a cycle. These tests confirm that
 premise on every such block met, and compare the formula with a reference
-that searches every 2-block first, as the formula used to.
+that searches every 2-block first, as the formula used to. The last test
+checks that one deadline covers every block the formula does search.
 """
+
+import time
 
 import pytest
 
+from hpindex import formula
 from hpindex import (CappedError, FamilyParams, PreconditionError,
                      SearchBudget, enumerate_connected_graphs,
                      gen_hamiltonian_2block_family, graph_from_token_edges,
@@ -101,3 +105,29 @@ def test_a_cycle_block_is_not_refused_by_the_search_cap():
         + [("k3", "k4"), ("k4", "k0")])
     with pytest.raises(CappedError):
         hp_blockchain_conjecture(dense, small)
+
+
+def test_one_deadline_covers_every_block_search(monkeypatch):
+    # three K4 blocks in a chain, each searched: every search takes two
+    # thirds of the limit and says yes, so only the deadline can end the
+    # call, before the third search
+    limit, step = 0.15, 0.1
+    limits = []
+
+    def slow_yes(g, budget):
+        limits.append(budget.time_limit_s)
+        time.sleep(step)
+        return True, None
+
+    monkeypatch.setattr(formula, "has_hamiltonian_cycle", slow_yes)
+    g = graph_from_token_edges(
+        [(f"k{b}{i}", f"k{b}{j}") for b in range(3)
+         for i in range(4) for j in range(i + 1, 4)]
+        + [("k03", "k10"), ("k13", "k20")])
+    t0 = time.monotonic()
+    with pytest.raises(CappedError, match="time limit"):
+        hp_blockchain_conjecture(g, SearchBudget(time_limit_s=limit))
+    # the third search never starts
+    assert time.monotonic() - t0 < 3 * step
+    assert limits[0] == limit and len(limits) == 2
+    assert 0 < limits[1] < limit

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import sys
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hpindex import (
     CappedError,
+    FamilyParams,
     Graph,
     InternalCheckError,
     IterationBudget,
@@ -18,6 +20,7 @@ from hpindex import (
     cycle_graph,
     double_spider,
     enumerate_connected_graphs,
+    gen_hamiltonian_2block_family,
     graph_from_token_edges,
     h_oracle,
     has_dominating_trail,
@@ -414,6 +417,49 @@ def test_piece_search_spends_the_node_budget():
     # K5 is one piece, and its trail takes more than one step
     with pytest.raises(CappedError, match="^trail search node budget exhausted$"):
         has_dominating_trail(complete_graph(5), SearchBudget(node_budget=1))
+
+
+def _grid_with_tails(k):
+    # the k x k grid, one piece, with a two-edge tail at two opposite corners:
+    # the route enters the grid at one corner and must leave it at the other
+    edges = [((i, j), (i + di, j + dj)) for i in range(k) for j in range(k)
+             for di, dj in ((1, 0), (0, 1)) if i + di < k and j + dj < k]
+    edges += [((0, 0), "a1"), ("a1", "a2"), ((k - 1, k - 1), "b1"), ("b1", "b2")]
+    return graph_from_token_edges([(str(a), str(b)) for a, b in edges])
+
+
+def test_trail_search_reads_the_clock_by_piece_size():
+    # 3,124 edges: every node floods the grid, so a clock read every 4096
+    # nodes came 3 s after a 0.05 s limit
+    g = _grid_with_tails(40)
+    assert g.m == 3_124
+    t0 = time.monotonic()
+    with pytest.raises(CappedError, match="time limit"):
+        has_dominating_trail(g, SearchBudget(time_limit_s=0.05))
+    assert time.monotonic() - t0 < 0.5
+
+
+def _pinned_trail_corpus():
+    for n in range(2, 7):
+        yield from enumerate_connected_graphs(n)
+    family = gen_hamiltonian_2block_family(
+        FamilyParams(max_vertices=10, cycle_sizes=(3, 4, 5)))
+    yield from (g for g, _ in family)
+
+
+# sha256 over the reprs of has_dominating_trail(g, closed=c), verdict and
+# witness, for c = False then True over the corpus above; recorded from the
+# engine that searched closed trails apart from the open route
+PINNED_TRAIL_DIGEST = (
+    "0b58d0f8aeb38a42e3186c59b19a29f512db8e05805cae7cae37ab0ff7661fcd")
+
+
+def test_dominating_trail_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for g in _pinned_trail_corpus():
+        for closed in (False, True):
+            digest.update(repr(has_dominating_trail(g, closed=closed)).encode())
+    assert digest.hexdigest() == PINNED_TRAIL_DIGEST
 
 
 def test_dominating_trail_edge_cases():
