@@ -31,20 +31,11 @@ from .formula import (
     hp_blockchain_conjecture,
     hp_tree,
 )
-from .families import (
-    complete_graph,
-    cycle_graph,
-    double_spider,
-    path_graph,
-    spider,
-    star_graph,
-)
 from .generators import (
     FamilyParams,
     enumerate_connected_graphs,
     enumerate_free_trees,
     gen_hamiltonian_2block_family,
-    random_connected_graph,
     random_tree,
 )
 from .graphs import (
@@ -105,9 +96,6 @@ __all__ = [
     "bridge_reduction",
     "canonical_key",
     "compare_formula_oracle",
-    "complete_graph",
-    "cycle_graph",
-    "double_spider",
     "enumerate_connected_graphs",
     "enumerate_free_trees",
     "explore_conclusion",
@@ -128,12 +116,8 @@ __all__ = [
     "is_tree",
     "iterate",
     "line_graph",
-    "path_graph",
     "predict_line_size",
-    "random_connected_graph",
     "random_tree",
-    "spider",
-    "star_graph",
     "to_dot",
     "to_edge_list",
     "to_graph6",

@@ -118,18 +118,18 @@ def verify_trees(max_n: int,
 
 @dataclass(frozen=True)
 class _TrailRecord:
-    """One dominating-trail versus line-graph comparison; `trail_ok` is
-    None when the trail search was capped."""
+    """One dominating-trail versus line-graph comparison; `trail_ok` and
+    `line_ok` are None when their search was capped."""
 
     graph: Graph
     family_tag: str
     kind: str
     trail_ok: bool | None
-    line_ok: bool
+    line_ok: bool | None
 
     @property
     def verdict(self) -> str:
-        if self.trail_ok is None:
+        if self.trail_ok is None or self.line_ok is None:
             return "capped"
         return "agree" if self.trail_ok == self.line_ok else "mismatch"
 
@@ -154,6 +154,7 @@ def _verify_trail_criterion(name: str, max_n: int, min_edges: int, closed: bool,
         raise ValidationError(
             f"{name} supports max_n in 2..{LABELED_GRAPH_CAP}")
     kind = "dominating_closed_trail" if closed else "dominating_trail"
+    search = has_hamiltonian_cycle if closed else has_hamiltonian_path
 
     def records():
         for n in range(2, max_n + 1):
@@ -161,10 +162,10 @@ def _verify_trail_criterion(name: str, max_n: int, min_edges: int, closed: bool,
                 if g.m < min_edges:
                     continue
                 lg = line_graph(g).graph
-                if closed:
-                    line_ok, _ = has_hamiltonian_cycle(lg, budget)
-                else:
-                    line_ok, _ = has_hamiltonian_path(lg, budget)
+                try:
+                    line_ok, _ = search(lg, budget)
+                except CappedError:
+                    line_ok = None
                 try:
                     trail_ok, _ = has_dominating_trail(g, budget, closed=closed)
                 except CappedError:

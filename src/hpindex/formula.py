@@ -38,7 +38,8 @@ from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, bfs_tree, block_graph, is_connected, is_path, is_tree
 from .io import to_edge_list
 from .oracles import (DEFAULT_SEARCH_BUDGET, IndexResult, SearchBudget,
-                      _time_left, has_hamiltonian_cycle, hp_oracle)
+                      StageRecord, _time_left, has_hamiltonian_cycle,
+                      hp_oracle)
 
 PairValue = tuple[tuple[tuple[str, ...], tuple[str, ...]], int | None]
 
@@ -445,15 +446,24 @@ def compare_formula_oracle(g: Graph,
                            budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
                            family_tag: str = "") -> ExplorerRecord:
     """Run the (possibly conjectural) formula and the exact stage loop side
-    by side. The verdict is "agree", "mismatch", or "capped" when the oracle
-    ran out of budget before settling the value.
+    by side. The verdict is "agree", "mismatch", or "capped" when either ran
+    out of budget before settling the value. One deadline covers both: the
+    stage loop gets the time the formula left, and when none is left it is
+    capped before its first search.
     """
+    deadline = time.monotonic() + budget.time_limit_s
     try:
         formula = hp_blockchain_conjecture(g, budget)
         formula_value: int | None = formula.value
     except CappedError:
         formula, formula_value = None, None
-    oracle = hp_oracle(g, budget)
+    try:
+        left = _time_left(budget, deadline)
+    except CappedError as exc:
+        oracle = IndexResult(None, (StageRecord(0, g.n, g.m, "capped"),),
+                             None, str(exc))
+    else:
+        oracle = hp_oracle(g, left)
     if formula_value is None or oracle.value is None:
         verdict = "capped"
     else:

@@ -1,4 +1,4 @@
-"""Instance sources: exhaustive enumerations, seeded random graphs, and the
+"""Instance sources: exhaustive enumerations, seeded random trees, and the
 glued-cycle family driven by the explorer.
 
 Free trees are streamed as canonical level sequences (Beyer-Hedetniemi
@@ -178,21 +178,6 @@ def random_tree(n: int, seed: int) -> Graph:
     if n < 2:
         raise PreconditionError("random_tree needs n >= 2")
     return _random_tree(n, SplitMix64(seed))
-
-
-def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
-    """Random spanning tree plus `extra_edges` distinct non-tree edges."""
-    if n < 2:
-        raise PreconditionError("random_connected_graph needs n >= 2")
-    if extra_edges < 0:
-        raise ValidationError("extra_edges must be nonnegative")
-    rng = SplitMix64(seed)
-    base = _random_tree(n, rng)
-    present = set(base.edges)
-    spare = [p for p in combinations(range(n), 2) if p not in present]
-    rng.shuffle(spare)
-    chosen = spare[: min(extra_edges, len(spare))]
-    return Graph(base.labels, list(base.edges) + chosen)
 
 
 # ----------------------------------------------------------- explorer family

@@ -43,9 +43,3 @@ class SplitMix64:
             r = self.next_u64()
             if r < limit:
                 return r % n
-
-    def shuffle(self, items: list) -> None:
-        """Fisher-Yates, in place."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]

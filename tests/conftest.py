@@ -1,7 +1,8 @@
 import networkx as nx
 import pytest
 
-from hpindex import Graph, cycle_graph, enumerate_free_trees, path_graph
+from hpindex import Graph, enumerate_free_trees
+from shapes import cycle_graph, path_graph
 
 
 def nx_graph(g: Graph) -> nx.Graph:

@@ -1,9 +1,13 @@
-"""Constructors for the small named graph families used throughout."""
+"""Constructors for the small named graph families and the seeded random
+connected graphs that the tests build their cases from."""
 
 from __future__ import annotations
 
-from .errors import ValidationError
-from .graphs import Graph, graph_from_token_edges
+from itertools import combinations
+
+from hpindex import (Graph, PreconditionError, SplitMix64, ValidationError,
+                     graph_from_token_edges)
+from hpindex.generators import _random_tree
 
 
 def path_graph(n: int) -> Graph:
@@ -76,3 +80,25 @@ def double_spider(left: tuple[int, ...], middle: int, right: tuple[int, ...]) ->
                 edges.append((prev, cur))
                 prev = cur
     return graph_from_token_edges(edges)
+
+
+def shuffle(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates, in place."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
+    """Random spanning tree plus `extra_edges` distinct non-tree edges."""
+    if n < 2:
+        raise PreconditionError("random_connected_graph needs n >= 2")
+    if extra_edges < 0:
+        raise ValidationError("extra_edges must be nonnegative")
+    rng = SplitMix64(seed)
+    base = _random_tree(n, rng)
+    present = set(base.edges)
+    spare = [p for p in combinations(range(n), 2) if p not in present]
+    shuffle(rng, spare)
+    chosen = spare[: min(extra_edges, len(spare))]
+    return Graph(base.labels, list(base.edges) + chosen)

@@ -14,7 +14,6 @@ from hpindex import (
     branches,
     blocks_and_cuts,
     compare_formula_oracle,
-    double_spider,
     explore_conclusion,
     graph_from_token_edges,
     hp_oracle,
@@ -22,11 +21,7 @@ from hpindex import (
     is_path,
     iterate,
     line_graph,
-    path_graph,
     predict_line_size,
-    random_connected_graph,
-    spider,
-    star_graph,
     verify_hnw,
     verify_trees,
     verify_xiongzong,
@@ -36,6 +31,8 @@ from hpindex.oracles import SearchBudget, h_oracle
 from conftest import is_block_chain
 from reference_linegraph import iterate_with_provenance, original_edge_support
 from reference_trees import is_caterpillar
+from shapes import (double_spider, path_graph, random_connected_graph, spider,
+                    star_graph)
 
 
 def test_criterion_01_tree_formula_matches_oracle():

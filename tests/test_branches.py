@@ -5,19 +5,15 @@ from hpindex import (
     PreconditionError,
     absorption_time,
     branches,
-    cycle_graph,
-    double_spider,
     enumerate_connected_graphs,
     graph_from_token_edges,
-    path_graph,
-    spider,
-    star_graph,
 )
 from hpindex.branches import endpaths
 
 from conftest import nx_graph
 from reference_formula import candidate_endpaths, maximal_pairs
 from reference_trees import is_caterpillar
+from shapes import cycle_graph, double_spider, path_graph, spider, star_graph
 
 
 def branch_map(g):

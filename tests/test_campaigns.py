@@ -81,6 +81,20 @@ def test_verify_trees_tight_budget_caps_honestly():
     assert sum(report.counts.values()) == report.instances
 
 
+@pytest.mark.parametrize("campaign, instances",
+                         [(verify_xiongzong, 771), (verify_hnw, 767)])
+def test_trail_campaigns_tight_budget_cap_honestly(campaign, instances):
+    # line graphs above three vertices are refused unless they are paths or
+    # cycles, so most of the connected graphs on five vertices cap
+    budget = SearchBudget(dp_vertex_cap=3, backtrack_vertex_cap=3)
+    report = campaign(5, budget=budget)
+    assert report.instances == instances
+    assert report.counts["capped"] > 0
+    assert report.counts["agree"] > 0
+    assert report.counts["mismatch"] == 0
+    assert sum(report.counts.values()) == report.instances
+
+
 def test_verify_xiongzong_exhaustive_small():
     report = verify_xiongzong(4)
     assert report.campaign == "verify-xiongzong"

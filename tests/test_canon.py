@@ -11,17 +11,14 @@ from hpindex import (
     CappedError,
     SplitMix64,
     canonical_key,
-    complete_graph,
-    cycle_graph,
     enumerate_connected_graphs,
     enumerate_free_trees,
     graph_from_token_edges,
     graph_key,
-    path_graph,
-    random_connected_graph,
     random_tree,
-    star_graph,
 )
+from shapes import (complete_graph, cycle_graph, path_graph,
+                    random_connected_graph, shuffle, star_graph)
 from conftest import nx_graph
 
 
@@ -29,7 +26,7 @@ def relabeled(g: Graph, seed: int) -> Graph:
     """Same structure under a seeded permutation, with fresh vertex names."""
     rng = SplitMix64(seed)
     perm = list(range(g.n))
-    rng.shuffle(perm)
+    shuffle(rng, perm)
     labels = tuple(f"r{i}" for i in range(g.n))
     return Graph(labels, [(perm[a], perm[b]) for a, b in g.edges])
 

@@ -16,17 +16,13 @@ import pytest
 import hpindex
 from hpindex import (
     canonical_key,
-    complete_graph,
-    cycle_graph,
     from_edge_list,
     from_graph6,
     hp_tree,
-    path_graph,
     random_tree,
-    spider,
-    star_graph,
     to_edge_list,
 )
+from shapes import complete_graph, cycle_graph, path_graph, spider, star_graph
 from hpindex.campaigns import CampaignReport, _TrailRecord
 from hpindex.cli import _emit_report, main
 from hpindex.version import __version__

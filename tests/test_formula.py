@@ -1,4 +1,5 @@
 import sys
+import time
 from collections import Counter
 
 import networkx as nx
@@ -10,11 +11,11 @@ from hpindex import (
     CappedError,
     Graph,
     PreconditionError,
+    SearchBudget,
+    StageRecord,
     blocks_and_cuts,
     bridge_reduction,
     compare_formula_oracle,
-    cycle_graph,
-    double_spider,
     enumerate_connected_graphs,
     graph_from_token_edges,
     hp_blockchain_conjecture,
@@ -22,13 +23,11 @@ from hpindex import (
     hp_tree,
     is_path,
     line_graph,
-    path_graph,
     random_tree,
-    spider,
-    star_graph,
 )
-from hpindex import formula
+from hpindex import formula, oracles
 from reference_formula import reduction_label_map
+from shapes import cycle_graph, double_spider, path_graph, spider, star_graph
 from conftest import tadpole
 
 DESK_EXAMPLES = [
@@ -320,6 +319,38 @@ def test_compare_capped_oracle_reports_capped():
     rec = compare_formula_oracle(tadpole(50))
     assert rec.verdict == "capped"
     assert rec.to_json_dict()["oracle_value"] == "capped"
+
+
+def test_one_comparison_runs_under_one_deadline(monkeypatch):
+    # three K4 blocks in a chain: each block search takes two thirds of the
+    # limit, so the formula spends the whole limit on two of them and the
+    # stage loop is capped before its first search
+    limit, step = 0.15, 0.1
+    searched = []
+
+    def slow_yes(g, budget):
+        time.sleep(step)
+        return True, None
+
+    def slow_path(g, budget):
+        searched.append(g.n)
+        time.sleep(step)
+        return True, None
+
+    monkeypatch.setattr(formula, "has_hamiltonian_cycle", slow_yes)
+    monkeypatch.setattr(oracles, "has_hamiltonian_path", slow_path)
+    g = graph_from_token_edges(
+        [(f"k{b}{i}", f"k{b}{j}") for b in range(3)
+         for i in range(4) for j in range(i + 1, 4)]
+        + [("k03", "k10"), ("k13", "k20")])
+    t0 = time.monotonic()
+    rec = compare_formula_oracle(g, SearchBudget(time_limit_s=limit))
+    assert time.monotonic() - t0 < 3 * step
+    assert searched == []
+    assert rec.verdict == "capped"
+    assert rec.formula is None and rec.oracle.value is None
+    assert rec.oracle.capped_reason == "time limit hit before a search"
+    assert rec.oracle.stages == (StageRecord(0, 12, 20, "capped"),)
 
 
 def test_deep_junction_tree_needs_no_recursion():

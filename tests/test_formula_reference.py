@@ -13,7 +13,6 @@ import pytest
 
 from hpindex import (
     FamilyParams,
-    double_spider,
     enumerate_free_trees,
     gen_hamiltonian_2block_family,
     graph_from_token_edges,
@@ -22,11 +21,10 @@ from hpindex import (
     is_path,
     is_tree,
     random_tree,
-    spider,
-    star_graph,
 )
 from hpindex import formula
 from reference_formula import reference_formula
+from shapes import double_spider, spider, star_graph
 
 
 @pytest.fixture

@@ -30,9 +30,7 @@ from hpindex import (
     hp_blockchain_conjecture,
     is_connected,
     is_tree,
-    random_connected_graph,
     random_tree,
-    spider,
     to_edge_list,
     to_graph6,
 )
@@ -44,6 +42,7 @@ from reference_trees import (
     free_tree_counts,
     rooted_tree_counts,
 )
+from shapes import random_connected_graph, spider
 
 
 # ------------------------------------------------------------- count oracles

@@ -12,7 +12,6 @@ from hpindex import (
     Graph,
     ValidationError,
     blocks_and_cuts,
-    cycle_graph,
     enumerate_connected_graphs,
     enumerate_free_trees,
     gen_hamiltonian_2block_family,
@@ -21,12 +20,10 @@ from hpindex import (
     is_path,
     is_tree,
     line_graph,
-    path_graph,
-    random_connected_graph,
     random_tree,
-    spider,
-    star_graph,
 )
+from shapes import (cycle_graph, path_graph, random_connected_graph, spider,
+                    star_graph)
 from hpindex.graphs import block_graph
 from conftest import is_block_chain, nx_graph
 

@@ -7,17 +7,15 @@ from hpindex import (
     ValidationError,
     bridge_reduction,
     canonical_key,
-    complete_graph,
-    cycle_graph,
     from_edge_list,
     from_graph6,
     graph_from_token_edges,
-    path_graph,
-    random_connected_graph,
     to_dot,
     to_edge_list,
     to_graph6,
 )
+from shapes import (complete_graph, cycle_graph, path_graph,
+                    random_connected_graph)
 from conftest import nx_graph
 
 

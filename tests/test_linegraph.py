@@ -8,22 +8,17 @@ from hpindex import (
     IterationBudget,
     PreconditionError,
     canonical_key,
-    complete_graph,
-    cycle_graph,
-    double_spider,
     graph_from_token_edges,
     is_connected,
     is_path,
     iterate,
     line_graph,
-    path_graph,
     predict_line_size,
-    random_connected_graph,
-    spider,
-    star_graph,
 )
 from conftest import nx_graph
 from reference_linegraph import iterate_with_provenance, original_edge_support
+from shapes import (complete_graph, cycle_graph, double_spider, path_graph,
+                    random_connected_graph, spider, star_graph)
 
 
 def test_line_of_path_is_shorter_path():

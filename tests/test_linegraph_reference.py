@@ -9,9 +9,10 @@ re-validating the fast result gives back the same graph.
 import pytest
 
 from hpindex import (enumerate_connected_graphs, graph_from_token_edges,
-                     line_graph, random_tree, star_graph)
+                     line_graph, random_tree)
 from hpindex.graphs import Graph
 from reference_linegraph import line_graph as reference_line_graph
+from shapes import star_graph
 
 
 def same_line_graph(g):

@@ -16,9 +16,6 @@ from hpindex import (
     PreconditionError,
     SearchBudget,
     ValidationError,
-    complete_graph,
-    cycle_graph,
-    double_spider,
     enumerate_connected_graphs,
     gen_hamiltonian_2block_family,
     graph_from_token_edges,
@@ -28,13 +25,11 @@ from hpindex import (
     has_hamiltonian_path,
     hp_oracle,
     line_graph,
-    path_graph,
-    random_connected_graph,
-    spider,
-    star_graph,
 )
 from hpindex import oracles
 from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail_witness
+from shapes import (complete_graph, cycle_graph, double_spider, path_graph,
+                    random_connected_graph, spider, star_graph)
 from conftest import chorded_cycle, tadpole
 
 BOWTIE = graph_from_token_edges(

@@ -18,12 +18,13 @@ import pytest
 
 from hpindex import (CappedError, FamilyParams, enumerate_connected_graphs,
                      enumerate_free_trees, gen_hamiltonian_2block_family,
-                     graph_from_token_edges, line_graph, random_connected_graph)
+                     graph_from_token_edges, line_graph)
 from hpindex import oracles
 from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail_witness
 from reference_linegraph import trail_as_line_walk
 from reference_search import (_backtrack, _dp_table_py, _lex_backtrack,
                               has_dominating_trail)
+from shapes import random_connected_graph
 
 NO_DEADLINE = float("inf")
 

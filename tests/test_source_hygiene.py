@@ -9,7 +9,8 @@ import hpindex
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SRC = Path(hpindex.__file__).parent
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def parsed_sources() -> list[tuple[str, ast.AST]]:
@@ -181,6 +182,43 @@ def stray_raises(modules: list[tuple[str, ast.AST]],
     return found
 
 
+def traced_targets() -> tuple[tuple[str, str, str], ...]:
+    """The tracer's `TARGETS`, read with ast so the bench is never imported
+    by the tests."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                        for t in node.targets))
+
+
+def program_sources() -> list[tuple[str, ast.AST]]:
+    """The package's modules but `__init__.py`, then `scripts/` and
+    `perfbench/`: every program that calls the package."""
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    return [(str(path), ast.parse(path.read_text(), filename=str(path)))
+            for path in paths]
+
+
+def public_names_without_caller(public: list[str],
+                                modules: list[tuple[str, ast.AST]],
+                                traced: set[str]) -> list[str]:
+    """The public names that the tracer does not wrap and that no program
+    module mentions outside the name's own top-level definition, so a
+    function calling itself is no caller: names only the tests use."""
+    used = set(traced)
+    for _, module in modules:
+        for stmt in module.body:
+            names = used_names([stmt])
+            if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    return sorted(name for name in public if name not in used)
+
+
 def exported_names(package: ModuleType) -> list[str]:
     """The public names the package binds, submodules left out, plus
     `__version__`: what its `__all__` should list."""
@@ -203,6 +241,36 @@ def test_the_check_finds_the_public_names():
     package.iterate = len
     package._cap = 80
     assert exported_names(package) == ["Graph", "__version__", "iterate"]
+
+
+def test_every_public_name_has_a_program_caller():
+    # code that only the tests use belongs in the tests
+    traced = {fn for _, fn, _ in traced_targets()}
+    assert public_names_without_caller(
+        hpindex.__all__, program_sources(), traced) == []
+
+
+def test_the_check_finds_a_public_name_only_the_tests_use():
+    modules = [
+        ("graphs.py", ast.parse(
+            "class Graph:\n"
+            "    def copy(self) -> 'Graph':\n"
+            "        return Graph(self.labels, self.edges)\n"
+            "def is_tree(g: Graph) -> bool:\n"
+            "    return g.m == g.n - 1\n"
+            "def star_graph(leaves):\n"
+            "    return star_graph(leaves - 1)\n")),
+        ("io.py", ast.parse(
+            "from .graphs import Graph\n"
+            "def from_edge_list(text):\n"
+            "    return Graph((), ())\n")),
+        ("workloads.py", ast.parse(
+            "import hpindex\n"
+            "tree = hpindex.from_edge_list('a b')\n")),
+    ]
+    public = ["Graph", "endpaths", "from_edge_list", "is_tree", "star_graph"]
+    assert public_names_without_caller(public, modules, {"endpaths"}) == [
+        "is_tree", "star_graph"]
 
 
 def test_no_nested_function_refers_to_itself():
@@ -423,12 +491,7 @@ def test_the_check_finds_recursion_but_not_a_method_calling_a_global():
 
 
 def test_every_traced_target_exists():
-    # read with ast so the bench is never imported by the tests
-    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and any(isinstance(t, ast.Name) and t.id == "TARGETS"
-                           for t in node.targets))
+    targets = traced_targets()
     assert targets
     missing = [f"{mod}.{fn}" for mod, fn, _ in targets
                if not hasattr(importlib.import_module(f"hpindex.{mod}"), fn)]

@@ -24,10 +24,10 @@ from hpindex import (
     has_hamiltonian_path,
     hp_oracle,
     is_path,
-    random_connected_graph,
 )
 from hpindex import oracles
 from reference_tables import _dp_table_np as reference_table
+from shapes import random_connected_graph
 
 NO_DEADLINE = float("inf")
 
