@@ -23,7 +23,12 @@ min(prepass_nodes, _LEX_NODES) nodes, and its walk, flipped, is exactly the
 walk the table would return; from 17 on, and in the backtracking tier, it
 tries low-degree vertices first, capped at prepass_nodes or node_budget
 nodes. It reads the clock every max(1, 4096 // n) nodes, as a node's
-dead-end check grows with n.
+dead-end check grows with n. A cycle search never steps onto the last
+unvisited neighbour of vertex 0 before its last step, as the walk could
+then not close. Like the dead-end check, this cuts only branches with no
+completion, so each order still finds its first walk, in fewer nodes. A
+17-24-vertex cycle stage takes its witness from the degree-ordered prepass
+when that settles within prepass_nodes, and from the table otherwise.
 
 has_dominating_trail splits its question at the bridges: the pieces of g
 without its bridges, contracted, form the bridge tree, and the trail's
@@ -43,7 +48,7 @@ surface as a capped stage result), never a wrong answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -276,7 +281,11 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
     _dead_end passes. Returns the walk, or None when there is none; raises
     _Inconclusive when more than node_budget nodes are placed and CappedError
     on the wall-clock deadline, checked every max(1, 4096 // n) nodes, as
-    _dead_end's flood costs a node time that grows with n.
+    _dead_end's flood costs a node time that grows with n. When close_to is
+    set, a walk must end next to close_to, so close_to's last unvisited
+    neighbour is dropped from a node's candidates unless it is the only
+    unvisited vertex left; like _dead_end, this cuts only branches with no
+    completion. Paths pay one test of close_to per node for it.
     """
     full = (1 << n) - 1
     tick = max(1, 4096 // n)
@@ -310,6 +319,12 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
             rest = ~nv
             nxt = []
             cand = adj[w] & rest
+            if close_to is not None:
+                # the walk closes from close_to's last unvisited neighbour,
+                # so that vertex comes last or not at all
+                left = adj[close_to] & rest
+                if not left & (left - 1) and full ^ nv != left:
+                    cand &= ~left
             while cand:
                 bit = cand & -cand
                 cand ^= bit
@@ -634,7 +649,11 @@ def _time_left(budget: SearchBudget, deadline: float) -> SearchBudget:
     left = deadline - time.monotonic()
     if left <= 0:
         raise CappedError("time limit hit before a search")
-    return replace(budget, time_limit_s=left)
+    # `replace` would re-run __post_init__'s checks, which `budget` has
+    # passed and a positive limit passes, at five times the cost
+    out = object.__new__(SearchBudget)
+    out.__dict__.update(budget.__dict__, time_limit_s=left)
+    return out
 
 
 def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import sys
 import time
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from hpindex import (
     PreconditionError,
     SearchBudget,
     ValidationError,
+    absorption_time,
+    branches,
     enumerate_connected_graphs,
     gen_hamiltonian_2block_family,
     graph_from_token_edges,
@@ -24,6 +27,7 @@ from hpindex import (
     has_hamiltonian_cycle,
     has_hamiltonian_path,
     hp_oracle,
+    is_path,
     line_graph,
 )
 from hpindex import oracles
@@ -564,6 +568,63 @@ def test_h_oracle_values():
 def test_h_oracle_rejects_paths():
     with pytest.raises(PreconditionError):
         h_oracle(path_graph(5))
+
+
+def _chartrand_wall(t):
+    # h of a non-path tree: the largest absorption time of its branches
+    return max(absorption_time(b) for b in branches(t))
+
+
+@pytest.mark.parametrize("edges, h", [
+    # stages of 8, 7, 12, 35; 9, 8, 13, 39; 9, 8, 14, 39; 9, 8, 9, 14, 36
+    # vertices: the last cycle search drains even 5,000,000 nodes unless a
+    # walk is kept off vertex 0's last unvisited neighbour until its last step
+    ("1-2 1-5 1-6 1-7 1-8 2-3 3-4", 3),
+    ("1-2 1-5 1-7 1-8 1-9 2-3 3-4 5-6", 3),
+    ("1-2 1-6 1-7 1-8 1-9 2-3 3-4 3-5", 3),
+    ("1-2 1-6 1-9 2-3 3-4 4-5 6-7 6-8", 4),
+    # stages of 9, 8, 13, 30 vertices; the last drains 50,000 nodes
+    # without that cut
+    ("1-2 1-6 2-3 2-4 2-5 6-7 6-8 6-9", 3),
+])
+def test_spider_like_trees_settle_under_a_small_node_budget(edges, h):
+    t = graph_from_token_edges([e.split("-") for e in edges.split()])
+    res = h_oracle(t, SearchBudget(node_budget=50_000))
+    assert res.value == h == _chartrand_wall(t)
+    assert [s.verdict for s in res.stages] == ["not-hamiltonian"] * h + ["hamiltonian"]
+
+
+def test_h_oracle_matches_chartrand_wall_on_trees(trees_to_9):
+    # past 40 vertices a stage that is not a cycle is refused, the one cap
+    # these trees meet; none drains the node budget
+    refused = 0
+    for t in trees_to_9:
+        if is_path(t):
+            continue
+        res = h_oracle(t)
+        if res.value is None:
+            assert res.capped_reason.endswith("exceed the search cap 40"), t.label_edges()
+            refused += 1
+        else:
+            assert res.value == _chartrand_wall(t), t.label_edges()
+    assert refused == 9
+
+
+@pytest.mark.parametrize("budget", [
+    SearchBudget(),
+    SearchBudget(dp_vertex_cap=16, node_budget=2_000, time_limit_s=3600,
+                 stage_cap=3, iteration=IterationBudget(max_vertices=50, max_edges=90)),
+])
+def test_time_left_is_the_budget_with_the_time_left(monkeypatch, budget):
+    monkeypatch.setattr(oracles.time, "monotonic", lambda: 100.0)
+    left = oracles._time_left(budget, 102.5)
+    assert left == replace(budget, time_limit_s=2.5)
+    assert hash(left) == hash(replace(budget, time_limit_s=2.5))
+    assert budget.time_limit_s != 2.5
+    with pytest.raises(FrozenInstanceError):
+        left.time_limit_s = 1.0
+    with pytest.raises(CappedError, match="before a search"):
+        oracles._time_left(budget, 100.0)
 
 
 def test_index_result_json_shape():
