@@ -22,10 +22,14 @@ _PREPASS_FLOOR (17) it walks vertices in index order, capped at
 min(prepass_nodes, _LEX_NODES) nodes, and its walk, flipped, is exactly the
 walk the table would return; from 17 on, and in the backtracking tier, it
 tries low-degree vertices first, capped at prepass_nodes or node_budget
-nodes. It reads the clock every max(1, 4096 // n) nodes, as a node's
-dead-end check grows with n. A cycle search never steps onto the last
-unvisited neighbour of vertex 0 before its last step, as the walk could
-then not close. Like the dead-end check, this cuts only branches with no
+nodes. A placed vertex is cut as a dead end when the vertices it leaves
+unvisited induce a disconnected graph; the check floods them only until
+the placed vertex's unvisited neighbours meet, so a node along a path or a
+cycle, with one such neighbour, floods nothing. The search reads the clock
+every max(1, 4096 // n) nodes, as a flood from neighbours that lie apart
+still grows with n. A cycle search never steps onto the last unvisited
+neighbour of vertex 0 before its last step, as the walk could then not
+close. Like the dead-end check, this cuts only branches with no
 completion, so each order still finds its first walk, in fewer nodes. A
 17-24-vertex cycle stage takes its witness from the degree-ordered prepass
 when that settles within prepass_nodes, and from the table otherwise.
@@ -233,9 +237,18 @@ def _walk_from_table(dp, adj: list[int], full: int, end: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # pruned backtracking
 
-def _flood(rem: int, seed: int, adj: list[int]) -> int:
-    seen = new = seed
+def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
+    # the rest of the walk is a hamiltonian path of G[rem] from a neighbour
+    # of cur, so G[rem] must be connected; as G[rem | cur] is (see _dfs),
+    # that holds exactly when cur's unvisited neighbours share a component
+    rem = full & ~visited
+    if not rem:
+        return False
+    frontier = adj[cur] & rem
+    seen = new = frontier & -frontier
     while new:
+        if seen & frontier == frontier:
+            return False
         grow = 0
         while new:
             bit = new & -new
@@ -243,29 +256,7 @@ def _flood(rem: int, seed: int, adj: list[int]) -> int:
             grow |= adj[bit.bit_length() - 1]
         new = grow & rem & ~seen
         seen |= new
-    return seen
-
-
-def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
-    rem = full & ~visited
-    if not rem:
-        return False
-    frontier = adj[cur] & rem
-    if not frontier:
-        return True
-    # a vertex whose only unvisited link is cur must be the very last stop;
-    # any other vertex of rem with no neighbour left in rem is cut off from
-    # the frontier, which the flood below catches
-    pend = 0
-    m = frontier
-    while m:
-        bit = m & -m
-        m ^= bit
-        if not adj[bit.bit_length() - 1] & rem:
-            pend |= bit
-    if pend and (pend & (pend - 1) or rem != pend):
-        return True
-    return _flood(rem, frontier, adj) != rem
+    return True
 
 
 def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
@@ -273,15 +264,20 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
          ) -> list[int] | None:
     """Exhaustive DFS for a hamiltonian path (or cycle when close_to is set).
 
-    Start vertices are tried in the given order. At each later position the
-    next vertex is tried by (unvisited-neighbour count, index) when by_degree
-    is set, else by index alone; with index-ordered starts the first walk
-    found in index order is the lexicographically least one, as _dead_end
-    only cuts branches with no completion. A node is one vertex placed after
-    _dead_end passes. Returns the walk, or None when there is none; raises
-    _Inconclusive when more than node_budget nodes are placed and CappedError
-    on the wall-clock deadline, checked every max(1, 4096 // n) nodes, as
-    _dead_end's flood costs a node time that grows with n. When close_to is
+    The graph with adjacency masks adj must be connected. Start vertices are
+    tried in the given order. At each later position the next vertex is
+    tried by (unvisited-neighbour count, index) when by_degree is set, else
+    by index alone; with index-ordered starts the first walk found in index
+    order is the lexicographically least one, as _dead_end only cuts
+    branches with no completion. A node is one vertex placed after _dead_end
+    passes, that is, when the vertices still unvisited induce a connected
+    graph. So the unvisited vertices and the current one always do (at a
+    start, the whole graph; deeper, by the parent's check), and _dead_end
+    stops its flood once the current vertex's unvisited neighbours meet.
+    Returns the walk, or None when there is none; raises _Inconclusive when
+    more than node_budget nodes are placed and CappedError on the wall-clock
+    deadline, checked every max(1, 4096 // n) nodes, as a flood between
+    neighbours that lie apart costs time that grows with n. When close_to is
     set, a walk must end next to close_to, so close_to's last unvisited
     neighbour is dropped from a node's candidates unless it is the only
     unvisited vertex left; like _dead_end, this cuts only branches with no

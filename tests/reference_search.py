@@ -7,7 +7,12 @@ walk flipped into the order the subset table reads it back. Every table is
 now `hpindex.oracles._dp_table_np`, which replaced `_dp_table_py` below.
 `has_dominating_trail` below is the exhaustive edge-mask trail search over
 the whole graph, with its 20-edge cap, that the piece-by-piece
-`hpindex.oracles.has_dominating_trail` replaced. The four are copied here
+`hpindex.oracles.has_dominating_trail` replaced. The two searches prune
+with `_dead_end` below, which floods the unvisited vertices from all of
+the current vertex's unvisited neighbours at once, so it asks only that
+each piece of them touch the current vertex; `hpindex.oracles._dead_end`
+replaced it with the stronger check that they induce a connected graph,
+which makes its pendant rule redundant. The six are copied here
 unchanged; `_lex_backtrack` takes its start vertices as a mask. The
 differential tests compare them with the code that replaced them.
 """
@@ -18,8 +23,8 @@ import time
 
 from hpindex.errors import CappedError, PreconditionError
 from hpindex.graphs import Graph, is_connected
-from hpindex.oracles import (DEFAULT_SEARCH_BUDGET, SearchBudget, _dead_end,
-                             _Inconclusive, _witnessed, check_trail_witness)
+from hpindex.oracles import (DEFAULT_SEARCH_BUDGET, SearchBudget, _Inconclusive,
+                             _witnessed, check_trail_witness)
 
 # the edge-mask trail search keys its states by edge bitmasks; this cap
 # bounds its cost, not the masks
@@ -44,6 +49,41 @@ def _dp_table_py(adj: list[int], starts: int) -> list[int]:
                 free ^= wbit
                 dp[mask | wbit] |= wbit
     return dp
+
+
+def _flood(rem: int, seed: int, adj: list[int]) -> int:
+    seen = new = seed
+    while new:
+        grow = 0
+        while new:
+            bit = new & -new
+            new ^= bit
+            grow |= adj[bit.bit_length() - 1]
+        new = grow & rem & ~seen
+        seen |= new
+    return seen
+
+
+def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
+    rem = full & ~visited
+    if not rem:
+        return False
+    frontier = adj[cur] & rem
+    if not frontier:
+        return True
+    # a vertex whose only unvisited link is cur must be the very last stop;
+    # any other vertex of rem with no neighbour left in rem is cut off from
+    # the frontier, which the flood below catches
+    pend = 0
+    m = frontier
+    while m:
+        bit = m & -m
+        m ^= bit
+        if not adj[bit.bit_length() - 1] & rem:
+            pend |= bit
+    if pend and (pend & (pend - 1) or rem != pend):
+        return True
+    return _flood(rem, frontier, adj) != rem
 
 
 def _backtrack(adj: list[int], n: int, starts: list[int], node_budget: int,

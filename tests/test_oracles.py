@@ -157,15 +157,34 @@ def test_backtracking_walks_longer_than_the_recursion_limit():
         assert ok and len(walk) == 1200
 
 
-def test_backtracking_deadline_is_read_often_on_large_graphs():
-    # a node on 1200 vertices costs about half a millisecond, so the clock
-    # is read every 4096 // n nodes, not every 4096
-    g = cycle_graph(1200)
-    budget = SearchBudget(time_limit_s=0.05)
-    for search in (has_hamiltonian_path, has_hamiltonian_cycle):
-        with pytest.raises(CappedError,
-                           match="^time limit hit during backtracking search$"):
-            search(g, budget)
+def test_backtracking_deadline_is_read_often_on_large_graphs(monkeypatch):
+    # a walk along a path or a cycle places n nodes, and the clock is read
+    # once to set the deadline, then every max(1, 4096 // n) nodes, as a
+    # flood from neighbours that lie apart still costs a node time that
+    # grows with n; a deadline already past stops the search at its first read
+    reads = []
+    past = False
+
+    def clock():
+        reads.append(None)
+        return 1e9 if past and len(reads) > 1 else 0.0
+
+    monkeypatch.setattr(oracles.time, "monotonic", clock)
+    for n in (100, 1200, 5000):
+        g = cycle_graph(n)
+        tick = max(1, 4096 // n)
+        for search in (has_hamiltonian_path, has_hamiltonian_cycle):
+            past = False
+            reads.clear()
+            ok, walk = search(g)
+            assert ok and len(walk) == n
+            assert len(reads) == 1 + n // tick
+            past = True
+            reads.clear()
+            with pytest.raises(CappedError,
+                               match="^time limit hit during backtracking search$"):
+                search(g)
+            assert len(reads) == 2
 
 
 @pytest.mark.parametrize("oracle, name", [(hp_oracle, "has_hamiltonian_path"),
@@ -354,36 +373,67 @@ def test_dominating_trail_search_frees_its_memo():
         gc.enable()
 
 
-def _dead_end_by_definition(g, cur, visited):
-    # the unvisited vertices must all be reachable from cur through unvisited
-    # vertices, and at most one of them, the last stop, may hang off cur alone
-    rem = set(range(g.n)) - visited
-    if not rem:
-        return False
-    frontier = rem.intersection(g.adj[cur])
-    reach, grow = set(frontier), list(frontier)
+def _induces_connected(g, vertices):
+    if not vertices:
+        return True
+    reach, grow = set(), [min(vertices)]
     while grow:
-        fresh = rem.intersection(g.adj[grow.pop()]) - reach
-        reach |= fresh
-        grow.extend(fresh)
-    pend = {v for v in rem if not rem.intersection(g.adj[v])}
-    return not frontier or reach != rem or len(pend) > 1 or (pend and pend != rem)
+        v = grow.pop()
+        if v not in reach:
+            reach.add(v)
+            grow.extend(vertices.intersection(g.adj[v]))
+    return reach == vertices
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_dead_end_matches_its_definition(n):
-    # every connected labelled graph on n vertices, every current vertex and
-    # every visited set holding it; _dead_end checks pendant vertices on the
-    # frontier only and floods only when those pass
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_dead_end_matches_its_definition(monkeypatch, n):
+    # every call _dfs makes, in both orders, for paths and cycles, on every
+    # connected labelled graph on n vertices: the unvisited vertices and cur
+    # induce a connected graph, which lets the flood stop early, and the
+    # answer is that vertices are left and either none of them is next to
+    # cur or they induce a disconnected graph
+    calls = []
+    dead_end = oracles._dead_end
+
+    def checked(cur, visited, full, adj):
+        rem = {v for v in range(n) if not visited >> v & 1}
+        assert _induces_connected(g, rem | {cur})
+        dead = dead_end(cur, visited, full, adj)
+        assert dead == bool(rem and (not rem.intersection(g.adj[cur])
+                                     or not _induces_connected(g, rem)))
+        calls.append(dead)
+        return dead
+
+    monkeypatch.setattr(oracles, "_dead_end", checked)
     for g in enumerate_connected_graphs(n):
         adj = oracles._adj_masks(g)
-        full = (1 << n) - 1
-        for cur in range(n):
-            for mask in range(1 << n):
-                if mask >> cur & 1:
-                    visited = {v for v in range(n) if mask >> v & 1}
-                    assert (oracles._dead_end(cur, mask, full, adj)
-                            == bool(_dead_end_by_definition(g, cur, visited)))
+        for starts, close_to in ((list(range(n)), None), ([0], 0)):
+            for by_degree in (False, True):
+                oracles._dfs(adj, n, starts, float("inf"), float("inf"),
+                             close_to, by_degree)
+    # on K2 no walk can be cut
+    assert set(calls) == ({False, True} if n > 2 else {False})
+
+
+def test_index_order_prepass_settles_where_a_split_remainder_drained(monkeypatch):
+    # L(L(T)) of an 11-vertex tree, a 13-vertex stage of verify_trees(12):
+    # the index-order prepass drained its 1,000 nodes while the dead-end
+    # check asked only that each piece of the unvisited vertices touch the
+    # current one, and handed the stage to the table; cutting every walk
+    # whose unvisited vertices fall apart finds the table's walk in 479 nodes
+    t = graph_from_token_edges([("1", "2"), ("1", "6"), ("1", "9"), ("1", "11"),
+                                ("2", "3"), ("3", "4"), ("3", "5"), ("6", "7"),
+                                ("7", "8"), ("9", "10")])
+    g = line_graph(line_graph(t).graph).graph
+    assert g.n == 13
+    from_table = has_hamiltonian_path(g, SearchBudget(prepass_nodes=1))
+    assert from_table[0]
+
+    def no_table(*args):
+        raise AssertionError("the prepass drained")
+
+    monkeypatch.setattr(oracles, "_dp_table_np", no_table)
+    assert has_hamiltonian_path(g) == from_table
 
 
 def test_backtracking_search_leaves_nothing_to_collect():

@@ -3,14 +3,15 @@ they replaced.
 
 `oracles._dfs` in degree order must do what `_backtrack` did, and in index
 order what `_lex_backtrack` did once its walk is flipped into the table's
-read-back order. A path search must match node for node: the same walk,
-the same None, or a drained node budget on both sides, since a drain hands
-the graph to the table or caps it. A cycle search never steps onto the last
+read-back order. Its dead-end check cuts every walk whose unvisited
+vertices fall apart, where the references' check cuts a walk only when
+some of them are cut off from its current vertex, and a cycle search never steps onto the last
 unvisited neighbour of its closing vertex before the last step, a cut the
-references lack, so it places fewer nodes: wherever a reference settles
-within a budget the new search returns the same walk or None within it, and
-wherever the new search settles its answer is the reference's with the
-budget lifted.
+references lack. Both cut only branches with no completion, so the new
+search places a subset of a reference's nodes, in the same order: wherever
+a reference settles within a budget the new search returns the same walk
+or None within it, and wherever the new search settles its answer is the
+reference's with the budget lifted.
 `oracles._dp_table_np` must build the table of `_dp_table_py` entry for
 entry, as the witness walk is read back from it. The piece-by-piece
 `oracles.has_dominating_trail` must give the verdict of the edge-mask
@@ -74,9 +75,9 @@ def assert_same_search(g, budgets):
             for nodes in budgets:
                 new, ref = new_at(nodes), ref_at(nodes)
                 where = (order, g.label_edges(), close_to, nodes)
-                if not cycle or ref != "drained":
+                if ref != "drained":
                     assert new == ref, where
-                if cycle and new != "drained":
+                if new != "drained":
                     if lifted is None:
                         lifted = ref_at(float("inf"))
                     assert new == lifted, where
