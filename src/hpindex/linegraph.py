@@ -84,11 +84,12 @@ def iterate(g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET
     return g
 
 
-def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphResult:
-    """Line graph of g as iteration stage `stage`, checked against the budget.
+def iteration_size(g: Graph, stage: int, budget: IterationBudget,
+                   ) -> tuple[int, int]:
+    """predict_line_size(g) for iteration stage `stage`, checked against the budget.
 
     Raises PreconditionError for an edgeless g and CappedError when the
-    predicted size is over budget, before anything is built.
+    predicted size is over budget.
     """
     if g.m == 0:
         raise PreconditionError(f"stage {stage}: graph has no edges left to iterate")
@@ -96,4 +97,11 @@ def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphRe
     if pv > budget.max_vertices or pe > budget.max_edges:
         raise CappedError(f"stage {stage}: predicted size |V|={pv}, |E|={pe} "
                           f"exceeds budget ({budget.max_vertices}, {budget.max_edges})")
+    return pv, pe
+
+
+def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphResult:
+    """Line graph of g as iteration stage `stage`, once iteration_size has
+    checked it against the budget, so nothing over budget is built."""
+    iteration_size(g, stage, budget)
     return line_graph(g)

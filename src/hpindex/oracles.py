@@ -9,7 +9,8 @@ under a SearchBudget:
 
 - n > backtrack_vertex_cap (40): refused with CappedError, unless every
   degree is at most two (a path or a cycle), which the backtracking tier
-  walks at any size;
+  walks at any size. The stage loop reads such a refusal of L(H) off H,
+  the graph it searched at the stage before, and never builds that L(H);
 - n <= dp_vertex_cap (24): a numpy subset table, a 2^n uint32 array filled
   a popcount layer at a time from that layer's live masks alone; a sparse
   24-vertex query takes about 0.05 s and peaks near 97 MB of process RSS;
@@ -53,12 +54,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, is_connected, is_path
-from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_step
+from .linegraph import (DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_size,
+                        line_graph)
 
 _PREPASS_FLOOR = 17    # below: index-order prepass; from here: degree-ordered
 _LEX_NODES = 1_000     # index-order prepass cap, about the 16-vertex table's time
@@ -400,9 +403,9 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     by the vertex cap: the backtracking search walks it in n nodes.
     """
     check = check_cycle_witness if cycle else check_path_witness
-    if g.n > budget.backtrack_vertex_cap and any(len(a) > 2 for a in g.adj):
-        raise CappedError(f"{g.n} vertices exceed the search cap "
-                          f"{budget.backtrack_vertex_cap}")
+    refusal = _vertex_cap(g.n, map(len, g.adj), budget.backtrack_vertex_cap)
+    if refusal:
+        raise CappedError(refusal)
     deadline = time.monotonic() + budget.time_limit_s
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
@@ -431,6 +434,70 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
         return False, None
     end = (ends & -ends).bit_length() - 1
     return _witnessed(g, _walk_from_table(dp, adj, full, end), check)
+
+
+def _vertex_cap(n: int, degrees: Iterable[int], cap: int) -> str | None:
+    """Why the search refuses a graph of n vertices with these degrees, or
+    None: more than `cap` vertices and some degree above 2, as a path or a
+    cycle is walked at any size."""
+    if n > cap and any(d > 2 for d in degrees):
+        return f"{n} vertices exceed the search cap {cap}"
+    return None
+
+
+def _line_degrees(h: Graph) -> list[int]:
+    """The degrees of L(h), in the order of h.edges: edge uv of h meets
+    deg u + deg v - 2 others."""
+    deg = [len(a) for a in h.adj]
+    return [deg[u] + deg[v] - 2 for u, v in h.edges]
+
+
+def _line_blocks(h: Graph) -> tuple[int, int]:
+    """The cut vertices of L(h), and its 2-blocks that hold at most one of
+    them, as counts read off h.blocks, for a connected h.
+
+    L(h) is the union of one clique per vertex of h, the edges at it, and
+    each vertex of L(h) lies in two of them (Krausz). So each piece of h
+    with at least three edges at it, a piece with an inner edge or a vertex
+    alone in its piece with degree at least 3, gives one 2-block of L(h):
+    the edges with an end in that piece. The cut vertices of L(h) are the
+    bridges uv of h with deg u, deg v >= 2.
+    """
+    adj = h.adj
+    piece = h.blocks.piece_of
+    touch = [0] * h.n  # per piece, the edges with an end in it
+    cuts = [0] * h.n   # and the cut vertices of L(h) among them
+    for u, v in h.edges:
+        p, q = piece[u], piece[v]
+        touch[p] += 1
+        if p != q:
+            touch[q] += 1
+            if len(adj[u]) > 1 and len(adj[v]) > 1:
+                cuts[p] += 1
+                cuts[q] += 1
+    return sum(cuts) // 2, sum(t > 2 and c < 2 for t, c in zip(touch, cuts))
+
+
+def _line_refusal(h: Graph, cycle: bool, cap: int) -> str | None:
+    """Why has_hamiltonian_cycle (or _path) refuses L(h), read off a
+    connected h without building L(h), or None when it does not: L(h) has
+    h.m vertices, is over the vertex cap, and passes the checks the search
+    makes first. They are read cheapest first, h.blocks last.
+    """
+    if h.m <= cap:
+        return None
+    deg = _line_degrees(h)
+    refusal = _vertex_cap(h.m, deg, cap)
+    if refusal is None:
+        return None
+    if cycle:
+        if min(deg) < 2 or _line_blocks(h)[0]:
+            return None
+    else:
+        leaves = deg.count(1)
+        if leaves > 2 or leaves + _line_blocks(h)[1] > 2:
+            return None
+    return refusal
 
 
 def _witnessed(g: Graph, walk: list[int], check, *args,
@@ -660,6 +727,13 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     dominating closed trail (Harary-Nash-Williams, g with at least 3 edges)
     and traceable exactly when g has a dominating trail (Xiong-Zong). One
     deadline covers the whole loop; each search gets the time left.
+
+    Before building L^k(g), k >= 1, the loop checks the stage cap, the
+    iteration budget and then, by _line_refusal, whether the search would
+    refuse L^k(g) by the vertex cap, reading that off the graph searched at
+    stage k-1. A refused L^k(g) is never built: the stage gets the record
+    and reason a built one would, or the time-limit reason when the
+    deadline has passed.
     """
     # resolved per call, not at import, so wrappers bound over these module
     # names see every stage search
@@ -668,13 +742,18 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     deadline = time.monotonic() + budget.time_limit_s
     stages: list[StageRecord] = []
     cur = g
+    size = g.n, g.m  # of stage n's graph: cur, or L(cur) when refused
+    refusal = None  # why stage n is refused on its preimage cur
     n = 0
     while True:
         try:
             # stage 0 starts on the whole limit, however small
-            ok, walk = search(cur, _time_left(budget, deadline) if n else budget)
+            left = _time_left(budget, deadline) if n else budget
+            if refusal:
+                raise CappedError(refusal)
+            ok, walk = search(cur, left)
         except CappedError as exc:
-            stages.append(StageRecord(n, cur.n, cur.m, "capped"))
+            stages.append(StageRecord(n, *size, "capped"))
             return IndexResult(None, tuple(stages), None, str(exc))
         if n == 1 and g.m >= (3 if cycle else 1):
             try:
@@ -689,7 +768,7 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
                         "first-iterate hamiltonicity" if cycle else
                         "dominating-trail existence disagrees with "
                         "first-iterate traceability")
-        stages.append(StageRecord(n, cur.n, cur.m, yes if ok else "not-" + yes))
+        stages.append(StageRecord(n, *size, yes if ok else "not-" + yes))
         if ok:
             return IndexResult(n, tuple(stages), walk)
         if n >= budget.stage_cap:
@@ -697,8 +776,11 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
                                f"stage cap {budget.stage_cap} reached")
         if cur.m == 0:
             raise InternalCheckError("stage loop reached an edgeless graph")
+        n += 1
         try:
-            cur = iteration_step(cur, n + 1, budget.iteration).graph
+            size = iteration_size(cur, n, budget.iteration)
         except CappedError as exc:
             return IndexResult(None, tuple(stages), None, str(exc))
-        n += 1
+        refusal = _line_refusal(cur, cycle, budget.backtrack_vertex_cap)
+        if refusal is None:
+            cur = line_graph(cur).graph

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import sys
 import time
 from dataclasses import FrozenInstanceError, replace
@@ -30,8 +31,9 @@ from hpindex import (
     is_path,
     line_graph,
 )
-from hpindex import oracles
-from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail_witness
+from hpindex import linegraph, oracles
+from hpindex.oracles import (StageRecord, check_cycle_witness, check_path_witness,
+                             check_trail_witness)
 from shapes import (complete_graph, cycle_graph, double_spider, path_graph,
                     random_connected_graph, spider, star_graph)
 from conftest import chorded_cycle, tadpole
@@ -693,6 +695,21 @@ _SPIDER_222 = ((0, 7, 6), (1, 6, 6))
 _SPIDER_333 = ((0, 10, 9), (1, 9, 9), (2, 9, 12))
 
 
+def _from_text(edges):
+    return graph_from_token_edges([e.split("-") for e in edges.split()])
+
+
+# refused at stage 3 (hp) and 4 (h), the stages before them too small to be refused
+_HP_REFUSED = _from_text("1-11 1-12 1-2 1-5 1-8 10-9 2-3 3-4 5-6 6-7 8-9")
+_H_REFUSED = _from_text("1-2 1-6 1-7 1-8 2-3 3-4 4-5")
+_H_REFUSED_STAGES = ((0, 8, 7), (1, 7, 9), (2, 9, 17), (3, 17, 55))
+# a stage over the cap with at most two leaves (hp) or no leaf (h), which
+# the leaf blocks (hp) or a cut vertex (h) settle; a later stage is refused
+_HP_LEAF_BLOCKS = _from_text("1-16 1-4 10-16 10-7 11-3 12-4 12-9 13-15 13-3 14-6 "
+                             "14-9 15-4 17-7 18-6 2-4 5-6 6-8")
+_H_CUT_VERTEX = _from_text("1-4 10-3 10-8 11-8 12-8 2-5 2-9 3-4 4-7 5-8 6-8")
+
+
 @pytest.mark.parametrize("oracle, g, budget, expected", [
     (h_oracle, spider(2, 2, 2), SearchBudget(stage_cap=1), _capped(
         "stage cap 1 reached",
@@ -718,8 +735,70 @@ _SPIDER_333 = ((0, 10, 9), (1, 9, 9), (2, 9, 12))
         "41 vertices exceed the search cap 40", (0, 41, 42, "capped"))),
     (hp_oracle, chorded_cycle(41), SearchBudget(), _capped(
         "41 vertices exceed the search cap 40", (0, 41, 42, "capped"))),
+    (hp_oracle, _HP_REFUSED, SearchBudget(), _capped(
+        "45 vertices exceed the search cap 40",
+        (0, 12, 11, "not-traceable"), (1, 11, 16, "not-traceable"),
+        (2, 16, 45, "not-traceable"), (3, 45, 255, "capped"))),
+    (h_oracle, _H_REFUSED, SearchBudget(), _capped(
+        "55 vertices exceed the search cap 40",
+        *[s + ("not-hamiltonian",) for s in _H_REFUSED_STAGES],
+        (4, 55, 324, "capped"))),
+    (hp_oracle, _HP_LEAF_BLOCKS, SearchBudget(), _capped(
+        "151 vertices exceed the search cap 40",
+        (0, 18, 17, "not-traceable"), (1, 17, 22, "not-traceable"),
+        (2, 22, 43, "not-traceable"), (3, 43, 151, "not-traceable"),
+        (4, 151, 1009, "capped"))),
+    (h_oracle, _H_CUT_VERTEX, SearchBudget(), _capped(
+        "229 vertices exceed the search cap 40",
+        (0, 12, 11, "not-hamiltonian"), (1, 11, 17, "not-hamiltonian"),
+        (2, 17, 45, "not-hamiltonian"), (3, 45, 229, "not-hamiltonian"),
+        (4, 229, 2282, "capped"))),
+    # stage 4 is over the iteration budget and over the vertex cap: the
+    # budget's reason wins, and the stage gets no record
+    (h_oracle, _H_REFUSED, SearchBudget(iteration=IterationBudget(max_vertices=54)),
+     _capped("stage 4: predicted size |V|=55, |E|=324 exceeds budget (54, 65536)",
+             *[s + ("not-hamiltonian",) for s in _H_REFUSED_STAGES])),
 ], ids=["h-stage", "hp-stage", "h-iteration", "hp-iteration", "hp-nodes", "h-nodes",
-        "h-vertices", "hp-vertices"])
+        "h-vertices", "hp-vertices", "hp-refused-iterate", "h-refused-iterate",
+        "hp-leaf-blocks", "h-cut-vertex", "h-iteration-over-cap"])
 def test_capped_results_are_pinned(oracle, g, budget, expected):
     # capped_reason is printed by `hp oracle --json` and parsed by callers
     assert oracle(g, budget).to_json_dict() == expected
+
+
+@pytest.mark.parametrize("oracle, g", [(hp_oracle, _HP_REFUSED), (h_oracle, _H_REFUSED),
+                                       (hp_oracle, _HP_LEAF_BLOCKS),
+                                       (h_oracle, _H_CUT_VERTEX)],
+                         ids=["hp-refused-iterate", "h-refused-iterate",
+                              "hp-leaf-blocks", "h-cut-vertex"])
+def test_a_refused_iterate_is_never_built(monkeypatch, oracle, g):
+    built = []
+    real = linegraph.line_graph
+
+    def counting(h):
+        built.append(h)
+        return real(h)
+
+    # bound wherever the stage loop might look it up
+    for module in (linegraph, oracles):
+        monkeypatch.setattr(module, "line_graph", counting, raising=False)
+    res = oracle(g)
+    assert res.stages[-1].verdict == "capped"
+    searched = len(res.stages) - 1
+    assert len(built) == searched - 1
+
+
+@pytest.mark.parametrize("oracle, no", [(hp_oracle, "not-traceable"),
+                                        (h_oracle, "not-hamiltonian")])
+def test_a_refusal_past_the_deadline_is_a_time_cap(monkeypatch, oracle, no):
+    # a star is settled at stage 0 without a clock read; its line graph,
+    # K41, is refused
+    g = star_graph(41)
+    expected = [StageRecord(0, 42, 41, no), StageRecord(1, 41, 820, "capped")]
+    assert oracle(g).capped_reason == "41 vertices exceed the search cap 40"
+    # the deadline is fixed at 0 and every later read is past it
+    clock = itertools.chain([0.0], itertools.repeat(100.0))
+    monkeypatch.setattr(oracles.time, "monotonic", lambda: next(clock))
+    res = oracle(g)
+    assert list(res.stages) == expected
+    assert res.capped_reason == "time limit hit before a search"
