@@ -14,8 +14,9 @@ those costs for both directions of every branch (see _evaluate). Ties break
 as a scan of every endpath in leaf-pair order would break them. The largest
 and least values at each junction are picked by linear scans, and a
 branch's vertex walk is built only when the result reports it. The work is
-O(n) plus the hull lengths of the maximal pairs, where listing endpaths
-cost O(leaves^2 * n).
+O(n) plus the hull length of every maximal pair, each climbed and listed in
+per_pair; h items tied for the heaviest weight make C(h, 2) such pairs, so
+a star K_{1,h} costs O(h^2). Listing endpaths cost O(leaves^2 * n).
 
 The conjectural extension contracts every bridgeless piece of a general graph
 to a point, a hub (all such pieces must have a spanning cycle for the formula
@@ -150,8 +151,8 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     their sorted walks. An item is kept as its lower end, weight and
     corridor; its walk is climbed from the lower end only for the items
     reported: those in a maximal pair and the off-path candidates of
-    weight V. The cost is O(n) plus the hull lengths of the maximal pairs,
-    without recursion.
+    weight V. The cost is O(n) plus the hull length of every maximal pair,
+    C(h, 2) pairs for h tied heaviest items, without recursion.
     """
     adj, n = tree.adj, tree.n
     junction = [len(a) != 2 for a in adj]

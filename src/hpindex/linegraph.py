@@ -80,7 +80,8 @@ def iterate(g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET
     if n < 0:
         raise ValidationError("-n must be nonnegative")
     for stage in range(1, n + 1):
-        g = iteration_step(g, stage, budget).graph
+        iteration_size(g, stage, budget)  # nothing over budget is built
+        g = line_graph(g).graph
     return g
 
 
@@ -99,9 +100,3 @@ def iteration_size(g: Graph, stage: int, budget: IterationBudget,
                           f"exceeds budget ({budget.max_vertices}, {budget.max_edges})")
     return pv, pe
 
-
-def iteration_step(g: Graph, stage: int, budget: IterationBudget) -> LineGraphResult:
-    """Line graph of g as iteration stage `stage`, once iteration_size has
-    checked it against the budget, so nothing over budget is built."""
-    iteration_size(g, stage, budget)
-    return line_graph(g)

@@ -2,15 +2,17 @@
 and the stage loop that computes how many line-graph iterations a graph needs
 before it becomes traceable (hp_oracle) or hamiltonian (h_oracle).
 
-has_hamiltonian_path and has_hamiltonian_cycle apply their own cheap
-necessary conditions, then share one tiered search; a cycle is searched as a
-path from vertex 0 that must close back to it. The tiers, by vertex count n
-under a SearchBudget:
+has_hamiltonian_path and has_hamiltonian_cycle share one screen, _screen,
+and one tiered search; a cycle is searched as a path from vertex 0 that must
+close back to it. The screen reads only n, the degrees and the block counts:
+it answers "no" on necessary conditions, then refuses a graph over the
+vertex cap. The stage loop runs it on L(H) too, read off H, the graph it
+searched at the stage before, and never builds an L(H) that it refuses.
+The tiers, by vertex count n under a SearchBudget:
 
-- n > backtrack_vertex_cap (40): refused with CappedError, unless every
-  degree is at most two (a path or a cycle), which the backtracking tier
-  walks at any size. The stage loop reads such a refusal of L(H) off H,
-  the graph it searched at the stage before, and never builds that L(H);
+- n > backtrack_vertex_cap (40): refused by the screen, unless every degree
+  is at most two (a path or a cycle), which the backtracking tier walks at
+  any size;
 - n <= dp_vertex_cap (24): a numpy subset table, a 2^n uint32 array filled
   a popcount layer at a time from that layer's live masks alone; a sparse
   24-vertex query takes about 0.05 s and peaks near 97 MB of process RSS;
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -369,43 +371,32 @@ def has_hamiltonian_path(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
         raise PreconditionError("traceability of the empty graph is undefined")
     if g.n == 1:
         return True, (g.labels[0],)
-    if not is_connected(g):
-        return False, None
-    leaves = sum(1 for v in range(g.n) if g.degree(v) == 1)
-    if leaves > 2:
-        return False, None
-    # every leaf block needs its own path endpoint: the bridge at each leaf
-    # and each 2-block with at most one cut vertex (exact from n = 3 on)
-    cuts = g.blocks.cut_vertices
-    if leaves + sum(len(b & cuts) <= 1 for b in g.blocks.two_blocks) > 2:
-        return False, None
     return _hamiltonian(g, budget, cycle=False)
 
 
 def has_hamiltonian_cycle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
                           ) -> tuple[bool, tuple[str, ...] | None]:
     """Exact hamiltonicity test; the witness omits the repeated start vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False, None
-    if min(g.degree(v) for v in range(g.n)) < 2:
-        return False, None
-    if g.blocks.cut_vertices:
-        return False, None
     return _hamiltonian(g, budget, cycle=True)
 
 
 def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
                  ) -> tuple[bool, tuple[str, ...] | None]:
-    """The tiered search behind both public tests.
+    """The tiered search behind both public tests, for a nonempty g.
 
-    A cycle is searched as a path from vertex 0 that must close back to it.
-    A path or a cycle (connected, every degree at most two) is not refused
-    by the vertex cap: the backtracking search walks it in n nodes.
+    A disconnected g is neither. A connected one is screened first, on its
+    own degrees and blocks: a "no" or a refusal there is final. A cycle is
+    searched as a path from vertex 0 that must close back to it.
     """
+    if not is_connected(g):
+        return False, None
+    verdict = _screen(g.n, [len(a) for a in g.adj], lambda: _block_counts(g),
+                      cycle, budget.backtrack_vertex_cap)
+    if verdict is False:
+        return False, None
+    if verdict:
+        raise CappedError(verdict)
     check = check_cycle_witness if cycle else check_path_witness
-    refusal = _vertex_cap(g.n, map(len, g.adj), budget.backtrack_vertex_cap)
-    if refusal:
-        raise CappedError(refusal)
     deadline = time.monotonic() + budget.time_limit_s
     adj = _adj_masks(g)
     full = (1 << g.n) - 1
@@ -436,13 +427,38 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     return _witnessed(g, _walk_from_table(dp, adj, full, end), check)
 
 
-def _vertex_cap(n: int, degrees: Iterable[int], cap: int) -> str | None:
-    """Why the search refuses a graph of n vertices with these degrees, or
-    None: more than `cap` vertices and some degree above 2, as a path or a
-    cycle is walked at any size."""
-    if n > cap and any(d > 2 for d in degrees):
+def _screen(n: int, deg: list[int], blocks: Callable[[], tuple[int, int]],
+            cycle: bool, cap: int) -> bool | str | None:
+    """What a connected graph on n vertices with degrees `deg` gets before
+    any search for a hamiltonian cycle (or path): False when a necessary
+    condition fails, the refusal message when it is over the vertex cap
+    `cap`, or None when it must be searched.
+
+    `blocks()` gives the graph's cut vertices and its 2-blocks that hold at
+    most one of them, as counts, and is called only once the degree tests
+    pass. A cycle needs every degree at least 2 and no cut vertex. A path
+    ends at every leaf block, the bridge at each leaf and each 2-block with
+    at most one cut vertex, so it allows two of them (exact from n = 3 on).
+    The cap spares a graph with no degree above 2, a path or a cycle, which
+    the backtracking tier walks at any size.
+    """
+    if cycle:
+        if min(deg) < 2 or blocks()[0]:
+            return False
+    else:
+        leaves = deg.count(1)
+        if leaves > 2 or leaves + blocks()[1] > 2:
+            return False
+    if n > cap and max(deg) > 2:
         return f"{n} vertices exceed the search cap {cap}"
     return None
+
+
+def _block_counts(g: Graph) -> tuple[int, int]:
+    """The cut vertices of a connected g, and its 2-blocks that hold at
+    most one of them, as counts read off g.blocks."""
+    cuts = g.blocks.cut_vertices
+    return len(cuts), sum(len(b & cuts) <= 1 for b in g.blocks.two_blocks)
 
 
 def _line_degrees(h: Graph) -> list[int]:
@@ -453,8 +469,7 @@ def _line_degrees(h: Graph) -> list[int]:
 
 
 def _line_blocks(h: Graph) -> tuple[int, int]:
-    """The cut vertices of L(h), and its 2-blocks that hold at most one of
-    them, as counts read off h.blocks, for a connected h.
+    """_block_counts of L(h), read off h.blocks, for a connected h.
 
     L(h) is the union of one clique per vertex of h, the edges at it, and
     each vertex of L(h) lies in two of them (Krausz). So each piece of h
@@ -476,28 +491,6 @@ def _line_blocks(h: Graph) -> tuple[int, int]:
                 cuts[p] += 1
                 cuts[q] += 1
     return sum(cuts) // 2, sum(t > 2 and c < 2 for t, c in zip(touch, cuts))
-
-
-def _line_refusal(h: Graph, cycle: bool, cap: int) -> str | None:
-    """Why has_hamiltonian_cycle (or _path) refuses L(h), read off a
-    connected h without building L(h), or None when it does not: L(h) has
-    h.m vertices, is over the vertex cap, and passes the checks the search
-    makes first. They are read cheapest first, h.blocks last.
-    """
-    if h.m <= cap:
-        return None
-    deg = _line_degrees(h)
-    refusal = _vertex_cap(h.m, deg, cap)
-    if refusal is None:
-        return None
-    if cycle:
-        if min(deg) < 2 or _line_blocks(h)[0]:
-            return None
-    else:
-        leaves = deg.count(1)
-        if leaves > 2 or leaves + _line_blocks(h)[1] > 2:
-            return None
-    return refusal
 
 
 def _witnessed(g: Graph, walk: list[int], check, *args,
@@ -728,12 +721,13 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     and traceable exactly when g has a dominating trail (Xiong-Zong). One
     deadline covers the whole loop; each search gets the time left.
 
-    Before building L^k(g), k >= 1, the loop checks the stage cap, the
-    iteration budget and then, by _line_refusal, whether the search would
-    refuse L^k(g) by the vertex cap, reading that off the graph searched at
-    stage k-1. A refused L^k(g) is never built: the stage gets the record
-    and reason a built one would, or the time-limit reason when the
-    deadline has passed.
+    Before building L^k(g), k >= 1, the loop checks the stage cap and the
+    iteration budget. Then, when L^k(g) is over the vertex cap, it runs
+    _screen on L^k(g)'s degrees and blocks read off H = L^(k-1)(g), the
+    graph searched at stage k-1 (_line_degrees, _line_blocks). A refused
+    L^k(g) is never built: the stage gets the record and reason a built one
+    would, or the time-limit reason when the deadline has passed. Any other
+    verdict builds L^k(g), and the stage search screens it again.
     """
     # resolved per call, not at import, so wrappers bound over these module
     # names see every stage search
@@ -743,7 +737,7 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     stages: list[StageRecord] = []
     cur = g
     size = g.n, g.m  # of stage n's graph: cur, or L(cur) when refused
-    refusal = None  # why stage n is refused on its preimage cur
+    refusal = None  # why stage n is refused on its preimage cur, or falsy
     n = 0
     while True:
         try:
@@ -781,6 +775,9 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
             size = iteration_size(cur, n, budget.iteration)
         except CappedError as exc:
             return IndexResult(None, tuple(stages), None, str(exc))
-        refusal = _line_refusal(cur, cycle, budget.backtrack_vertex_cap)
-        if refusal is None:
+        # the screen can refuse L(cur), on cur.m vertices, only over the cap
+        cap = budget.backtrack_vertex_cap
+        refusal = cur.m > cap and _screen(
+            cur.m, _line_degrees(cur), lambda: _line_blocks(cur), cycle, cap)
+        if not refusal:
             cur = line_graph(cur).graph

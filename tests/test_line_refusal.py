@@ -1,8 +1,9 @@
 """The stage loop refuses an over-cap stage on its preimage H without
-building L(H). `oracles._line_refusal` is checked here against building
-L(H) and running the public search on it, under small vertex caps, over
-exhaustive small families; its block reading is checked against L(H)'s own
-decomposition."""
+building L(H). `oracles._screen`, run on L(H)'s degrees and blocks read off
+H, is checked here against building L(H) and running the public search on
+it, and against the screen of the built L(H) on its own degrees and block
+counts, under small vertex caps, over exhaustive small families; its block
+reading is checked against L(H)'s own decomposition."""
 
 import pytest
 
@@ -24,33 +25,41 @@ CAPS = (1, 3, 5, 8)
 SEARCHES = ((False, has_hamiltonian_path), (True, has_hamiltonian_cycle))
 
 
-def _search_refusal(search, g, cap):
-    """The reason the public search refuses g under `cap`, or None."""
+def _search(search, g, cap):
+    """The reason the public search refuses g under `cap`, or its answer."""
     try:
-        search(g, SearchBudget(dp_vertex_cap=cap, backtrack_vertex_cap=cap))
+        return search(g, SearchBudget(dp_vertex_cap=cap, backtrack_vertex_cap=cap))[0]
     except CappedError as exc:
         return str(exc)
-    return None
 
 
 def _check(h):
-    """Compare the reader on h with the search on the built L(h); return the
-    number of refusals seen."""
+    """Compare the screen read off h with the search on the built L(h) and
+    with the screen of L(h) itself; return the number of refusals seen."""
     lg = line_graph(h).graph
     deg = oracles._line_degrees(h)
-    assert sorted(deg) == sorted(map(len, lg.adj))
-    if max(deg) > 2 and (min(deg) >= 2 or deg.count(1) <= 2):
-        # the reader reaches h.blocks for some cap
+    lg_deg = [len(a) for a in lg.adj]
+    assert sorted(deg) == sorted(lg_deg)
+    if min(deg) >= 2 or deg.count(1) <= 2:
+        # the screen reaches the blocks for some search
         cuts = lg.blocks.cut_vertices
         leaf_blocks = sum(len(b & cuts) <= 1 for b in lg.blocks.two_blocks)
         assert oracles._line_blocks(h) == (len(cuts), leaf_blocks), h.label_edges()
+        assert oracles._block_counts(lg) == (len(cuts), leaf_blocks)
     refused = 0
     for cycle, search in SEARCHES:
         for cap in CAPS:
-            want = _search_refusal(search, lg, cap)
-            assert oracles._line_refusal(h, cycle, cap) == want, (
+            verdict = oracles._screen(h.m, deg, lambda: oracles._line_blocks(h),
+                                      cycle, cap)
+            assert verdict == oracles._screen(
+                lg.n, lg_deg, lambda: oracles._block_counts(lg), cycle, cap), (
                 h.label_edges(), cycle, cap)
-            refused += want is not None
+            want = _search(search, lg, cap)
+            assert (verdict if isinstance(verdict, str) else None) == (
+                want if isinstance(want, str) else None), (h.label_edges(), cycle, cap)
+            if verdict is False:
+                assert want is False, (h.label_edges(), cycle, cap)
+            refused += isinstance(want, str)
     return refused
 
 
