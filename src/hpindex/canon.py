@@ -9,7 +9,8 @@ cliques and repeated pendants from exploding the search tree. The search
 keeps its own stack of colour vectors, so it never recurses.
 
 Two graphs on at most CANONICAL_VERTEX_CAP vertices get equal keys exactly
-when they are isomorphic.
+when they are isomorphic, unless canonical_key raises CappedError past
+_LEAF_BUDGET leaves (8K2, many automorphisms and no twin cells, takes 30 s).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ _LEAF_BUDGET = 250_000
 def graph_key(g: Graph) -> str:
     """Stable identity string for a graph.
 
-    Isomorphism-invariant ("canon:...") for graphs within the canonical cap;
-    larger graphs fall back to a hash of the sorted isolated labels and
-    labelled edges ("sha256:..."), which still deduplicates exact repeats but
-    not relabelings. JSON quotes every label, so no label can run into the
-    next, whatever characters it holds.
+    Isomorphism-invariant ("canon:...") for graphs within the canonical cap
+    whose search stays within the leaf budget; other graphs fall back to a
+    hash of the sorted isolated labels and labelled edges ("sha256:..."),
+    which still deduplicates exact repeats but not relabelings. JSON quotes
+    every label, so no label can run into the next, whatever it holds.
     """
     try:
         return "canon:" + canonical_key(g).hex()

@@ -80,23 +80,22 @@ def iterate(g: Graph, n: int, budget: IterationBudget = DEFAULT_ITERATION_BUDGET
     if n < 0:
         raise ValidationError("-n must be nonnegative")
     for stage in range(1, n + 1):
-        iteration_size(g, stage, budget)  # nothing over budget is built
+        iteration_size(predict_line_size(g), stage, budget)  # nothing over budget is built
         g = line_graph(g).graph
     return g
 
 
-def iteration_size(g: Graph, stage: int, budget: IterationBudget,
+def iteration_size(size: tuple[int, int], stage: int, budget: IterationBudget,
                    ) -> tuple[int, int]:
-    """predict_line_size(g) for iteration stage `stage`, checked against the budget.
-
-    Raises PreconditionError for an edgeless g and CappedError when the
-    predicted size is over budget.
+    """`size`, stage `stage`'s predicted (vertices, edges), checked against
+    the budget. Raises PreconditionError when the stage before is edgeless
+    (no vertices) and CappedError when the size is over budget.
     """
-    if g.m == 0:
+    pv, pe = size
+    if pv == 0:
         raise PreconditionError(f"stage {stage}: graph has no edges left to iterate")
-    pv, pe = predict_line_size(g)
     if pv > budget.max_vertices or pe > budget.max_edges:
         raise CappedError(f"stage {stage}: predicted size |V|={pv}, |E|={pe} "
                           f"exceeds budget ({budget.max_vertices}, {budget.max_edges})")
-    return pv, pe
+    return size
 

@@ -6,8 +6,8 @@ has_hamiltonian_path and has_hamiltonian_cycle share one screen, _screen,
 and one tiered search; a cycle is searched as a path from vertex 0 that must
 close back to it. The screen reads only n, the degrees and the block counts:
 it answers "no" on necessary conditions, then refuses a graph over the
-vertex cap. The stage loop runs it on L(H) too, read off H, the graph it
-searched at the stage before, and never builds an L(H) that it refuses.
+vertex cap. Read off H, it alone settles a stage L(H) over the cap, and the
+stage loop builds L(H) only to search it or read it as the next preimage.
 The tiers, by vertex count n under a SearchBudget:
 
 - n > backtrack_vertex_cap (40): refused by the screen, unless every degree
@@ -63,7 +63,7 @@ import numpy as np
 from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, is_connected, is_path
 from .linegraph import (DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_size,
-                        line_graph)
+                        line_graph, predict_line_size)
 
 _PREPASS_FLOOR = 17    # below: index-order prepass; from here: degree-ordered
 _LEX_NODES = 1_000     # index-order prepass cap, about the 16-vertex table's time
@@ -683,8 +683,6 @@ def hp_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexRe
     Cross-checks the first iterate's verdict against a dominating-trail search
     on the original graph whenever that search settles within the budget.
     """
-    if not is_connected(g):
-        raise PreconditionError("the index is defined for connected graphs")
     return _stage_loop(g, budget, cycle=False)
 
 
@@ -694,8 +692,6 @@ def h_oracle(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET) -> IndexRes
     Path graphs are rejected: their iterates only ever shrink to smaller paths
     and never contain a spanning cycle.
     """
-    if not is_connected(g):
-        raise PreconditionError("the index is defined for connected graphs")
     if is_path(g):
         raise PreconditionError("path graphs never reach a hamiltonian iterate")
     return _stage_loop(g, budget, cycle=True)
@@ -721,14 +717,13 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     and traceable exactly when g has a dominating trail (Xiong-Zong). One
     deadline covers the whole loop; each search gets the time left.
 
-    Before building L^k(g), k >= 1, the loop checks the stage cap and the
-    iteration budget. Then, when L^k(g) is over the vertex cap, it runs
-    _screen on L^k(g)'s degrees and blocks read off H = L^(k-1)(g), the
-    graph searched at stage k-1 (_line_degrees, _line_blocks). A refused
-    L^k(g) is never built: the stage gets the record and reason a built one
-    would, or the time-limit reason when the deadline has passed. Any other
-    verdict builds L^k(g), and the stage search screens it again.
+    Before stage k >= 1 it checks the stage cap, then the iteration budget.
+    Over the vertex cap, L^k(g) is settled with no search by _screen, read
+    off H = L^(k-1)(g): "no", or a refusal, a time cap past the deadline.
+    L^k(g) is built only to be searched or read as stage k+1's preimage.
     """
+    if not is_connected(g):
+        raise PreconditionError("the index is defined for connected graphs")
     # resolved per call, not at import, so wrappers bound over these module
     # names see every stage search
     search = has_hamiltonian_cycle if cycle else has_hamiltonian_path
@@ -736,16 +731,16 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     deadline = time.monotonic() + budget.time_limit_s
     stages: list[StageRecord] = []
     cur = g
-    size = g.n, g.m  # of stage n's graph: cur, or L(cur) when refused
-    refusal = None  # why stage n is refused on its preimage cur, or falsy
+    size = g.n, g.m  # of stage n's graph: cur, or L(cur) when screened
+    verdict = None  # stage n's screen, on its degrees deg, or None to search
     n = 0
     while True:
         try:
             # stage 0 starts on the whole limit, however small
             left = _time_left(budget, deadline) if n else budget
-            if refusal:
-                raise CappedError(refusal)
-            ok, walk = search(cur, left)
+            if verdict:
+                raise CappedError(verdict)
+            ok, walk = (False, None) if verdict is False else search(cur, left)
         except CappedError as exc:
             stages.append(StageRecord(n, *size, "capped"))
             return IndexResult(None, tuple(stages), None, str(exc))
@@ -768,16 +763,20 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
         if n >= budget.stage_cap:
             return IndexResult(None, tuple(stages), None,
                                f"stage cap {budget.stage_cap} reached")
-        if cur.m == 0:
+        if size[1] == 0:
             raise InternalCheckError("stage loop reached an edgeless graph")
         n += 1
         try:
-            size = iteration_size(cur, n, budget.iteration)
+            size = iteration_size(predict_line_size(cur) if verdict is None else
+                                  (size[1], sum(d * (d - 1) // 2 for d in deg)),
+                                  n, budget.iteration)
         except CappedError as exc:
             return IndexResult(None, tuple(stages), None, str(exc))
-        # the screen can refuse L(cur), on cur.m vertices, only over the cap
+        if verdict is False:  # stage n - 1 is the preimage now
+            cur = line_graph(cur).graph
+        # the screen can settle L(cur), on cur.m vertices, only over the cap
         cap = budget.backtrack_vertex_cap
-        refusal = cur.m > cap and _screen(
-            cur.m, _line_degrees(cur), lambda: _line_blocks(cur), cycle, cap)
-        if not refusal:
+        verdict = _screen(cur.m, deg := _line_degrees(cur), lambda: _line_blocks(cur),
+                          cycle, cap) if cur.m > cap else None
+        if verdict is None:
             cur = line_graph(cur).graph

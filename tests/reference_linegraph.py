@@ -20,7 +20,8 @@ from itertools import combinations
 from hpindex import linegraph
 from hpindex.graphs import Graph
 from hpindex.linegraph import (_NAME_CAP, DEFAULT_ITERATION_BUDGET,
-                               LineGraphResult, iteration_size)
+                               LineGraphResult, iteration_size,
+                               predict_line_size)
 
 
 def line_graph(g: Graph) -> LineGraphResult:
@@ -43,7 +44,7 @@ def iterate_with_provenance(g: Graph, n: int,
     """The n-fold line graph of g and every stage's vertex-to-edge map."""
     maps = []
     for stage in range(1, n + 1):
-        iteration_size(g, stage, DEFAULT_ITERATION_BUDGET)
+        iteration_size(predict_line_size(g), stage, DEFAULT_ITERATION_BUDGET)
         result = linegraph.line_graph(g)
         g = result.graph
         maps.append(result.provenance)

@@ -17,6 +17,7 @@ from hpindex import (
     graph_key,
     random_tree,
 )
+from hpindex import canon
 from shapes import (complete_graph, cycle_graph, path_graph,
                     random_connected_graph, shuffle, star_graph)
 from conftest import nx_graph
@@ -78,6 +79,18 @@ def test_graph_key_forms():
     big = graph_key(path_graph(30))
     assert big.startswith("sha256:")
     assert graph_key(path_graph(30)) == big
+
+
+def test_leaf_budget_falls_back_to_the_labelled_key(monkeypatch):
+    # a perfect matching has no twin cells until one edge is left, so 4K2
+    # gives 8 * 6 * 4 = 192 leaves
+    g = graph_from_token_edges([(f"a{i}", f"b{i}") for i in range(4)])
+    assert graph_key(g) == "canon:" + canonical_key(g).hex()
+    monkeypatch.setattr(canon, "_LEAF_BUDGET", 191)
+    with pytest.raises(CappedError,
+                       match="^canonical labeling search exceeded its leaf budget$"):
+        canonical_key(g)
+    assert graph_key(g).startswith("sha256:")
 
 
 def test_graph_key_fallback_keeps_labels_with_spaces_apart():

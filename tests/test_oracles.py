@@ -30,6 +30,7 @@ from hpindex import (
     hp_oracle,
     is_path,
     line_graph,
+    random_tree,
 )
 from hpindex import linegraph, oracles
 from hpindex.oracles import (StageRecord, check_cycle_witness, check_path_witness,
@@ -766,26 +767,58 @@ def test_capped_results_are_pinned(oracle, g, budget, expected):
     assert oracle(g, budget).to_json_dict() == expected
 
 
+def _count_builds(monkeypatch) -> list[int]:
+    """Wrap line_graph wherever the stage loop might look it up; the list
+    returned gets the vertex count of each graph it builds."""
+    built = []
+    real = linegraph.line_graph
+
+    def counting(h):
+        result = real(h)
+        built.append(result.graph.n)
+        return result
+
+    for module in (linegraph, oracles):
+        monkeypatch.setattr(module, "line_graph", counting, raising=False)
+    return built
+
+
+def _must_build(res, cap: int = 40) -> list[int]:
+    """The vertex counts of the stages past 0 that the loop builds: those
+    it searches, on at most `cap` vertices, and those the next stage reads
+    as its preimage, as that stage is over the cap."""
+    st = res.stages
+    return [s.vertices for k, s in enumerate(st) if k and (
+        s.vertices <= cap or k + 1 < len(st) and st[k + 1].vertices > cap)]
+
+
 @pytest.mark.parametrize("oracle, g", [(hp_oracle, _HP_REFUSED), (h_oracle, _H_REFUSED),
                                        (hp_oracle, _HP_LEAF_BLOCKS),
                                        (h_oracle, _H_CUT_VERTEX)],
                          ids=["hp-refused-iterate", "h-refused-iterate",
                               "hp-leaf-blocks", "h-cut-vertex"])
 def test_a_refused_iterate_is_never_built(monkeypatch, oracle, g):
-    built = []
-    real = linegraph.line_graph
-
-    def counting(h):
-        built.append(h)
-        return real(h)
-
-    # bound wherever the stage loop might look it up
-    for module in (linegraph, oracles):
-        monkeypatch.setattr(module, "line_graph", counting, raising=False)
+    built = _count_builds(monkeypatch)
     res = oracle(g)
     assert res.stages[-1].verdict == "capped"
     searched = len(res.stages) - 1
     assert len(built) == searched - 1
+    assert built == _must_build(res)
+
+
+@pytest.mark.parametrize("oracle, no", [(hp_oracle, "not-traceable"),
+                                        (h_oracle, "not-hamiltonian")])
+def test_an_iterate_settled_by_its_screen_is_built_only_as_a_preimage(
+        monkeypatch, oracle, no):
+    # stages 1-3 are over the cap and settled "no" off their preimages, and
+    # stage 4 is over the iteration budget, so L^3 is never built
+    built = _count_builds(monkeypatch)
+    res = oracle(random_tree(1000, 2))
+    assert res.to_json_dict() == _capped(
+        "stage 4: predicted size |V|=20452, |E|=226656 exceeds budget (4096, 65536)",
+        *[s + (no,) for s in ((0, 1000, 999), (1, 999, 1493), (2, 1493, 3911),
+                              (3, 3911, 20452))])
+    assert built == [999, 1493] == _must_build(res)
 
 
 @pytest.mark.parametrize("oracle, no", [(hp_oracle, "not-traceable"),
