@@ -4,7 +4,10 @@
 Each line hashes the answers of one benchmark input: every query of the
 `oracle-queries` workload for seeds 0-3, each as its result's
 `to_json_dict()` or, for the table queries, its (ok, walk) pair, then the
-report bodies of `verify-trees` and of `explore` on seed 0. The inputs come
+report bodies of `verify-trees` and of `explore` on seed 0, then every
+`big-trees` query for seeds 0 and 1 as its whole closed-form result's
+`to_json_dict()`: endpath, off-path branch and per-pair values as well as
+the value the benchmark's reference checks. The inputs come
 from `perfbench/workloads.py`, so they are the ones the benchmark runs.
 Run it from the root of a checkout on two commits and compare the output:
 
@@ -18,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from workloads import Explore, OracleQueries, VerifyTrees  # noqa: E402
+from workloads import BigTrees, Explore, OracleQueries, VerifyTrees  # noqa: E402
 
 
 def _sha(data: bytes) -> str:
@@ -38,6 +41,12 @@ def main() -> None:
     print(f"verify-trees: {_sha(VerifyTrees().call(12).body_bytes())}")
     explore = Explore()
     print(f"explore seed 0: {_sha(explore.call(explore.inputs(0)).body_bytes())}")
+    trees = BigTrees()
+    for seed in range(2):
+        lines = [json.dumps([item["tag"], trees.query(item).to_json_dict()],
+                            sort_keys=True) for item in trees.inputs(seed)]
+        digest = _sha("\n".join(lines).encode())
+        print(f"big-trees seed {seed}: {digest}")
 
 
 if __name__ == "__main__":

@@ -9,14 +9,16 @@ The min-max is evaluated without listing endpaths. The branches are the
 edges of the junction tree, whose nodes are the vertices of degree != 2.
 Any two branches share an endpath, so the maximal pairs are the pairs of the
 two largest weights, and the best endpath through a pair extends the pair's
-hull as cheaply as it can at both ends; sweeps over the junction tree give
-those costs for both directions of every branch (see _evaluate). Ties break
-as a scan of every endpath in leaf-pair order would break them. The largest
-and least values at each junction are picked by linear scans, and a
-branch's vertex walk is built only when the result reports it. The work is
-O(n) plus the hull length of every maximal pair, each climbed and listed in
-per_pair; h items tied for the heaviest weight make C(h, 2) such pairs, so
-a star K_{1,h} costs O(h^2). Listing endpaths cost O(leaves^2 * n).
+hull as cheaply as it can at both ends. One sweep up the junction tree
+gives that cost below every branch; the cost on from a branch's upper end
+is computed only for a pair with one branch above the other, and only along
+that branch's path to the root (see _evaluate). Ties break as a scan of
+every endpath in leaf-pair order would break them. The largest and least
+values at each junction are picked by linear scans, and a branch's vertex
+walk is built only when the result reports it. The work is O(n) plus the
+hull length of every maximal pair, each climbed and listed in per_pair; h
+items tied for the heaviest weight make C(h, 2) such pairs, so a star
+K_{1,h} costs O(h^2). Listing endpaths cost O(leaves^2 * n).
 
 The conjectural extension contracts every bridgeless piece of a general graph
 to a point, a hub (all such pieces must have a spanning cycle for the formula
@@ -139,14 +141,17 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     path holding both items. The pair's value is the heaviest of the items
     hanging off the hull's interior, found by climbing parents from both
     corridors, and of the cheapest ways on from each end of the hull to a
-    leaf. Those costs come from one sweep down and one up the junction tree,
-    for both directions of every corridor, with O(d) work at a junction of
+    leaf. One sweep up the junction tree gives the cost of going on below
+    every corridor. Going on from a corridor's upper end, away from it, is
+    read only when one corridor of a pair lies above the other, and is
+    computed on that first read, top-down from the nearest junction whose
+    entries are known or from the root, with O(d) work at a junction of
     degree d. V is the least pair value.
 
     Ties break as a scan of all endpaths in leaf-pair order would. A second
-    sweep finds, for both directions of every corridor, the least leaf by
-    label reachable at cost at most V; the endpath joins the least such
-    leaf pair over the pairs of value V. The off-path item is the least
+    sweep finds, in the same two directions and by the same rule, the least
+    leaf by label reachable at cost at most V; the endpath joins the least
+    such leaf pair over the pairs of value V. The off-path item is the least
     walk of weight V left off it, and pairs are listed in the order of
     their sorted walks. An item is kept as its lower end, weight and
     corridor; its walk is climbed from the lower end only for the items
@@ -200,13 +205,12 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     # subtree, that corridor included (sub[x]), and everywhere else
     # (side[x], the parent neighbour's share as seen from x). sib[x] is the
     # heaviest subtree of x's siblings. A junction with kids has two or
-    # more; shares[p] lists their sub, then side[p] unless p is the root.
+    # more; top3[p] holds the three with the heaviest subtrees.
     sub = cw[:]
     for x in reversed(jorder[1:]):
         sub[jpar[x]] = max(sub[jpar[x]], sub[x])
     sib, side = [0] * n, [0] * n
     top3: dict[int, list[int]] = {}
-    shares: dict[int, list[int]] = {}
     for p in jorder:
         ks = kids.get(p)
         if ks:
@@ -216,27 +220,34 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
             for i, x in enumerate(ks):
                 sib[x] = s[t1] if i == t0 else s[t0]
                 side[x] = max(cw[x], side[p], sib[x])
-            if p != root:
-                s.append(side[p])
-            shares[p] = s
 
-    def sweep(combine, leaf_value) -> list:
-        # entry x: going on from junction x away from its parent junction;
-        # entry n + x: going on from x's parent junction away from x
+    def sweep(combine, leaf_value):
+        # entry x: going on from junction x away from its parent junction,
+        # filled for every x bottom-up; entry n + x: going on from x's parent
+        # junction away from x, read only at the top of a nested pair's hull
+        # and filled on first read: climb to the nearest junction whose up
+        # entry is known, or to the root, then run _exits back down the path
         out = [None] * (2 * n)
         for x in reversed(jorder[1:]):
             out[x] = (min(combine(sib[k], out[k]) for k in kids[x])
                       if x in kids else leaf_value(x))
-        for p in jorder:
-            ks = kids.get(p)
-            if not ks:
-                continue
-            f = [out[k] for k in ks]
-            if p != root:
-                f.append(out[n + p])
-            for x, v in zip(ks, _exits(shares[p], f, combine)):
-                out[n + x] = v
-        return out
+
+        def read(e: int):
+            if out[e] is None:
+                path = [jpar[e - n]]
+                while path[-1] != root and out[n + path[-1]] is None:
+                    path.append(jpar[path[-1]])
+                for p in reversed(path):
+                    ks = kids[p]
+                    s = [sub[k] for k in ks]
+                    f = [out[k] for k in ks]
+                    if p != root:
+                        s.append(side[p])
+                        f.append(out[n + p])
+                    for x, v in zip(ks, _exits(s, f, combine)):
+                        out[n + x] = v
+            return out[e]
+        return read
 
     cost = sweep(max, lambda x: 0)
 
@@ -290,7 +301,7 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     valued = []
     for i, j in pairs:
         hang, ex, ey = hull(corridor[i], corridor[j])
-        valued.append((max(hang, cost[ex], cost[ey]), ex, ey))
+        valued.append((max(hang, cost(ex), cost(ey)), ex, ey))
     value = min(v for v, _, _ in valued)
 
     leaves = sorted((v for v in range(n) if len(adj[v]) == 1),
@@ -298,7 +309,7 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     rank = {v: r for r, v in enumerate(leaves)}
     beyond = len(leaves)  # rank of no leaf: more than every real rank
     reach = sweep(lambda m, r: r if m <= value else beyond, rank.__getitem__)
-    ends = min(tuple(sorted((reach[ex], reach[ey])))
+    ends = min(tuple(sorted((reach(ex), reach(ey))))
                for v, ex, ey in valued if v == value)
     x, y = leaves[ends[0]], leaves[ends[1]]
     left, right = [x], [y]

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from hpindex import Graph, enumerate_free_trees
+from hpindex import Graph, enumerate_free_trees, formula
 from shapes import cycle_graph, path_graph
 
 
@@ -58,3 +58,18 @@ def trees_to_9():
 @pytest.fixture(scope="session")
 def trees_to_11():
     return all_trees(11)
+
+
+@pytest.fixture
+def exits_calls(monkeypatch):
+    """A one-item list counting the calls of `formula._exits`, which the
+    evaluator makes only for the up entries its result reads."""
+    fast = formula._exits
+    calls = [0]
+
+    def counted(s, f, combine):
+        calls[0] += 1
+        return fast(s, f, combine)
+
+    monkeypatch.setattr(formula, "_exits", counted)
+    return calls

@@ -353,7 +353,7 @@ def test_one_comparison_runs_under_one_deadline(monkeypatch):
     assert rec.oracle.stages == (StageRecord(0, 12, 20, "capped"),)
 
 
-def test_deep_junction_tree_needs_no_recursion():
+def junction_spine():
     # a 3000-vertex spine with a pendant leaf at every spine vertex puts
     # 3000 junctions in a row; the two 10-edge legs at s0 are the one pair
     edges = [(f"s{i}", f"s{i + 1}") for i in range(2999)]
@@ -361,11 +361,24 @@ def test_deep_junction_tree_needs_no_recursion():
     for leg in "ab":
         edges += [("s0", f"{leg}0")]
         edges += [(f"{leg}{j}", f"{leg}{j + 1}") for j in range(9)]
-    res = hp_tree(graph_from_token_edges(edges))
+    return graph_from_token_edges(edges)
+
+
+def test_deep_junction_tree_needs_no_recursion():
+    res = hp_tree(junction_spine())
     assert res.value == 2
     assert len(res.per_pair) == 1
     assert res.endpath == (tuple(f"a{j}" for j in range(9, -1, -1)) + ("s0",)
                            + tuple(f"b{j}" for j in range(10)))
+
+
+@pytest.mark.parametrize("tree", [junction_spine, lambda: random_tree(1000, 2)],
+                         ids=["junction-spine", "random-1000"])
+def test_unread_up_entries_are_never_computed(exits_calls, tree):
+    # no maximal pair of these trees has one corridor above the other, so
+    # the result reads no up entry and none is computed
+    hp_tree(tree())
+    assert exits_calls[0] == 0
 
 
 def test_hub_of_degree_20002():

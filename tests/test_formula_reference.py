@@ -48,12 +48,13 @@ def agree(g):
     return res
 
 
-def test_every_tree_up_to_14_vertices(checked):
+def test_every_tree_up_to_14_vertices(checked, exits_calls):
     for n in range(1, 15):
         for t in enumerate_free_trees(n):
             if not is_path(t):
                 agree(t)
     assert len(checked) == 5433
+    assert exits_calls[0] > 0  # some trees read an up entry, filled on demand
 
 
 def test_random_trees_up_to_300_vertices(checked):

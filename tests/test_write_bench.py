@@ -1,0 +1,21 @@
+"""scripts/write_bench.py, run once on the cheapest workload."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_write_bench_records_the_declared_metrics(tmp_path):
+    subprocess.run([sys.executable, "scripts/write_bench.py", "--workload", "big-trees",
+                    "--seconds", "1", "--trace", "0", "--out", str(tmp_path)],
+                   cwd=ROOT, check=True, capture_output=True)
+    bench = json.loads((tmp_path / "BENCH_big-trees.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert list(bench["end_to_end"]["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+    assert bench["correct"] is True
+    assert bench["end_to_end"]["failed"] == 0
+    assert "per_layer" not in bench
+    assert bench["seed"] == 0 and bench["seconds"] == 1.0
