@@ -9,9 +9,11 @@ report bodies of `verify-trees` and of `explore` on seed 0, then every
 `to_json_dict()`: endpath, off-path branch and per-pair values as well as
 the value the benchmark's reference checks. The inputs come
 from `perfbench/workloads.py`, so they are the ones the benchmark runs.
-Run it from the root of a checkout on two commits and compare the output:
+Run it from the root of a checkout on two commits and compare the output,
+or compare it with the lines recorded in `scripts/answers_digest.txt`, as
+CI does; a change that alters an answer re-records that file:
 
-    PYTHONPATH=src python3 scripts/answers_digest.py
+    PYTHONPATH=src python3 scripts/answers_digest.py | diff scripts/answers_digest.txt -
 """
 
 import hashlib

@@ -397,8 +397,8 @@ def hp_blockchain_conjecture(g: Graph,
     searched = [b for b in g.blocks.two_blocks
                 if any(len(b.intersection(g.adj[v])) != 2 for v in b)]
     for i, block in enumerate(searched):
-        ok, _ = has_hamiltonian_cycle(block_graph(g, block),
-                                      _time_left(budget, deadline) if i else budget)
+        left = _time_left(budget, deadline) if i else budget
+        ok, _ = has_hamiltonian_cycle(block_graph(g, block), left)
         if not ok:
             raise PreconditionError(
                 "the conjectural formula requires a spanning cycle in every "

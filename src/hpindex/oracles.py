@@ -6,8 +6,8 @@ has_hamiltonian_path and has_hamiltonian_cycle share one screen, _screen,
 and one tiered search; a cycle is searched as a path from vertex 0 that must
 close back to it. The screen reads only n, the degrees and the block counts:
 it answers "no" on necessary conditions, then refuses a graph over the
-vertex cap. Read off H, it alone settles a stage L(H) over the cap, and the
-stage loop builds L(H) only to search it or read it as the next preimage.
+vertex cap. The stage loop decides each stage L(H) after the clock: the screen
+read off H alone settles it over the cap, else L(H) is built and searched.
 The tiers, by vertex count n under a SearchBudget:
 
 - n > backtrack_vertex_cap (40): refused by the screen, unless every degree
@@ -718,9 +718,10 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     deadline covers the whole loop; each search gets the time left.
 
     Before stage k >= 1 it checks the stage cap, then the iteration budget.
-    Over the vertex cap, L^k(g) is settled with no search by _screen, read
-    off H = L^(k-1)(g): "no", or a refusal, a time cap past the deadline.
-    L^k(g) is built only to be searched or read as stage k+1's preimage.
+    One block then decides stage k: the clock, then _screen read off the
+    preimage h = L^(k-1)(g) when L^k(g) is over the vertex cap, then the
+    build of L^k(g) and its search: a stage past the deadline builds nothing.
+    Screened "no", L^k(g) is built after stage k, only as stage k+1's preimage.
     """
     if not is_connected(g):
         raise PreconditionError("the index is defined for connected graphs")
@@ -730,17 +731,22 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     yes = "hamiltonian" if cycle else "traceable"
     deadline = time.monotonic() + budget.time_limit_s
     stages: list[StageRecord] = []
-    cur = g
-    size = g.n, g.m  # of stage n's graph: cur, or L(cur) when screened
-    verdict = None  # stage n's screen, on its degrees deg, or None to search
+    cap = budget.backtrack_vertex_cap
+    h = cur = g  # stage n's preimage (n >= 1), and its graph or None unbuilt
+    size = g.n, g.m  # of stage n's graph
     n = 0
     while True:
         try:
             # stage 0 starts on the whole limit, however small
             left = _time_left(budget, deadline) if n else budget
-            if verdict:
-                raise CappedError(verdict)
-            ok, walk = (False, None) if verdict is False else search(cur, left)
+            if n:
+                # the screen can settle L(h), on h.m vertices, only over the cap
+                verdict = _screen(h.m, deg := _line_degrees(h), lambda: _line_blocks(h),
+                                  cycle, cap) if h.m > cap else None
+                if verdict:
+                    raise CappedError(verdict)
+                cur = None if verdict is False else line_graph(h).graph
+            ok, walk = (False, None) if cur is None else search(cur, left)
         except CappedError as exc:
             stages.append(StageRecord(n, *size, "capped"))
             return IndexResult(None, tuple(stages), None, str(exc))
@@ -767,16 +773,9 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
             raise InternalCheckError("stage loop reached an edgeless graph")
         n += 1
         try:
-            size = iteration_size(predict_line_size(cur) if verdict is None else
+            size = iteration_size(predict_line_size(cur) if cur is not None else
                                   (size[1], sum(d * (d - 1) // 2 for d in deg)),
                                   n, budget.iteration)
         except CappedError as exc:
             return IndexResult(None, tuple(stages), None, str(exc))
-        if verdict is False:  # stage n - 1 is the preimage now
-            cur = line_graph(cur).graph
-        # the screen can settle L(cur), on cur.m vertices, only over the cap
-        cap = budget.backtrack_vertex_cap
-        verdict = _screen(cur.m, deg := _line_degrees(cur), lambda: _line_blocks(cur),
-                          cycle, cap) if cur.m > cap else None
-        if verdict is None:
-            cur = line_graph(cur).graph
+        h = line_graph(h).graph if cur is None else cur

@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from hpindex import Graph, enumerate_free_trees, formula
+from hpindex import Graph, enumerate_free_trees, formula, linegraph, oracles
 from shapes import cycle_graph, path_graph
 
 
@@ -44,6 +44,31 @@ def chorded_cycle(n: int) -> Graph:
     refuse it."""
     g = cycle_graph(n)
     return Graph(g.labels, g.edges + ((0, n // 2),))
+
+
+def count_builds(monkeypatch) -> list[int]:
+    """Wrap line_graph wherever the stage loop might look it up; the list
+    returned gets the vertex count of each graph it builds."""
+    built = []
+    real = linegraph.line_graph
+
+    def counting(h):
+        result = real(h)
+        built.append(result.graph.n)
+        return result
+
+    for module in (linegraph, oracles):
+        monkeypatch.setattr(module, "line_graph", counting, raising=False)
+    return built
+
+
+def must_build(res, cap: int = 40) -> list[int]:
+    """The vertex counts of the stages past 0 that the loop builds: those
+    it searches, on at most `cap` vertices, and those the next stage reads
+    as its preimage, as that stage is over the cap."""
+    st = res.stages
+    return [s.vertices for k, s in enumerate(st) if k and (
+        s.vertices <= cap or k + 1 < len(st) and st[k + 1].vertices > cap)]
 
 
 def all_trees(max_n: int) -> list[Graph]:

@@ -3,10 +3,12 @@
 The formula no longer searches a 2-block with as many edges as vertices for
 a spanning cycle, since such a block is a cycle. These tests confirm that
 premise on every such block met, and compare the formula with a reference
-that searches every 2-block first, as the formula used to. The last test
-checks that one deadline covers every block the formula does search.
+that searches every 2-block first, as the formula used to. The last tests
+check that one deadline covers every block the formula does search, and
+that no block is built once it has passed.
 """
 
+import itertools
 import time
 
 import pytest
@@ -131,3 +133,25 @@ def test_one_deadline_covers_every_block_search(monkeypatch):
     assert time.monotonic() - t0 < 3 * step
     assert limits[0] == limit and len(limits) == 2
     assert 0 < limits[1] < limit
+
+
+def test_no_block_is_built_past_the_deadline(monkeypatch):
+    # two K4 blocks sharing d, and a pendant edge: the first block's search
+    # reads the clock once, and the second block finds no time left
+    g = graph_from_token_edges([e.split() for e in (
+        "a b, a c, a d, b c, b d, c d, d e, d f, d g, e f, e g, f g, g h"
+    ).split(", ")])
+    built = []
+
+    def counting(graph, block):
+        built.append(block)
+        return block_graph(graph, block)
+
+    monkeypatch.setattr(formula, "block_graph", counting)
+    # two reads, the deadline's and the first search's, then past it
+    clock = itertools.chain([0.0, 0.0], itertools.repeat(100.0))
+    monkeypatch.setattr(formula.time, "monotonic", lambda: next(clock))
+    with pytest.raises(CappedError) as exc:
+        hp_blockchain_conjecture(g)
+    assert str(exc.value) == "time limit hit before a search"
+    assert len(built) == 1

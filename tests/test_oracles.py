@@ -32,12 +32,12 @@ from hpindex import (
     line_graph,
     random_tree,
 )
-from hpindex import linegraph, oracles
+from hpindex import oracles
 from hpindex.oracles import (StageRecord, check_cycle_witness, check_path_witness,
                              check_trail_witness)
 from shapes import (complete_graph, cycle_graph, double_spider, path_graph,
                     random_connected_graph, spider, star_graph)
-from conftest import chorded_cycle, tadpole
+from conftest import chorded_cycle, count_builds, must_build, tadpole
 
 BOWTIE = graph_from_token_edges(
     [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
@@ -767,43 +767,18 @@ def test_capped_results_are_pinned(oracle, g, budget, expected):
     assert oracle(g, budget).to_json_dict() == expected
 
 
-def _count_builds(monkeypatch) -> list[int]:
-    """Wrap line_graph wherever the stage loop might look it up; the list
-    returned gets the vertex count of each graph it builds."""
-    built = []
-    real = linegraph.line_graph
-
-    def counting(h):
-        result = real(h)
-        built.append(result.graph.n)
-        return result
-
-    for module in (linegraph, oracles):
-        monkeypatch.setattr(module, "line_graph", counting, raising=False)
-    return built
-
-
-def _must_build(res, cap: int = 40) -> list[int]:
-    """The vertex counts of the stages past 0 that the loop builds: those
-    it searches, on at most `cap` vertices, and those the next stage reads
-    as its preimage, as that stage is over the cap."""
-    st = res.stages
-    return [s.vertices for k, s in enumerate(st) if k and (
-        s.vertices <= cap or k + 1 < len(st) and st[k + 1].vertices > cap)]
-
-
 @pytest.mark.parametrize("oracle, g", [(hp_oracle, _HP_REFUSED), (h_oracle, _H_REFUSED),
                                        (hp_oracle, _HP_LEAF_BLOCKS),
                                        (h_oracle, _H_CUT_VERTEX)],
                          ids=["hp-refused-iterate", "h-refused-iterate",
                               "hp-leaf-blocks", "h-cut-vertex"])
 def test_a_refused_iterate_is_never_built(monkeypatch, oracle, g):
-    built = _count_builds(monkeypatch)
+    built = count_builds(monkeypatch)
     res = oracle(g)
     assert res.stages[-1].verdict == "capped"
     searched = len(res.stages) - 1
     assert len(built) == searched - 1
-    assert built == _must_build(res)
+    assert built == must_build(res)
 
 
 @pytest.mark.parametrize("oracle, no", [(hp_oracle, "not-traceable"),
@@ -812,13 +787,13 @@ def test_an_iterate_settled_by_its_screen_is_built_only_as_a_preimage(
         monkeypatch, oracle, no):
     # stages 1-3 are over the cap and settled "no" off their preimages, and
     # stage 4 is over the iteration budget, so L^3 is never built
-    built = _count_builds(monkeypatch)
+    built = count_builds(monkeypatch)
     res = oracle(random_tree(1000, 2))
     assert res.to_json_dict() == _capped(
         "stage 4: predicted size |V|=20452, |E|=226656 exceeds budget (4096, 65536)",
         *[s + (no,) for s in ((0, 1000, 999), (1, 999, 1493), (2, 1493, 3911),
                               (3, 3911, 20452))])
-    assert built == [999, 1493] == _must_build(res)
+    assert built == [999, 1493] == must_build(res)
 
 
 @pytest.mark.parametrize("oracle, no", [(hp_oracle, "not-traceable"),
@@ -835,3 +810,18 @@ def test_a_refusal_past_the_deadline_is_a_time_cap(monkeypatch, oracle, no):
     res = oracle(g)
     assert list(res.stages) == expected
     assert res.capped_reason == "time limit hit before a search"
+
+
+@pytest.mark.parametrize("oracle, no", [(hp_oracle, "not-traceable"),
+                                        (h_oracle, "not-hamiltonian")])
+def test_a_stage_past_the_deadline_builds_nothing(monkeypatch, oracle, no):
+    # stage 1 is L(K_{1,5}) = K5, under the cap: the clock caps it before
+    # it is built
+    built = count_builds(monkeypatch)
+    clock = itertools.chain([0.0], itertools.repeat(100.0))
+    monkeypatch.setattr(oracles.time, "monotonic", lambda: next(clock))
+    res = oracle(star_graph(5))
+    assert list(res.stages) == [StageRecord(0, 6, 5, no),
+                                StageRecord(1, 5, 10, "capped")]
+    assert res.capped_reason == "time limit hit before a search"
+    assert built == []
