@@ -3,12 +3,16 @@
 
 For each workload, `perfbench/run.py` runs from the root of the checkout
 untraced (`--trace 0`, the end-to-end metrics) and then traced (`--trace 1`,
-the per-layer metrics). The file keeps each run's last output line, its
-`correct`, `attempted`, `failed` and metrics, under "end_to_end" and
-"per_layer", with the commit, whether tracked files differ from it, the seed,
-the seconds per run and the machine. Run it from anywhere in a checkout:
+the per-layer metrics), --runs times each. The file keeps, under
+"end_to_end" and "per_layer", the runs' last output lines taken together:
+`correct` when every run was correct, `attempted` and `failed` summed, and
+each metric's median over the runs as its `value`, with its `unit` and its
+quartiles `q1` and `q3`. It records the commit, whether tracked files differ
+from it, the seed, the seconds per run, the number of runs and the machine.
+Run it from anywhere in a checkout:
 
     python3 scripts/write_bench.py                       # all four workloads
+    python3 scripts/write_bench.py --runs 5              # medians of five runs
     python3 scripts/write_bench.py --workload big-trees --seconds 1 --trace 0
 """
 
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -44,12 +49,30 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def combined(runs: list[dict]) -> dict:
+    """Several runs' last lines as one, in the same shape: `correct` on
+    every run, `attempted` and `failed` summed, and each metric's median
+    over the runs, with its quartiles."""
+    metrics = {}
+    for name, metric in runs[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in runs]
+        q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                     if len(values) > 1 else values * 3)
+        metrics[name] = {"value": statistics.median(values), "unit": metric["unit"],
+                         "q1": q1, "q3": q3}
+    return {"correct": all(r["correct"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs), "metrics": metrics}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="a workload to run (repeatable; default: all four)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--runs", type=int, default=1,
+                    help="runs per workload and layer, summarised by their median")
     ap.add_argument("--trace", type=int, choices=(0, 1), action="append",
                     help="run only untraced (0) or traced (1); default: both")
     ap.add_argument("--out", type=Path, default=ROOT,
@@ -61,13 +84,15 @@ def main() -> int:
         "tracked_files_changed": None if status is None else bool(status),
         "seed": args.seed,
         "seconds": args.seconds,
+        "runs": args.runs,
         "machine": {"machine": platform.machine(),
                     "python": platform.python_version(),
                     "cpu_count": os.cpu_count()},
     }
     args.out.mkdir(parents=True, exist_ok=True)
     for workload in args.workload or WORKLOADS:
-        runs = {LAYERS[t]: run(workload, args.seed, args.seconds, t)
+        runs = {LAYERS[t]: combined([run(workload, args.seed, args.seconds, t)
+                                     for _ in range(args.runs)])
                 for t in sorted(set(args.trace or LAYERS))}
         bench = {"workload": workload, **facts,
                  "correct": all(r["correct"] for r in runs.values()), **runs}

@@ -33,7 +33,7 @@ from .formula import hp_blockchain_conjecture, hp_tree
 from .generators import FamilyParams, enumerate_free_trees, random_tree
 from .graphs import Graph
 from .io import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
-from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iterate, line_graph
+from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iterate
 from .oracles import h_oracle, has_dominating_trail, hp_oracle
 from .version import __version__
 
@@ -181,25 +181,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb, graphs in (
-            ("parse", "parse, validate, and reserialize a graph",
-             lambda args: [("G", _read_graph(args))]),
-            ("line", "line graph",
-             lambda args: [("G", line_graph(_read_graph(args)).graph)])):
-        p = sub.add_parser(name, help=blurb)
-        _add_input_args(p)
-        _add_output_args(p, dot=True)
-        p.set_defaults(func=_cmd_graphs, graphs=graphs, text=to_edge_list)
-
-    p = sub.add_parser("iterate", help="n-fold line graph")
-    p.add_argument("-n", type=int, required=True, help="iteration count")
-    p.add_argument("--max-v", type=int, default=DEFAULT_ITERATION_BUDGET.max_vertices,
-                   help="vertex budget per stage")
-    p.add_argument("--max-e", type=int, default=DEFAULT_ITERATION_BUDGET.max_edges,
-                   help="edge budget per stage")
+    p = sub.add_parser("parse", help="parse, validate, and reserialize a graph")
     _add_input_args(p)
     _add_output_args(p, dot=True)
-    p.set_defaults(func=_cmd_graphs, graphs=_iterated, text=to_edge_list)
+    p.set_defaults(func=_cmd_graphs, graphs=lambda args: [("G", _read_graph(args))],
+                   text=to_edge_list)
+
+    # `line` is `iterate` with n fixed at 1, under the same budget; `iterate`
+    # requires -n, which overrides that default
+    for name, blurb in (("line", "line graph"), ("iterate", "n-fold line graph")):
+        p = sub.add_parser(name, help=blurb)
+        if name == "iterate":
+            p.add_argument("-n", type=int, required=True, help="iteration count")
+        p.add_argument("--max-v", type=int, default=DEFAULT_ITERATION_BUDGET.max_vertices,
+                       help="vertex budget per stage")
+        p.add_argument("--max-e", type=int, default=DEFAULT_ITERATION_BUDGET.max_edges,
+                       help="edge budget per stage")
+        _add_input_args(p)
+        _add_output_args(p, dot=True)
+        p.set_defaults(func=_cmd_graphs, graphs=_iterated, text=to_edge_list, n=1)
 
     p = sub.add_parser("branches", help="branch decomposition")
     _add_input_args(p)

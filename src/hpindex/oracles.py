@@ -5,9 +5,10 @@ before it becomes traceable (hp_oracle) or hamiltonian (h_oracle).
 has_hamiltonian_path and has_hamiltonian_cycle share one screen, _screen,
 and one tiered search; a cycle is searched as a path from vertex 0 that must
 close back to it. The screen reads only n, the degrees and the block counts:
-it answers "no" on necessary conditions, then refuses a graph over the
-vertex cap. The stage loop decides each stage L(H) after the clock: the screen
-read off H alone settles it over the cap, else L(H) is built and searched.
+it answers "no" on necessary conditions, then raises the refusal of a graph
+over the vertex cap. The stage loop decides each stage L(H) after the clock:
+H is built then if the stage before did not build it, the screen read off H
+alone settles L(H) over the cap, else L(H) is built and searched.
 The tiers, by vertex count n under a SearchBudget:
 
 - n > backtrack_vertex_cap (40): refused by the screen, unless every degree
@@ -62,8 +63,7 @@ import numpy as np
 
 from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, is_connected, is_path
-from .linegraph import (DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_size,
-                        line_graph, predict_line_size)
+from .linegraph import DEFAULT_ITERATION_BUDGET, IterationBudget, iteration_size, line_graph
 
 _PREPASS_FLOOR = 17    # below: index-order prepass; from here: degree-ordered
 _LEX_NODES = 1_000     # index-order prepass cap, about the 16-vertex table's time
@@ -390,12 +390,9 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     """
     if not is_connected(g):
         return False, None
-    verdict = _screen(g.n, [len(a) for a in g.adj], lambda: _block_counts(g),
-                      cycle, budget.backtrack_vertex_cap)
-    if verdict is False:
+    if not _screen(g.n, [len(a) for a in g.adj], lambda: _block_counts(g),
+                   cycle, budget.backtrack_vertex_cap):
         return False, None
-    if verdict:
-        raise CappedError(verdict)
     check = check_cycle_witness if cycle else check_path_witness
     deadline = time.monotonic() + budget.time_limit_s
     adj = _adj_masks(g)
@@ -428,11 +425,11 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
 
 
 def _screen(n: int, deg: list[int], blocks: Callable[[], tuple[int, int]],
-            cycle: bool, cap: int) -> bool | str | None:
-    """What a connected graph on n vertices with degrees `deg` gets before
-    any search for a hamiltonian cycle (or path): False when a necessary
-    condition fails, the refusal message when it is over the vertex cap
-    `cap`, or None when it must be searched.
+            cycle: bool, cap: int) -> bool:
+    """Whether a connected graph on n vertices with degrees `deg` must be
+    searched for a hamiltonian cycle (or path): False when a necessary
+    condition fails, True when it must be searched. Over the vertex cap
+    `cap` it raises the refusal, CappedError, instead of returning True.
 
     `blocks()` gives the graph's cut vertices and its 2-blocks that hold at
     most one of them, as counts, and is called only once the degree tests
@@ -450,8 +447,8 @@ def _screen(n: int, deg: list[int], blocks: Callable[[], tuple[int, int]],
         if leaves > 2 or leaves + blocks()[1] > 2:
             return False
     if n > cap and max(deg) > 2:
-        return f"{n} vertices exceed the search cap {cap}"
-    return None
+        raise CappedError(f"{n} vertices exceed the search cap {cap}")
+    return True
 
 
 def _block_counts(g: Graph) -> tuple[int, int]:
@@ -717,11 +714,11 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     and traceable exactly when g has a dominating trail (Xiong-Zong). One
     deadline covers the whole loop; each search gets the time left.
 
-    Before stage k >= 1 it checks the stage cap, then the iteration budget.
-    One block then decides stage k: the clock, then _screen read off the
-    preimage h = L^(k-1)(g) when L^k(g) is over the vertex cap, then the
-    build of L^k(g) and its search: a stage past the deadline builds nothing.
-    Screened "no", L^k(g) is built after stage k, only as stage k+1's preimage.
+    Before stage k >= 1 it checks the stage cap, then the iteration budget
+    on the size read off `deg`, stage k-1's degrees. One block then decides
+    stage k: the clock; h = L^(k-1)(g), built there if stage k-1 was not;
+    _screen read off h when L^k(g) is over the vertex cap; else the build
+    of L^k(g) and its search. So a stage past the deadline builds nothing.
     """
     if not is_connected(g):
         raise PreconditionError("the index is defined for connected graphs")
@@ -732,20 +729,19 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
     deadline = time.monotonic() + budget.time_limit_s
     stages: list[StageRecord] = []
     cap = budget.backtrack_vertex_cap
-    h = cur = g  # stage n's preimage (n >= 1), and its graph or None unbuilt
-    size = g.n, g.m  # of stage n's graph
+    h = cur = g  # stage n's preimage (n >= 1, after its clock), and its graph or None
+    size, deg = (g.n, g.m), [len(a) for a in g.adj]  # of stage n's graph
     n = 0
     while True:
         try:
             # stage 0 starts on the whole limit, however small
             left = _time_left(budget, deadline) if n else budget
             if n:
+                h = line_graph(h).graph if cur is None else cur
+                deg = _line_degrees(h)
                 # the screen can settle L(h), on h.m vertices, only over the cap
-                verdict = _screen(h.m, deg := _line_degrees(h), lambda: _line_blocks(h),
-                                  cycle, cap) if h.m > cap else None
-                if verdict:
-                    raise CappedError(verdict)
-                cur = None if verdict is False else line_graph(h).graph
+                cur = line_graph(h).graph if h.m <= cap or _screen(
+                    h.m, deg, lambda: _line_blocks(h), cycle, cap) else None
             ok, walk = (False, None) if cur is None else search(cur, left)
         except CappedError as exc:
             stages.append(StageRecord(n, *size, "capped"))
@@ -773,9 +769,7 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
             raise InternalCheckError("stage loop reached an edgeless graph")
         n += 1
         try:
-            size = iteration_size(predict_line_size(cur) if cur is not None else
-                                  (size[1], sum(d * (d - 1) // 2 for d in deg)),
+            size = iteration_size((size[1], sum(d * (d - 1) // 2 for d in deg)),
                                   n, budget.iteration)
         except CappedError as exc:
             return IndexResult(None, tuple(stages), None, str(exc))
-        h = line_graph(h).graph if cur is None else cur

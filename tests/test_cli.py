@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,15 @@ def test_line_of_path(tmp_path, capsys):
     assert canonical_key(from_edge_list(out)) == canonical_key(path_graph(3))
 
 
+def test_line_is_bounded_by_the_iteration_budget(tmp_path, capsys):
+    # L(K_{1,4000}) is K4000, with 7,998,000 edges: refused before it is built
+    f = write_graph(tmp_path, star_graph(4000))
+    t0 = time.monotonic()
+    assert main(["line", f]) == 1
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("capped: stage 1: predicted size ")
+
+
 def test_iterate_claw_twice_gives_triangle(tmp_path, capsys):
     assert main(["iterate", "-n", "2", write_graph(tmp_path, star_graph(3))]) == 0
     out = capsys.readouterr().out
@@ -339,11 +349,11 @@ def mask_wall_clock(text):
     ("line - --dot", "claw",
      "b9e2d0e2ce7a13a8a8313c9a31b8ad3136baf0311408f149fcf81e5f113b36d9"),
     ("line -", "k1",
-     "42bf63d1606faaf2460a296494afef4b1e3c28755f1f8b3eacb727a242b9b65c"),
+     "a682d1273fb59229de08568d87b0f71859ae3b1f3e9fd1186f884358d1d6213c"),
     ("line - --json", "k1",
-     "42bf63d1606faaf2460a296494afef4b1e3c28755f1f8b3eacb727a242b9b65c"),
+     "a682d1273fb59229de08568d87b0f71859ae3b1f3e9fd1186f884358d1d6213c"),
     ("line - --dot", "k1",
-     "42bf63d1606faaf2460a296494afef4b1e3c28755f1f8b3eacb727a242b9b65c"),
+     "a682d1273fb59229de08568d87b0f71859ae3b1f3e9fd1186f884358d1d6213c"),
     ("iterate -n 0 -", "tailed-triangle",
      "bef1cff1d547984a41ae4c3e25f6414538bfd7a36982370534a964f811a625d1"),
     ("iterate -n 0 - --json", "tailed-triangle",
@@ -423,7 +433,7 @@ def mask_wall_clock(text):
     ("parse --help", None,
      "7f2b034463647703a70b9e3b24cd4e7864d1bac9a80bef05f543ecce51238547"),
     ("line --help", None,
-     "570c3f65df3f1341d06fdd4fe03d19b1694668446567ee90ea32623701110f36"),
+     "964746d0bf247ac1ae79fd2840fd89ed1f3aaa08f94b7557954d1c1f9e4edd44"),
     ("iterate --help", None,
      "7d8d6de8b9b075ed79a3cc051fbb27aa8c0a06c69f37e5458a75427af22265c2"),
     ("branches --help", None,

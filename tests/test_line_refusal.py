@@ -19,7 +19,7 @@ from hpindex import (
 )
 from hpindex import oracles
 from conftest import all_trees
-from shapes import random_connected_graph
+from shapes import complete_graph, cycle_graph, path_graph, random_connected_graph
 
 CAPS = (1, 3, 5, 8)
 SEARCHES = ((False, has_hamiltonian_path), (True, has_hamiltonian_cycle))
@@ -29,6 +29,14 @@ def _search(search, g, cap):
     """The reason the public search refuses g under `cap`, or its answer."""
     try:
         return search(g, SearchBudget(dp_vertex_cap=cap, backtrack_vertex_cap=cap))[0]
+    except CappedError as exc:
+        return str(exc)
+
+
+def _screened(n, deg, blocks, cycle, cap):
+    """_screen's answer, or the message of the refusal it raises."""
+    try:
+        return oracles._screen(n, deg, blocks, cycle, cap)
     except CappedError as exc:
         return str(exc)
 
@@ -49,9 +57,9 @@ def _check(h):
     refused = 0
     for cycle, search in SEARCHES:
         for cap in CAPS:
-            verdict = oracles._screen(h.m, deg, lambda: oracles._line_blocks(h),
-                                      cycle, cap)
-            assert verdict == oracles._screen(
+            verdict = _screened(h.m, deg, lambda: oracles._line_blocks(h),
+                                cycle, cap)
+            assert verdict == _screened(
                 lg.n, lg_deg, lambda: oracles._block_counts(lg), cycle, cap), (
                 h.label_edges(), cycle, cap)
             want = _search(search, lg, cap)
@@ -88,3 +96,21 @@ def test_free_trees_and_their_line_graphs():
 def test_random_connected_graphs():
     assert sum(_check(random_connected_graph(2 + seed % 11, seed % 7, seed))
                for seed in range(300))
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_the_screen_raises_its_refusal(cycle):
+    # the message is the one perfbench's tracer files under vertex_cap
+    g = complete_graph(5)
+    with pytest.raises(CappedError) as info:
+        oracles._screen(g.n, [len(a) for a in g.adj],
+                        lambda: oracles._block_counts(g), cycle, 4)
+    assert str(info.value) == "5 vertices exceed the search cap 4"
+
+
+@pytest.mark.parametrize("g, cycle", [(cycle_graph(50), False), (cycle_graph(50), True),
+                                      (path_graph(50), False)],
+                         ids=["cycle-path", "cycle-cycle", "path-path"])
+def test_the_screen_sends_a_path_or_a_cycle_over_the_cap_to_the_search(g, cycle):
+    assert oracles._screen(g.n, [len(a) for a in g.adj],
+                           lambda: oracles._block_counts(g), cycle, 40) is True

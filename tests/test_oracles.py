@@ -825,3 +825,20 @@ def test_a_stage_past_the_deadline_builds_nothing(monkeypatch, oracle, no):
                                 StageRecord(1, 5, 10, "capped")]
     assert res.capped_reason == "time limit hit before a search"
     assert built == []
+
+
+@pytest.mark.parametrize("oracle, no", [(hp_oracle, "not-traceable"),
+                                        (h_oracle, "not-hamiltonian")])
+def test_a_screened_stage_is_not_built_before_the_next_clock(monkeypatch, oracle, no):
+    # stage 1 is settled "no" off the tree; the deadline, stage 1's clock
+    # and the trail cross-check read 0.0, and stage 2's clock reads past
+    # the deadline before L^1, stage 2's preimage, is built
+    built = count_builds(monkeypatch)
+    clock = itertools.chain([0.0] * 3, itertools.repeat(100.0))
+    monkeypatch.setattr(oracles.time, "monotonic", lambda: next(clock))
+    res = oracle(random_tree(1000, 2))
+    assert list(res.stages) == [StageRecord(0, 1000, 999, no),
+                                StageRecord(1, 999, 1493, no),
+                                StageRecord(2, 1493, 3911, "capped")]
+    assert res.capped_reason == "time limit hit before a search"
+    assert built == []

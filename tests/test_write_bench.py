@@ -1,4 +1,4 @@
-"""scripts/write_bench.py, run once on the cheapest workload."""
+"""scripts/write_bench.py, run twice on the cheapest workload."""
 
 import json
 import subprocess
@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_write_bench_records_the_declared_metrics(tmp_path):
     subprocess.run([sys.executable, "scripts/write_bench.py", "--workload", "big-trees",
-                    "--seconds", "1", "--trace", "0", "--out", str(tmp_path)],
+                    "--seconds", "1", "--trace", "0", "--runs", "2",
+                    "--out", str(tmp_path)],
                    cwd=ROOT, check=True, capture_output=True)
     bench = json.loads((tmp_path / "BENCH_big-trees.json").read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -18,4 +19,8 @@ def test_write_bench_records_the_declared_metrics(tmp_path):
     assert bench["correct"] is True
     assert bench["end_to_end"]["failed"] == 0
     assert "per_layer" not in bench
-    assert bench["seed"] == 0 and bench["seconds"] == 1.0
+    assert bench["seed"] == 0 and bench["seconds"] == 1.0 and bench["runs"] == 2
+    assert bench["end_to_end"]["attempted"] == 2 * 120
+    for metric in bench["end_to_end"]["metrics"].values():
+        assert list(metric) == ["value", "unit", "q1", "q3"]
+        assert metric["q1"] <= metric["value"] <= metric["q3"]
