@@ -20,14 +20,14 @@ def from_edge_list(text: str) -> Graph:
     order: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "v":
             if len(parts) != 2:
                 raise EdgeListParseError(line_no, "vertex line must be 'v TOKEN'")
-            if not TOKEN_RE.match(parts[1]):
+            # a token already in `order` has passed TOKEN_RE
+            if parts[1] not in order and not TOKEN_RE.match(parts[1]):
                 raise EdgeListParseError(line_no, f"bad vertex token {parts[1]!r}")
             order.setdefault(parts[1], len(order))
             continue
@@ -35,9 +35,9 @@ def from_edge_list(text: str) -> Graph:
             raise EdgeListParseError(
                 line_no, f"expected two tokens, got {len(parts)}")
         a, b = parts
-        if not TOKEN_RE.match(a):
+        if a not in order and not TOKEN_RE.match(a):
             raise EdgeListParseError(line_no, f"bad vertex token {a!r}")
-        if not TOKEN_RE.match(b):
+        if b not in order and not TOKEN_RE.match(b):
             raise EdgeListParseError(line_no, f"bad vertex token {b!r}")
         if a == b:
             raise EdgeListParseError(line_no, f"self-loop at {a!r}")

@@ -14,9 +14,12 @@ The tiers, by vertex count n under a SearchBudget:
 - n > backtrack_vertex_cap (40): refused by the screen, unless every degree
   is at most two (a path or a cycle), which the backtracking tier walks at
   any size;
-- n <= dp_vertex_cap (24): a numpy subset table, a 2^n uint32 array filled
-  a popcount layer at a time from that layer's live masks alone; a sparse
-  24-vertex query takes about 0.05 s and peaks near 97 MB of process RSS;
+- n <= dp_vertex_cap (24): a numpy subset table that keeps only its live
+  masks, a popcount layer at a time: the masks ascending and each one's
+  end set, 8 bytes a mask, each layer built from the one before a bounded
+  target range at a time; the benchmark's sparse 24-vertex query takes
+  about 0.02 s and adds about 2 MB to the process, and K24, where all 2^24
+  masks are live, about 4 s and 173 MB;
 - above that: pruned backtracking, capped when node_budget runs out.
 
 Every backtracking pass is one explicit-stack DFS, _dfs, in one of two
@@ -74,7 +77,9 @@ class SearchBudget:
     """Resource limits for the exact searches.
 
     Graphs up to dp_vertex_cap vertices go through the numpy subset table,
-    which is exact and immune to adversarial structure; between that and
+    which is exact and immune to adversarial structure; it stores 8 bytes
+    for each vertex set some path covers, at most 2^n of them, so 134 MB
+    on K24 and up to 537 MB at the cap's limit of 26; between that and
     backtrack_vertex_cap a pruned depth-first search that tries low-degree
     vertices first runs with a node budget. Anything larger is refused with
     CappedError, except a path or a cycle, which that search walks at any
@@ -196,41 +201,76 @@ def check_trail_witness(g: Graph, walk: tuple[str, ...], closed: bool) -> None:
 # ---------------------------------------------------------------------------
 # subset dynamic programming over vertex masks
 
-def _dp_table_np(adj: list[int], starts: int, deadline: float) -> np.ndarray:
-    # dp[mask] holds the end vertices of the paths that cover exactly mask and
-    # start in starts; w ends a path over mask | w when w is outside mask and
-    # adjacent to an end of mask, so each layer of popcount k fills layer k + 1.
-    # src holds a layer's live masks, the targets its predecessor set first,
-    # ascending so that each pass gathers and scatters in order
+_CHUNK_KEYS = 1 << 20  # keys sorted at once, give or take one grid cell's
+
+
+def _dp_table_np(adj: list[int], starts: int, deadline: float,
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    # layer k - 1 holds the live masks of popcount k, ascending as int32, and
+    # each one's ends as uint32: the end vertices of the paths that cover
+    # exactly that mask and start in starts. w ends a path over mask | w when
+    # w is outside mask and adjacent to an end of mask, so each push gives a
+    # key target << 5 | w; sorted, the keys of one target are adjacent and
+    # OR their bits into its ends. A layer is built a target range at a time:
+    # the targets in [lo, hi) that carry bit w come from the slice of src in
+    # [lo - 2^w, hi - 2^w), so each range sorts a bounded number of keys
     n = len(adj)
-    dp = np.zeros(1 << n, dtype=np.uint32)
-    src = np.array([1 << v for v in range(n) if starts >> v & 1], dtype=np.int64)
-    dp[src] = src
+    src = np.array([1 << v for v in range(n) if starts >> v & 1], dtype=np.int32)
+    table = [(src, src.astype(np.uint32))]
+    bits = 1 << np.arange(n, dtype=np.int64)
+    wbit = bits.astype(np.uint32)
     for _ in range(1, n):
         if time.monotonic() > deadline:
             raise CappedError("time limit hit during subset dynamic programming")
+        src, ends = table[-1]
         if not src.size:
             break
-        ends = dp[src]
-        new = []
-        for w in range(n):
-            bit = 1 << w
-            # distinct sources stay distinct targets, so one gather serves
-            ext = src[((src & bit) == 0) & ((ends & adj[w]) != 0)] | bit
-            old = dp[ext]
-            new.append(ext[old == 0])
-            dp[ext] = old | bit
-        src = np.sort(np.concatenate(new))
-    return dp
+        # one range, or a grid of up to 1024 cells grouped into ranges of
+        # about _CHUNK_KEYS (source, w) pairs each, empty between equal
+        # cuts; pos[w][j] is where grid[j] - 2^w falls in src
+        step = 1 << n if src.size * n <= _CHUNK_KEYS else 1 << max(0, n - 10)
+        grid = np.arange(0, (1 << n) + 1, step, dtype=np.int64)
+        pos = np.searchsorted(src, (grid - bits[:, None]).astype(np.int32))
+        load = np.cumsum(np.diff(pos).sum(axis=0))
+        cuts = np.searchsorted(load, np.arange(_CHUNK_KEYS, load[-1], _CHUNK_KEYS),
+                               side="right").tolist()
+        pos = pos.tolist()
+        masks, out = [], []
+        for a, b in zip([0, *cuts], [*cuts, grid.size - 1]):
+            keys = []
+            for w in range(n):
+                s = src[pos[w][a]:pos[w][b]]
+                e = ends[pos[w][a]:pos[w][b]]
+                bit = 1 << w
+                keys.append((s[((s & bit) == 0) & ((e & adj[w]) != 0)] | bit) << 5 | w)
+            keys = np.concatenate(keys)
+            keys.sort()
+            target = keys >> 5
+            first = np.flatnonzero(np.diff(target, prepend=-1))
+            masks.append(target[first])
+            out.append(np.bitwise_or.reduceat(wbit[keys & 31], first))
+        table.append((np.concatenate(masks), np.concatenate(out)))
+    return table
 
 
-def _walk_from_table(dp, adj: list[int], full: int, end: int) -> list[int]:
+def _table_ends(table: list[tuple[np.ndarray, np.ndarray]], mask: int) -> int:
+    """The ends of mask in a table of _dp_table_np, as a bitmask; 0 when no
+    path covers mask."""
+    k = mask.bit_count()
+    if k > len(table):
+        return 0
+    masks, ends = table[k - 1]
+    i = int(np.searchsorted(masks, mask))
+    return int(ends[i]) if i < masks.size and masks[i] == mask else 0
+
+
+def _walk_from_table(table, adj: list[int], full: int, end: int) -> list[int]:
     walk = [end]
     mask = full
     while mask.bit_count() > 1:
         v = walk[-1]
         prev = mask & ~(1 << v)
-        cands = int(dp[prev]) & adj[v]
+        cands = _table_ends(table, prev) & adj[v]
         if not cands:
             raise InternalCheckError("subset table lost a predecessor")
         walk.append((cands & -cands).bit_length() - 1)
@@ -417,7 +457,7 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
             walk = walk[:1] + walk[:0:-1] if cycle else walk[::-1]
         return _witnessed(g, walk, check)
     dp = _dp_table_np(adj, 1 if cycle else full, deadline)
-    ends = int(dp[full]) & (adj[0] if cycle else full)
+    ends = _table_ends(dp, full) & (adj[0] if cycle else full)
     if not ends:
         return False, None
     end = (ends & -ends).bit_length() - 1
@@ -575,6 +615,13 @@ def has_dominating_trail(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
     return _witnessed(g, walk, check_trail_witness, closed)
 
 
+# failed trail states kept at once, about 150 bytes each on up to 64 edges.
+# The searches of the tests, the verification campaigns and the benchmark
+# hold at most 285; 15 three-edge chains between two hubs, a closed-trail
+# "no" after a million nodes, hold 507,876
+_TRAIL_MEMO_CAP = 1 << 20
+
+
 class _PieceSearch:
     """Trail searches inside bridgeless pieces, under one node count and
     one deadline."""
@@ -593,7 +640,10 @@ class _PieceSearch:
         start == end asks for a closed trail. One entry per trail vertex is
         stacked, and a state (vertex, edges used) that had no completion is
         kept in a memo; the used edges fix the start, so one memo serves
-        every start. A step is taken only while every untouched edge, every
+        every start. The memo is cleared when it holds _TRAIL_MEMO_CAP
+        states and refills from there, so it stays bounded; a dropped state
+        can cost nodes, as the search may walk it again, but never changes
+        an answer. A step is taken only while every untouched edge, every
         unvisited vertex of `need` and the fixed end are still reachable over
         unused edges. Each step counts as one node against the shared budget.
         """
@@ -619,10 +669,13 @@ class _PieceSearch:
         nodes, cap, deadline = self.nodes, self.node_budget, self.deadline
         tick = max(1, 4096 // len(edges))  # each node floods the piece
         failed: set[tuple[int, int]] = set()
+        memo_cap = _TRAIL_MEMO_CAP
         for s in range(len(verts)) if start is None else (pos[start],):
             # one entry per trail vertex: (vertex, used, covered, seen, untried edges)
             stack = [(s, 0, incident[s], 1 << s, incident[s])]
             while stack:
+                if len(failed) >= memo_cap:  # each pass adds at most one state
+                    failed.clear()
                 cur, used, covered, seen, free = stack[-1]
                 if not free:
                     failed.add((cur, used))

@@ -514,6 +514,29 @@ def test_dominating_trail_witnesses_are_pinned():
     assert digest.hexdigest() == PINNED_TRAIL_DIGEST
 
 
+def test_a_small_trail_memo_costs_nodes_not_answers(monkeypatch):
+    # a memo cleared at every third state walks failed states again: more
+    # nodes, the same verdict and witness on every graph of the corpus
+    searches = []
+
+    class Counting(oracles._PieceSearch):
+        def __init__(self, budget):
+            super().__init__(budget)
+            searches.append(self)
+
+    monkeypatch.setattr(oracles, "_PieceSearch", Counting)
+    # K_{2,5} with each edge subdivided twice: no closed trail, found by
+    # running out of states
+    chains = [(hub, f"{hub}{i}p", f"{hub}{i}q", f"c{i}") for i in range(5) for hub in "ab"]
+    g = graph_from_token_edges([e for c in chains for e in zip(c, c[1:])])
+    assert has_dominating_trail(g, closed=True) == (False, None)
+    unbounded = searches[-1].nodes
+    monkeypatch.setattr(oracles, "_TRAIL_MEMO_CAP", 3)
+    assert has_dominating_trail(g, closed=True) == (False, None)
+    assert searches[-1].nodes > unbounded
+    test_dominating_trail_witnesses_are_pinned()
+
+
 def test_dominating_trail_edge_cases():
     # K1 open and every star closed: the one-vertex walk
     assert has_dominating_trail(path_graph(1)) == (True, ("p0",))

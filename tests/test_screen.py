@@ -13,6 +13,7 @@ from hpindex import (Graph, PreconditionError, has_hamiltonian_cycle,
                      has_hamiltonian_path, line_graph)
 from hpindex import oracles
 from conftest import all_trees
+from reference_tables import dense_table
 
 
 def _table(g: Graph, cycle: bool) -> bool:
@@ -21,7 +22,7 @@ def _table(g: Graph, cycle: bool) -> bool:
         return False  # a cycle needs three vertices; K2's one edge is no cycle
     adj = oracles._adj_masks(g)
     full = (1 << g.n) - 1
-    dp = oracles._dp_table_np(adj, 1 if cycle else full, float("inf"))
+    dp = dense_table(oracles._dp_table_np(adj, 1 if cycle else full, float("inf")), g.n)
     return bool(int(dp[full]) & (adj[0] if cycle else full))
 
 

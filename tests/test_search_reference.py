@@ -12,8 +12,9 @@ search places a subset of a reference's nodes, in the same order: wherever
 a reference settles within a budget the new search returns the same walk
 or None within it, and wherever the new search settles its answer is the
 reference's with the budget lifted.
-`oracles._dp_table_np` must build the table of `_dp_table_py` entry for
-entry, as the witness walk is read back from it. The piece-by-piece
+`oracles._dp_table_np`, spread into 2^n entries by `dense_table`, must
+build the table of `_dp_table_py` entry for entry, as the witness walk is
+read back from it. The piece-by-piece
 `oracles.has_dominating_trail` must give the verdict of the edge-mask
 search over the whole graph, open and closed, wherever that search does not
 cap, and a witness that replays in g and, mapped, in L(g).
@@ -31,6 +32,7 @@ from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail
 from reference_linegraph import trail_as_line_walk
 from reference_search import (_backtrack, _dp_table_py, _lex_backtrack,
                               has_dominating_trail)
+from reference_tables import dense_table
 from shapes import random_connected_graph
 
 NO_DEADLINE = float("inf")
@@ -101,7 +103,7 @@ def test_dfs_matches_both_references_on_seeded_graphs(block):
 
 def assert_same_table(g, starts):
     adj = oracles._adj_masks(g)
-    fast = oracles._dp_table_np(adj, starts, NO_DEADLINE)
+    fast = dense_table(oracles._dp_table_np(adj, starts, NO_DEADLINE), g.n)
     assert fast.tolist() == _dp_table_py(adj, starts), (g.label_edges(), starts)
 
 

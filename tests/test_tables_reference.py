@@ -1,9 +1,9 @@
 """The numpy subset table against the per-(end, neighbour) reference.
 
-`oracles._dp_table_np` and the reference in reference_tables.py must build
-the same table entry for entry: the witness walk is read back from it, so a
-table that differs anywhere can change a witness even when every verdict
-holds.
+`oracles._dp_table_np`, spread into 2^n entries by `dense_table`, and the
+reference in reference_tables.py must build the same table entry for
+entry: the witness walk is read back from it, so a table that differs
+anywhere can change a witness even when every verdict holds.
 """
 
 import random
@@ -26,7 +26,7 @@ from hpindex import (
     is_path,
 )
 from hpindex import oracles
-from reference_tables import _dp_table_np as reference_table
+from reference_tables import _dp_table_np as reference_table, dense_table
 from shapes import random_connected_graph
 
 NO_DEADLINE = float("inf")
@@ -34,7 +34,7 @@ NO_DEADLINE = float("inf")
 
 def assert_same_table(g, starts):
     adj = oracles._adj_masks(g)
-    fast = oracles._dp_table_np(adj, starts, NO_DEADLINE)
+    fast = dense_table(oracles._dp_table_np(adj, starts, NO_DEADLINE), g.n)
     ref = reference_table(adj, starts, NO_DEADLINE)
     assert fast.dtype == ref.dtype
     assert np.array_equal(fast, ref), (g.label_edges(), starts)
@@ -140,6 +140,31 @@ def test_hamiltonian_cycles_with_chords(n):
         g = Graph([str(i) for i in range(n)], edges)
         for starts in three_starts(n, rng):
             assert_same_table(g, starts)
+
+
+def test_small_target_ranges(monkeypatch):
+    # a few keys per target range, so that ranges are empty, hold one grid
+    # cell or split a layer many times
+    monkeypatch.setattr(oracles, "_CHUNK_KEYS", 16)
+    for n in range(2, 6):
+        for g in enumerate_connected_graphs(n):
+            assert_same_table(g, (1 << n) - 1)
+            assert_same_table(g, 1)
+    for n in range(6, 13):
+        g = Graph([str(i) for i in range(n)], list(combinations(range(n), 2)))
+        for starts in three_starts(n, random.Random(n)):
+            assert_same_table(g, starts)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_denser_random_graphs_17_to_22(block):
+    # 20 graphs of 2n extra edges: up to 45 % of a middle layer's masks are
+    # live, and from 19 vertices on a layer is built in several target ranges
+    for seed in range(block * 5, block * 5 + 5):
+        n = 17 + seed % 6
+        g = random_connected_graph(n, 2 * n, seed)
+        assert_same_table(g, (1 << n) - 1)
+        assert_same_table(g, 1)
 
 
 @pytest.mark.slow
