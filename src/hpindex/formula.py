@@ -9,15 +9,15 @@ The min-max is evaluated without listing endpaths. The branches are the
 edges of the junction tree, whose nodes are the vertices of degree != 2.
 Any two branches share an endpath, so the maximal pairs are the pairs of the
 two largest weights, and the best endpath through a pair extends the pair's
-hull as cheaply as it can at both ends. One sweep up the junction tree
-gives that cost below every branch; the cost on from a branch's upper end
-is computed only for a pair with one branch above the other, and only along
-that branch's path to the root (see _evaluate). Ties break as a scan of
-every endpath in leaf-pair order would break them. The largest and least
-values at each junction are picked by linear scans, and a branch's vertex
-walk is built only when the result reports it. The work is O(n) plus the
-hull length of every maximal pair, each climbed and listed in per_pair; h
-items tied for the heaviest weight make C(h, 2) such pairs, so a star
+hull as cheaply as it can at both ends. One walk down the tree finds the
+junction tree and one pass up it gives that cost below every branch; the
+cost on from a branch's upper end is computed only for a pair with one
+branch above the other, and only along that branch's path to the root (see
+_evaluate). Ties break as a scan of every endpath in leaf-pair order would
+break them. Each pass scans each junction's kids once, and a branch's
+vertex walk is built only when the result reports it. The work is O(n) plus
+the hull length of every maximal pair, each climbed and listed in per_pair;
+h items tied for the heaviest weight make C(h, 2) such pairs, so a star
 K_{1,h} costs O(h^2). Listing endpaths cost O(leaves^2 * n).
 
 The conjectural extension contracts every bridgeless piece of a general graph
@@ -38,7 +38,7 @@ from functools import cached_property
 
 from .canon import graph_key
 from .errors import CappedError, InternalCheckError, PreconditionError
-from .graphs import Graph, bfs_tree, block_graph, is_connected, is_path, is_tree
+from .graphs import Graph, block_graph, is_connected, is_path, is_tree
 from .io import to_edge_list
 from .oracles import (DEFAULT_SEARCH_BUDGET, IndexResult, SearchBudget,
                       StageRecord, _time_left, has_hamiltonian_cycle,
@@ -123,6 +123,26 @@ def _exits(s: list[int], f: list, combine) -> list:
     return out
 
 
+def _fill_up(out: list, x: int, combine, jpar: list[int], kids: list,
+             sub: list[int], side: list[int]) -> None:
+    """Fill out[n + x], going on from x's parent junction away from x:
+    climb to the nearest junction whose up entry is known, or to the root
+    (jpar -1), then run _exits for each junction back down the path."""
+    n = len(sub)
+    path = [jpar[x]]
+    while jpar[path[-1]] >= 0 and out[n + path[-1]] is None:
+        path.append(jpar[path[-1]])
+    for p in reversed(path):
+        ks = kids[p]
+        s = [sub[k] for k in ks]
+        f = [out[k] for k in ks]
+        if jpar[p] >= 0:
+            s.append(side[p])
+            f.append(out[n + p])
+        for k, v in zip(ks, _exits(s, f, combine)):
+            out[n + k] = v
+
+
 def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
               ) -> tuple[int, tuple[str, ...], tuple[str, ...] | None,
                          tuple[PairValue, ...]]:
@@ -135,159 +155,111 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     each corridor gives one item per piece, weighing its edge count if its
     lower end is a leaf that is not a hub and one more otherwise. Two
     corridors always share an endpath, so the maximal pairs are those whose
-    weights add up to the two largest.
+    weights add up to the two largest. One walk down the tree gives each
+    vertex its parent and depth and each corridor its items.
 
     An endpath through a pair contains the pair's hull, the least junction
     path holding both items. The pair's value is the heaviest of the items
     hanging off the hull's interior, found by climbing parents from both
     corridors, and of the cheapest ways on from each end of the hull to a
-    leaf. One sweep up the junction tree gives the cost of going on below
-    every corridor. Going on from a corridor's upper end, away from it, is
-    read only when one corridor of a pair lies above the other, and is
-    computed on that first read, top-down from the nearest junction whose
-    entries are known or from the root, with O(d) work at a junction of
-    degree d. V is the least pair value.
+    leaf. One pass up the junction tree gives the cost of going on below
+    every corridor, one pass down the heaviest item outside each subtree.
+    Going on from a corridor's upper end, away from it, is read only when
+    one corridor of a pair lies above the other, and is filled on that
+    first read by _fill_up. V is the least pair value.
 
     Ties break as a scan of all endpaths in leaf-pair order would. A second
-    sweep finds, in the same two directions and by the same rule, the least
-    leaf by label reachable at cost at most V; the endpath joins the least
-    such leaf pair over the pairs of value V. The off-path item is the least
-    walk of weight V left off it, and pairs are listed in the order of
-    their sorted walks. An item is kept as its lower end, weight and
-    corridor; its walk is climbed from the lower end only for the items
-    reported: those in a maximal pair and the off-path candidates of
-    weight V. The cost is O(n) plus the hull length of every maximal pair,
-    C(h, 2) pairs for h tied heaviest items, without recursion.
+    pass up, filled upwards in the same way, finds the least leaf by label
+    reachable at cost at most V; the endpath joins the least such leaf pair
+    over the pairs of value V. The off-path item is the least walk of
+    weight V left off it, and pairs are listed in the order of their sorted
+    walks. An item is kept as its lower end, weight and corridor; its walk
+    is climbed from the lower end only for the items reported: those in a
+    maximal pair and the off-path candidates of weight V. The cost is O(n)
+    plus the hull length of every maximal pair, C(h, 2) pairs for h tied
+    heaviest items, without recursion.
     """
-    adj, n = tree.adj, tree.n
-    junction = [len(a) != 2 for a in adj]
+    adj, n, labels = tree.adj, tree.n, tree.labels
     root = next(v for v in range(n) if len(adj[v]) > 2)
-    order, parent = bfs_tree(adj, root)
-    depth = [0] * n
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    jorder = [v for v in order if junction[v]]
-    # climb each corridor from its lower junction x to its parent junction
-    # jpar[x], naming every edge (v, parent[v]) on the way by x and cutting
-    # an item at each hub; an item's walk is rebuilt from its lower end
-    # only if the result reports it
-    low = list(range(n))
-    jpar = [-1] * n
-    kids: dict[int, list[int]] = {}  # only junctions with kid junctions
-    jdepth = [0] * n
+    parent, depth = [-1] * n, [0] * n
+    parent[root] = root
+    jorder, leaves = [root], []  # junctions with kids, top-down; leaves
+    jpar, jdepth = [-1] * n, [0] * n
+    kids: list[list[int] | None] = [None] * n
     cw = [0] * n  # heaviest item in the corridor above each junction
     lower, weight, corridor = [], [], []  # per item
-    for x in jorder[1:]:
-        v = end = x
-        while True:
-            v = parent[v]
-            if not junction[v]:
-                low[v] = x
-                if v not in hubs:
-                    continue
-            # edges, plus one unless the item is pendant
-            w = depth[end] - depth[v] + (len(adj[end]) != 1 or end in hubs)
-            lower.append(end)
-            weight.append(w)
-            corridor.append(x)
-            cw[x] = max(cw[x], w)
-            if junction[v]:
-                break
-            end = v
-        jpar[x] = v
-        kids.setdefault(v, []).append(x)
-        jdepth[x] = jdepth[v] + 1
+    for p in jorder:  # grows while it is read
+        kids[p] = ks = []
+        for v in adj[p]:
+            if v == parent[p]:
+                continue
+            u, d = p, depth[p]
+            while True:
+                d += 1
+                parent[v] = u
+                depth[v] = d
+                a = adj[v]
+                if len(a) != 2:
+                    break
+                u, v = v, a[a[0] == u]  # on to v's other neighbour
+            x = v  # the corridor's lower junction
+            ks.append(x)
+            jpar[x] = p
+            jdepth[x] = jdepth[p] + 1
+            (leaves if len(a) == 1 else jorder).append(x)
+            # an item ends at each hub: climb the corridor only if there are
+            # hubs; edges, plus one unless the item is pendant
+            end, top = x, parent[x] if hubs else p
+            while True:
+                if top == p or top in hubs:
+                    w = depth[end] - depth[top] + (len(adj[end]) != 1 or end in hubs)
+                    lower.append(end)
+                    weight.append(w)
+                    corridor.append(x)
+                    if w > cw[x]:
+                        cw[x] = w
+                    if top == p:
+                        break
+                    end = top
+                top = parent[top]
     if len(weight) < 2:  # unreachable: a tree that is not a path has 3+ branches
         raise InternalCheckError("no endpath contains a maximal branch pair; "
                                  "witness graph:\n" + to_edge_list(tree))
 
-    # Heaviest item on each side of the corridor above junction x: in x's
-    # subtree, that corridor included (sub[x]), and everywhere else
-    # (side[x], the parent neighbour's share as seen from x). sib[x] is the
-    # heaviest subtree of x's siblings. A junction with kids has two or
-    # more; top3[p] holds the three with the heaviest subtrees.
-    sub = cw[:]
-    for x in reversed(jorder[1:]):
-        sub[jpar[x]] = max(sub[jpar[x]], sub[x])
-    sib, side = [0] * n, [0] * n
-    top3: dict[int, list[int]] = {}
-    for p in jorder:
-        ks = kids.get(p)
-        if ks:
-            s = [sub[k] for k in ks]
-            t0, t1, t2 = _largest3(s)
-            top3[p] = [ks[t] for t in (t0, t1, t2) if t >= 0]
-            for i, x in enumerate(ks):
-                sib[x] = s[t1] if i == t0 else s[t0]
-                side[x] = max(cw[x], side[p], sib[x])
-
-    def sweep(combine, leaf_value):
-        # entry x: going on from junction x away from its parent junction,
-        # filled for every x bottom-up; entry n + x: going on from x's parent
-        # junction away from x, read only at the top of a nested pair's hull
-        # and filled on first read: climb to the nearest junction whose up
-        # entry is known, or to the root, then run _exits back down the path
-        out = [None] * (2 * n)
-        for x in reversed(jorder[1:]):
-            out[x] = (min(combine(sib[k], out[k]) for k in kids[x])
-                      if x in kids else leaf_value(x))
-
-        def read(e: int):
-            if out[e] is None:
-                path = [jpar[e - n]]
-                while path[-1] != root and out[n + path[-1]] is None:
-                    path.append(jpar[path[-1]])
-                for p in reversed(path):
-                    ks = kids[p]
-                    s = [sub[k] for k in ks]
-                    f = [out[k] for k in ks]
-                    if p != root:
-                        s.append(side[p])
-                        f.append(out[n + p])
-                    for x, v in zip(ks, _exits(s, f, combine)):
-                        out[n + x] = v
-            return out[e]
-        return read
-
-    cost = sweep(max, lambda x: 0)
-
-    def hull(cx: int, cy: int) -> tuple[int, int, int]:
-        """Heaviest corridor hanging off the hull's interior, and its two
-        ends as sweep entries: x to go on below junction x, n + x to go on
-        from x's parent away from x."""
-        if cx == cy:
-            return 0, cx, n + cx
-        a, b, hang = cx, cy, 0
-        while jdepth[a] > jdepth[b]:
-            hang, a = max(hang, sib[a]), jpar[a]
-        while jdepth[b] > jdepth[a]:
-            hang, b = max(hang, sib[b]), jpar[b]
-        if a == b:  # one corridor lies above the other
-            if a == cx:
-                return hang, cy, n + cx
-            return hang, cx, n + cy
-        while jpar[a] != jpar[b]:
-            hang = max(hang, sib[a], sib[b])
-            a, b = jpar[a], jpar[b]
-        meet = jpar[a]
-        rest = next((sub[k] for k in top3[meet] if k != a and k != b), 0)
-        return max(hang, rest, side[meet]), cx, cy
-
-    walks: dict[int, tuple[str, ...]] = {}
-
-    def walk_of(i: int) -> tuple[str, ...]:
-        """Item i's vertex walk from its smaller end: the climb from its
-        lower end to the first junction or hub."""
-        if i not in walks:
-            v = lower[i]
-            toks = [tree.labels[v]]
-            while True:
-                v = parent[v]
-                toks.append(tree.labels[v])
-                if junction[v] or v in hubs:
-                    break
-            walks[i] = min(tuple(toks), tuple(reversed(toks)))
-        return walks[i]
+    # Up the junction tree: the heaviest item in x's subtree, the corridor
+    # above x included (sub[x]), the heaviest subtree of x's siblings
+    # (sib[x]; a junction with kids has two or more), and cost[x], the
+    # cheapest way on from x away from its parent junction, 0 at a leaf.
+    # Entry n + x, going on from x's parent away from x, is left to
+    # _fill_up. Down: side[x], the heaviest item outside x's subtree, the
+    # corridor above x included (the parent neighbour's share seen from x).
+    sub, sib = cw[:], [0] * n
+    cost: list = [0] * n + [None] * n
+    for x in reversed(jorder):
+        ks = kids[x]
+        m0, m1, t = 0, 0, -1
+        for k in ks:
+            s = sub[k]
+            if s > m1:
+                if s > m0:
+                    m0, m1, t = s, m0, k
+                else:
+                    m1 = s
+        c = math.inf
+        for k in ks:
+            s = sib[k] = m1 if k == t else m0
+            y = cost[k] if cost[k] > s else s
+            if y < c:
+                c = y
+        cost[x] = c
+        if sub[x] < m0:
+            sub[x] = m0
+    side = [0] * n
+    for x in jorder[1:]:
+        s = side[jpar[x]]
+        if s < sib[x]:
+            s = sib[x]
+        side[x] = s if s > cw[x] else cw[x]
 
     w1 = max(weight)
     heavy = [i for i, w in enumerate(weight) if w == w1]
@@ -296,35 +268,90 @@ def _evaluate(tree: Graph, hubs: frozenset[int] = frozenset(),
     else:
         w2 = max(w for w in weight if w != w1)
         pairs = [(heavy[0], j) for j, w in enumerate(weight) if w == w2]
-    pairs.sort(key=lambda p: sorted((walk_of(p[0]), walk_of(p[1]))))
 
+    # each pair's hull: the heaviest corridor hanging off its interior, and
+    # its two ends as cost entries, ex (a down entry) and ey
     valued = []
+    top3: dict[int, list[int]] = {}  # the kids with the heaviest subtrees
     for i, j in pairs:
-        hang, ex, ey = hull(corridor[i], corridor[j])
-        valued.append((max(hang, cost(ex), cost(ey)), ex, ey))
-    value = min(v for v, _, _ in valued)
+        cx, cy = corridor[i], corridor[j]
+        a, b = (cx, cy) if jdepth[cx] >= jdepth[cy] else (cy, cx)
+        hang = 0
+        while jdepth[a] > jdepth[b]:
+            if hang < sib[a]:
+                hang = sib[a]
+            a = jpar[a]
+        if a == b:  # one corridor lies above the other, or both are one
+            ex, ey = (cy, n + cx) if a == cx else (cx, n + cy)
+        else:
+            while jpar[a] != jpar[b]:
+                if hang < sib[a]:
+                    hang = sib[a]
+                if hang < sib[b]:
+                    hang = sib[b]
+                a, b = jpar[a], jpar[b]
+            meet = jpar[a]
+            if meet not in top3:
+                ks = kids[meet]
+                top3[meet] = [ks[t] for t in _largest3([sub[k] for k in ks])
+                              if t >= 0]
+            rest = next((sub[k] for k in top3[meet] if k != a and k != b), 0)
+            hang, ex, ey = max(hang, rest, side[meet]), cx, cy
+        if cost[ey] is None:
+            _fill_up(cost, ey - n, max, jpar, kids, sub, side)
+        valued.append((max(hang, cost[ex], cost[ey]), ex, ey))
+    value = min(valued)[0]
 
-    leaves = sorted((v for v in range(n) if len(adj[v]) == 1),
-                    key=tree.labels.__getitem__)
-    rank = {v: r for r, v in enumerate(leaves)}
-    beyond = len(leaves)  # rank of no leaf: more than every real rank
-    reach = sweep(lambda m, r: r if m <= value else beyond, rank.__getitem__)
-    ends = min(tuple(sorted((reach(ex), reach(ey))))
-               for v, ex, ey in valued if v == value)
-    x, y = leaves[ends[0]], leaves[ends[1]]
-    left, right = [x], [y]
+    # the least leaf by label reachable at cost at most V, as its rank; a
+    # leaf reaches itself, and beyond is the rank of no leaf
+    leaves.sort(key=labels.__getitem__)
+    beyond = len(leaves)
+    reach: list = [0] * n + [None] * n
+    for r, v in enumerate(leaves):
+        reach[v] = r
+    for x in reversed(jorder):
+        r = beyond
+        for k in kids[x]:
+            if sib[k] <= value and reach[k] < r:
+                r = reach[k]
+        reach[x] = r
+    ends = []
+    for v, ex, ey in valued:
+        if v == value:
+            if reach[ey] is None:
+                _fill_up(reach, ey - n, lambda m, r: r if m <= value else beyond,
+                         jpar, kids, sub, side)
+            a, b = reach[ex], reach[ey]
+            ends.append((a, b) if a < b else (b, a))
+    ra, rb = min(ends)
+    left, right = [leaves[ra]], [leaves[rb]]
     while left[-1] != right[-1]:
         deeper = left if depth[left[-1]] >= depth[right[-1]] else right
         deeper.append(parent[deeper[-1]])
     walk = left + right[-2::-1]
-    on_path = {low[a] if parent[a] == b else low[b]
-               for a, b in zip(walk, walk[1:])}
-    heaviest = [walk_of(i) for i, (c, w) in enumerate(zip(corridor, weight))
-                if w == value and c not in on_path]
-    per_pair = tuple((tuple(sorted((walk_of(i), walk_of(j)))), v)
-                     for (i, j), (v, _, _) in zip(pairs, valued))
-    return (value, tuple(tree.labels[v] for v in walk),
-            min(heaviest) if heaviest else None, per_pair)
+    # the endpath's corridors: those of its junctions below its top one
+    on_path = {v for v in left[:-1] + right[:-1] if len(adj[v]) != 2}
+    heaviest = [i for i, w in enumerate(weight)
+                if w == value and corridor[i] not in on_path]
+
+    # each reported item's walk from its smaller end: the climb from its
+    # lower end to the first junction or hub
+    walks = {}
+    for i in {i for pair in pairs for i in pair}.union(heaviest):
+        v = lower[i]
+        toks = [labels[v]]
+        while True:
+            v = parent[v]
+            toks.append(labels[v])
+            if len(adj[v]) != 2 or v in hubs:
+                break
+        walks[i] = tuple(toks) if toks[0] < toks[-1] else tuple(reversed(toks))
+    per_pair = sorted(((walks[i], walks[j]) if walks[i] < walks[j]
+                       else (walks[j], walks[i]), v)
+                      for (i, j), (v, _, _) in zip(pairs, valued))
+    return (value, tuple(map(labels.__getitem__, walk)),
+            min(walks[i] for i in heaviest) if heaviest else None,
+            tuple(per_pair))
 
 
 def hp_tree(t: Graph) -> FormulaResult:

@@ -19,7 +19,8 @@ The tiers, by vertex count n under a SearchBudget:
   end set, 8 bytes a mask, each layer built from the one before a bounded
   target range at a time; the benchmark's sparse 24-vertex query takes
   about 0.02 s and adds about 2 MB to the process, and K24, where all 2^24
-  masks are live, about 4 s and 173 MB;
+  masks are live, about 3.5 s: it stores 134 MB, and the process peaks at
+  about 222 MB of RSS;
 - above that: pruned backtracking, capped when node_budget runs out.
 
 Every backtracking pass is one explicit-stack DFS, _dfs, in one of two
@@ -79,9 +80,10 @@ class SearchBudget:
     Graphs up to dp_vertex_cap vertices go through the numpy subset table,
     which is exact and immune to adversarial structure; it stores 8 bytes
     for each vertex set some path covers, at most 2^n of them, so 134 MB
-    on K24 and up to 537 MB at the cap's limit of 26; between that and
-    backtrack_vertex_cap a pruned depth-first search that tries low-degree
-    vertices first runs with a node budget. Anything larger is refused with
+    stored on K24 (the process peaks at about 222 MB of RSS) and up to
+    537 MB at the cap's limit of 26; between that and backtrack_vertex_cap
+    a pruned depth-first search that tries low-degree vertices first runs
+    with a node budget. Anything larger is refused with
     CappedError, except a path or a cycle, which that search walks at any
     size under the same node and time limits. prepass_nodes bounds the same
     search run before each table; below 17 vertices it walks vertices in
@@ -225,18 +227,21 @@ def _dp_table_np(adj: list[int], starts: int, deadline: float,
         src, ends = table[-1]
         if not src.size:
             break
-        # one range, or a grid of up to 1024 cells grouped into ranges of
-        # about _CHUNK_KEYS (source, w) pairs each, empty between equal
-        # cuts; pos[w][j] is where grid[j] - 2^w falls in src
-        step = 1 << n if src.size * n <= _CHUNK_KEYS else 1 << max(0, n - 10)
-        grid = np.arange(0, (1 << n) + 1, step, dtype=np.int64)
-        pos = np.searchsorted(src, (grid - bits[:, None]).astype(np.int32))
-        load = np.cumsum(np.diff(pos).sum(axis=0))
-        cuts = np.searchsorted(load, np.arange(_CHUNK_KEYS, load[-1], _CHUNK_KEYS),
-                               side="right").tolist()
-        pos = pos.tolist()
+        # one range, in which every w reads all of src (a mask past
+        # 2^n - 2^w holds w), or a grid of up to 1024 cells grouped into
+        # ranges of about _CHUNK_KEYS (source, w) pairs each, empty between
+        # equal cuts; pos[w][j] is where grid[j] - 2^w falls in src
+        if src.size * n <= _CHUNK_KEYS:
+            pos, cuts, last = [[0, src.size]] * n, [], 1
+        else:
+            grid = np.arange(0, (1 << n) + 1, 1 << max(0, n - 10), dtype=np.int64)
+            pos = np.searchsorted(src, (grid - bits[:, None]).astype(np.int32))
+            load = np.cumsum(np.diff(pos).sum(axis=0))
+            cuts = np.searchsorted(load, np.arange(_CHUNK_KEYS, load[-1], _CHUNK_KEYS),
+                                   side="right").tolist()
+            pos, last = pos.tolist(), grid.size - 1
         masks, out = [], []
-        for a, b in zip([0, *cuts], [*cuts, grid.size - 1]):
+        for a, b in zip([0, *cuts], [*cuts, last]):
             keys = []
             for w in range(n):
                 s = src[pos[w][a]:pos[w][b]]

@@ -4,7 +4,9 @@ Each formula result here is compared, as the whole (value, endpath, off-path
 walk, per-pair values) tuple, with reference_formula.py, which evaluates
 items built independently from the branches and absorption times of the
 original graph. The `checked` fixture counts the calls of
-`formula._evaluate`.
+`formula._evaluate`. The last tests compare `formula._evaluate` with
+`junction_evaluate`, the evaluator before its loops were specialised, on
+trees too large for the endpath listing.
 """
 
 import random
@@ -23,7 +25,7 @@ from hpindex import (
     random_tree,
 )
 from hpindex import formula
-from reference_formula import reference_formula
+from reference_formula import junction_evaluate, reference_formula
 from shapes import double_spider, spider, star_graph
 
 
@@ -127,3 +129,42 @@ def test_items_cut_from_corridors():
         tested += 1
         cut += any(t.degree(h) == 2 for h in hubs)
     assert cut >= 100
+
+
+def same_as_junction_reference(tree, hubs=frozenset()):
+    assert formula._evaluate(tree, hubs) == junction_evaluate(tree, hubs), (
+        tree.label_edges(), sorted(hubs))
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000, 5000])
+def test_random_trees_match_the_junction_reference(n):
+    for seed in range(10):
+        same_as_junction_reference(random_tree(n, seed))
+
+
+TIED = {
+    **{f"star{h}": star_graph(h) for h in (3, 4, 5, 8, 13, 40, 100, 200)},
+    **{f"caterpillar{s}": caterpillar(s) for s in (3, 4, 7, 25, 80, 200)},
+    **{f"spider{leg}x{k}": spider(*[leg] * k)
+       for leg in (1, 2, 3, 5) for k in (3, 4, 17, 60)},
+    "spider5-3x40": spider(5, *[3] * 40),
+    "spider4x20-1x50": spider(*[4] * 20, *[1] * 50),
+    "spider2x30-3x30": spider(*[2] * 30, *[3] * 30),
+}
+
+
+@pytest.mark.parametrize("name", TIED)
+def test_tied_trees_match_the_junction_reference(name):
+    same_as_junction_reference(TIED[name])
+
+
+def test_reduced_glued_family_matches_the_junction_reference():
+    # the bridge reductions with their hubs, as hp_blockchain_conjecture
+    # evaluates them; a tree of the family reduces to itself, with no hubs
+    compared = 0
+    for g, _ in gen_hamiltonian_2block_family(FamilyParams(max_vertices=10)):
+        r, hubs = formula._reduce(g)
+        if not is_path(r):
+            same_as_junction_reference(r, hubs)
+            compared += 1
+    assert compared == 536
