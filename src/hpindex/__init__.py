@@ -26,7 +26,6 @@ from .errors import (
 from .formula import (
     ExplorerRecord,
     FormulaResult,
-    bridge_reduction,
     compare_formula_oracle,
     hp_blockchain_conjecture,
     hp_tree,
@@ -93,7 +92,6 @@ __all__ = [
     "absorption_time",
     "blocks_and_cuts",
     "branches",
-    "bridge_reduction",
     "canonical_key",
     "compare_formula_oracle",
     "enumerate_connected_graphs",

@@ -83,16 +83,17 @@ def _rooted_sequence(adj: Sequence[Sequence[int]], root: int,
     return code[root]
 
 
-def _tree_code(adj: Sequence[Sequence[int]], n: int,
+def _tree_code(adj: Sequence[Sequence[int]],
                colour: list[int] | None = None) -> tuple[int, ...]:
     """Isomorphism code of a free (optionally vertex-coloured) tree: the
     largest canonical sequence over its centroids as roots."""
-    return max(_rooted_sequence(adj, c, colour) for c in _centroids(adj, n))
+    return max(_rooted_sequence(adj, c, colour) for c in _centroids(adj))
 
 
-def _centroids(adj: Sequence[Sequence[int]], n: int) -> list[int]:
+def _centroids(adj: Sequence[Sequence[int]]) -> list[int]:
     # the vertices whose removal leaves no component of more than n/2
     # vertices, ascending; a tree has one or two
+    n = len(adj)
     order, parent = bfs_tree(adj, 0)
     size = [1] * n
     for v in reversed(order[1:]):
@@ -126,7 +127,7 @@ def enumerate_free_trees(n: int) -> Iterator[Graph]:
         if 2 * largest > n:
             continue
         g = Graph(labels, _tree_from_levels(s))
-        if 2 * largest < n or tuple(s) == _tree_code(g.adj, n):
+        if 2 * largest < n or tuple(s) == _tree_code(g.adj):
             yield g
 
 
@@ -201,6 +202,12 @@ class FamilyParams:
     random_bases: int = 0
 
     def __post_init__(self) -> None:
+        # exactly int and bool: a bool or a float would be echoed into the
+        # report body as given, or fail inside the generator
+        ints = (self.max_vertices, self.seed, self.random_bases, *self.cycle_sizes)
+        if any(type(v) is not int for v in ints) or type(self.include_bases) is not bool:
+            raise ValidationError("max_vertices, seed, random_bases and cycle sizes "
+                                  "must be int, and include_bases a bool")
         if not 1 <= self.max_vertices <= 14:
             raise ValidationError("max_vertices must be in 1..14")
         if not self.cycle_sizes:
@@ -296,7 +303,7 @@ def gen_hamiltonian_2block_family(
                 colour = [0] * tree.n
                 for site, k in assignment:
                     colour[tree.index(site)] = k
-                key = _tree_code(tree.adj, tree.n, colour)
+                key = _tree_code(tree.adj, colour)
                 if key in seen:
                     if not assignment:
                         break  # an earlier base was isomorphic: skip it whole

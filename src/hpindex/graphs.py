@@ -206,9 +206,6 @@ def blocks_and_cuts(g: Graph) -> BlockDecomposition:
     if not is_connected(g):
         raise PreconditionError("block decomposition needs a connected graph")
     n = g.n
-    if n == 1:
-        return BlockDecomposition((), frozenset(), (0,))
-
     adj = g.adj
     disc = [-1] * n
     low = [0] * n

@@ -4,7 +4,7 @@ before it becomes traceable (hp_oracle) or hamiltonian (h_oracle).
 
 has_hamiltonian_path and has_hamiltonian_cycle share one screen, _screen,
 and one tiered search; a cycle is searched as a path from vertex 0 that must
-close back to it. The screen reads only n, the degrees and the block counts:
+close back to it. The screen reads only the degrees and the block counts:
 it answers "no" on necessary conditions, then raises the refusal of a graph
 over the vertex cap. The stage loop decides each stage L(H) after the clock:
 H is built then if the stage before did not build it, the screen read off H
@@ -62,8 +62,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .errors import CappedError, InternalCheckError, PreconditionError
 from .graphs import Graph, is_connected, is_path
@@ -216,6 +214,7 @@ def _dp_table_np(adj: list[int], starts: int, deadline: float,
     # OR their bits into its ends. A layer is built a target range at a time:
     # the targets in [lo, hi) that carry bit w come from the slice of src in
     # [lo - 2^w, hi - 2^w), so each range sorts a bounded number of keys
+    import numpy as np  # loaded with the first table, not with the package
     n = len(adj)
     src = np.array([1 << v for v in range(n) if starts >> v & 1], dtype=np.int32)
     table = [(src, src.astype(np.uint32))]
@@ -265,13 +264,13 @@ def _table_ends(table: list[tuple[np.ndarray, np.ndarray]], mask: int) -> int:
     if k > len(table):
         return 0
     masks, ends = table[k - 1]
-    i = int(np.searchsorted(masks, mask))
+    i = int(masks.searchsorted(mask))
     return int(ends[i]) if i < masks.size and masks[i] == mask else 0
 
 
-def _walk_from_table(table, adj: list[int], full: int, end: int) -> list[int]:
+def _walk_from_table(table, adj: list[int], end: int) -> list[int]:
     walk = [end]
-    mask = full
+    mask = (1 << len(adj)) - 1
     while mask.bit_count() > 1:
         v = walk[-1]
         prev = mask & ~(1 << v)
@@ -309,10 +308,10 @@ def _dead_end(cur: int, visited: int, full: int, adj: list[int]) -> bool:
     return True
 
 
-def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
-         deadline: float, close_to: int | None, by_degree: bool,
+def _dfs(adj: list[int], starts: list[int], node_budget: int,
+         deadline: float, cycle: bool, by_degree: bool,
          ) -> list[int] | None:
-    """Exhaustive DFS for a hamiltonian path (or cycle when close_to is set).
+    """Exhaustive DFS for a hamiltonian path, or a cycle when cycle is set.
 
     The graph with adjacency masks adj must be connected. Start vertices are
     tried in the given order. At each later position the next vertex is
@@ -327,12 +326,13 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
     Returns the walk, or None when there is none; raises _Inconclusive when
     more than node_budget nodes are placed and CappedError on the wall-clock
     deadline, checked every max(1, 4096 // n) nodes, as a flood between
-    neighbours that lie apart costs time that grows with n. When close_to is
-    set, a walk must end next to close_to, so close_to's last unvisited
+    neighbours that lie apart costs time that grows with n. When cycle is
+    set, a walk must end next to vertex 0, so vertex 0's last unvisited
     neighbour is dropped from a node's candidates unless it is the only
     unvisited vertex left; like _dead_end, this cuts only branches with no
-    completion. Paths pay one test of close_to per node for it.
+    completion. Paths pay one test of cycle per node for it.
     """
+    n = len(adj)
     full = (1 << n) - 1
     tick = max(1, 4096 // n)
     # a vertex is tried by its key: in degree order its unvisited-neighbour
@@ -356,7 +356,7 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
             if not nodes % tick and time.monotonic() > deadline:
                 raise CappedError("time limit hit during backtracking search")
             if nv == full:
-                if close_to is None or adj[w] >> close_to & 1:
+                if not cycle or adj[w] & 1:
                     walk.append(w)
                     return walk
                 continue
@@ -365,10 +365,10 @@ def _dfs(adj: list[int], n: int, starts: list[int], node_budget: int,
             rest = ~nv
             nxt = []
             cand = adj[w] & rest
-            if close_to is not None:
-                # the walk closes from close_to's last unvisited neighbour,
+            if cycle:
+                # the walk closes from vertex 0's last unvisited neighbour,
                 # so that vertex comes last or not at all
-                left = adj[close_to] & rest
+                left = adj[0] & rest
                 if not left & (left - 1) and full ^ nv != left:
                     cand &= ~left
             while cand:
@@ -414,8 +414,6 @@ def has_hamiltonian_path(g: Graph, budget: SearchBudget = DEFAULT_SEARCH_BUDGET,
     """Exact traceability test with a witness walk on success."""
     if g.n == 0:
         raise PreconditionError("traceability of the empty graph is undefined")
-    if g.n == 1:
-        return True, (g.labels[0],)
     return _hamiltonian(g, budget, cycle=False)
 
 
@@ -435,7 +433,7 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     """
     if not is_connected(g):
         return False, None
-    if not _screen(g.n, [len(a) for a in g.adj], lambda: _block_counts(g),
+    if not _screen([len(a) for a in g.adj], lambda: _block_counts(g),
                    cycle, budget.backtrack_vertex_cap):
         return False, None
     check = check_cycle_witness if cycle else check_path_witness
@@ -448,8 +446,7 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     nodes = (min(budget.prepass_nodes, _LEX_NODES) if lex else
              budget.prepass_nodes if table else budget.node_budget)
     try:
-        walk = _dfs(adj, g.n, starts, nodes, deadline, 0 if cycle else None,
-                    not lex)
+        walk = _dfs(adj, starts, nodes, deadline, cycle, not lex)
     except _Inconclusive:
         if not table:
             raise CappedError("backtracking node budget exhausted") from None
@@ -466,12 +463,12 @@ def _hamiltonian(g: Graph, budget: SearchBudget, cycle: bool,
     if not ends:
         return False, None
     end = (ends & -ends).bit_length() - 1
-    return _witnessed(g, _walk_from_table(dp, adj, full, end), check)
+    return _witnessed(g, _walk_from_table(dp, adj, end), check)
 
 
-def _screen(n: int, deg: list[int], blocks: Callable[[], tuple[int, int]],
+def _screen(deg: list[int], blocks: Callable[[], tuple[int, int]],
             cycle: bool, cap: int) -> bool:
-    """Whether a connected graph on n vertices with degrees `deg` must be
+    """Whether a connected graph with degrees `deg`, one per vertex, must be
     searched for a hamiltonian cycle (or path): False when a necessary
     condition fails, True when it must be searched. Over the vertex cap
     `cap` it raises the refusal, CappedError, instead of returning True.
@@ -480,7 +477,7 @@ def _screen(n: int, deg: list[int], blocks: Callable[[], tuple[int, int]],
     most one of them, as counts, and is called only once the degree tests
     pass. A cycle needs every degree at least 2 and no cut vertex. A path
     ends at every leaf block, the bridge at each leaf and each 2-block with
-    at most one cut vertex, so it allows two of them (exact from n = 3 on).
+    at most one cut vertex, so it allows two of them (exact from 3 vertices on).
     The cap spares a graph with no degree above 2, a path or a cycle, which
     the backtracking tier walks at any size.
     """
@@ -491,8 +488,8 @@ def _screen(n: int, deg: list[int], blocks: Callable[[], tuple[int, int]],
         leaves = deg.count(1)
         if leaves > 2 or leaves + blocks()[1] > 2:
             return False
-    if n > cap and max(deg) > 2:
-        raise CappedError(f"{n} vertices exceed the search cap {cap}")
+    if len(deg) > cap and max(deg) > 2:
+        raise CappedError(f"{len(deg)} vertices exceed the search cap {cap}")
     return True
 
 
@@ -799,7 +796,7 @@ def _stage_loop(g: Graph, budget: SearchBudget, cycle: bool) -> IndexResult:
                 deg = _line_degrees(h)
                 # the screen can settle L(h), on h.m vertices, only over the cap
                 cur = line_graph(h).graph if h.m <= cap or _screen(
-                    h.m, deg, lambda: _line_blocks(h), cycle, cap) else None
+                    deg, lambda: _line_blocks(h), cycle, cap) else None
             ok, walk = (False, None) if cur is None else search(cur, left)
         except CappedError as exc:
             stages.append(StageRecord(n, *size, "capped"))

@@ -14,7 +14,6 @@ from hpindex import (
     SearchBudget,
     StageRecord,
     blocks_and_cuts,
-    bridge_reduction,
     compare_formula_oracle,
     enumerate_connected_graphs,
     graph_from_token_edges,
@@ -26,6 +25,7 @@ from hpindex import (
     random_tree,
 )
 from hpindex import formula, oracles
+from hpindex.formula import bridge_reduction
 from reference_formula import reduction_label_map
 from shapes import cycle_graph, double_spider, path_graph, spider, star_graph
 from conftest import tadpole

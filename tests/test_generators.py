@@ -274,6 +274,25 @@ def test_family_params_validation():
             FamilyParams(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(max_vertices=True),
+    dict(max_vertices=5.0),
+    dict(random_bases=True),
+    dict(base_tree_source="random", random_bases=1.5),
+    dict(seed=True),
+    dict(base_tree_source="random", random_bases=2, seed="1"),
+    dict(include_bases=1),
+    dict(cycle_sizes=(3.5,)),
+    dict(cycle_sizes=(3, 4.0)),
+    dict(cycle_sizes="3"),
+], ids=repr)
+def test_family_params_refuse_other_types(bad):
+    # a bool would be echoed into the explore report body, and a float or
+    # a str would fail inside the generator
+    with pytest.raises(ValidationError):
+        FamilyParams(**bad)
+
+
 def test_family_contains_known_members():
     params = FamilyParams(max_vertices=9, cycle_sizes=(3,))
     keys = {graph_key(g) for g, _ in gen_hamiltonian_2block_family(params)}

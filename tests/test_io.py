@@ -5,7 +5,6 @@ from hpindex import (
     EdgeListParseError,
     Graph,
     ValidationError,
-    bridge_reduction,
     canonical_key,
     from_edge_list,
     from_graph6,
@@ -14,6 +13,7 @@ from hpindex import (
     to_edge_list,
     to_graph6,
 )
+from hpindex.formula import bridge_reduction
 from shapes import (complete_graph, cycle_graph, path_graph,
                     random_connected_graph)
 from conftest import nx_graph

@@ -33,10 +33,10 @@ def _search(search, g, cap):
         return str(exc)
 
 
-def _screened(n, deg, blocks, cycle, cap):
+def _screened(deg, blocks, cycle, cap):
     """_screen's answer, or the message of the refusal it raises."""
     try:
-        return oracles._screen(n, deg, blocks, cycle, cap)
+        return oracles._screen(deg, blocks, cycle, cap)
     except CappedError as exc:
         return str(exc)
 
@@ -57,10 +57,9 @@ def _check(h):
     refused = 0
     for cycle, search in SEARCHES:
         for cap in CAPS:
-            verdict = _screened(h.m, deg, lambda: oracles._line_blocks(h),
-                                cycle, cap)
+            verdict = _screened(deg, lambda: oracles._line_blocks(h), cycle, cap)
             assert verdict == _screened(
-                lg.n, lg_deg, lambda: oracles._block_counts(lg), cycle, cap), (
+                lg_deg, lambda: oracles._block_counts(lg), cycle, cap), (
                 h.label_edges(), cycle, cap)
             want = _search(search, lg, cap)
             assert (verdict if isinstance(verdict, str) else None) == (
@@ -103,7 +102,7 @@ def test_the_screen_raises_its_refusal(cycle):
     # the message is the one perfbench's tracer files under vertex_cap
     g = complete_graph(5)
     with pytest.raises(CappedError) as info:
-        oracles._screen(g.n, [len(a) for a in g.adj],
+        oracles._screen([len(a) for a in g.adj],
                         lambda: oracles._block_counts(g), cycle, 4)
     assert str(info.value) == "5 vertices exceed the search cap 4"
 
@@ -112,5 +111,5 @@ def test_the_screen_raises_its_refusal(cycle):
                                       (path_graph(50), False)],
                          ids=["cycle-path", "cycle-cycle", "path-path"])
 def test_the_screen_sends_a_path_or_a_cycle_over_the_cap_to_the_search(g, cycle):
-    assert oracles._screen(g.n, [len(a) for a in g.adj],
+    assert oracles._screen([len(a) for a in g.adj],
                            lambda: oracles._block_counts(g), cycle, 40) is True

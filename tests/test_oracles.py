@@ -1,9 +1,12 @@
 import gc
 import hashlib
 import itertools
+import os
+import subprocess
 import sys
 import time
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +311,22 @@ def test_drained_index_order_prepass_keeps_the_witness(tables_built, monkeypatch
     assert tables_built == [16, 16]
 
 
+def test_numpy_is_loaded_with_the_first_table():
+    # numpy is most of the package's import time, and a run that builds no
+    # subset table never needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    # a one-node prepass leaves the path a-b-c-d to the table
+    code = ("import sys, hpindex\n"
+            "print('numpy' in sys.modules)\n"
+            "g = hpindex.from_edge_list('a b\\nb c\\nc d\\n')\n"
+            "print(hpindex.has_hamiltonian_path(g, hpindex.SearchBudget(prepass_nodes=1))[0])\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_dp_and_backtracking_agree_full_sweep(block):
     # 2,000 seeded instances total, split into four chunks
@@ -410,10 +429,10 @@ def test_dead_end_matches_its_definition(monkeypatch, n):
     monkeypatch.setattr(oracles, "_dead_end", checked)
     for g in enumerate_connected_graphs(n):
         adj = oracles._adj_masks(g)
-        for starts, close_to in ((list(range(n)), None), ([0], 0)):
+        for starts, cycle in ((list(range(n)), False), ([0], True)):
             for by_degree in (False, True):
-                oracles._dfs(adj, n, starts, float("inf"), float("inf"),
-                             close_to, by_degree)
+                oracles._dfs(adj, starts, float("inf"), float("inf"),
+                             cycle, by_degree)
     # on K2 no walk can be cut
     assert set(calls) == ({False, True} if n > 2 else {False})
 

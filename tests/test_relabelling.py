@@ -19,7 +19,6 @@ from hpindex import (
     FamilyParams,
     PreconditionError,
     SearchBudget,
-    bridge_reduction,
     gen_hamiltonian_2block_family,
     graph_from_token_edges,
     h_oracle,
@@ -31,6 +30,7 @@ from hpindex import (
     is_tree,
     iterate,
 )
+from hpindex.formula import bridge_reduction
 from hpindex.oracles import check_cycle_witness, check_path_witness, check_trail_witness
 
 # exact tiers only: a stage above 20 vertices is refused by its size, so no

@@ -62,13 +62,13 @@ def assert_same_search(g, budgets):
         # (order, new search, reference), each at a node budget
         searches = (
             ("degree",
-             lambda nodes: _run(oracles._dfs, adj, g.n, deg_starts, nodes,
-                                NO_DEADLINE, close_to, True),
+             lambda nodes: _run(oracles._dfs, adj, deg_starts, nodes,
+                                NO_DEADLINE, cycle, True),
              lambda nodes: _run(_backtrack, adj, g.n, deg_starts, nodes,
                                 NO_DEADLINE, close_to)),
             ("index",
-             lambda nodes: _table_order(_run(oracles._dfs, adj, g.n, lex_starts,
-                                             nodes, NO_DEADLINE, close_to, False),
+             lambda nodes: _table_order(_run(oracles._dfs, adj, lex_starts,
+                                             nodes, NO_DEADLINE, cycle, False),
                                         cycle),
              lambda nodes: _run(_lex_backtrack, adj, g.n, lex_mask, nodes, close_to)),
         )

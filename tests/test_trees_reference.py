@@ -38,6 +38,6 @@ def _random_trees(count: int, seed: int):
 @pytest.mark.parametrize("seed", range(4))
 def test_tree_code_and_centroids_match_reference(seed):
     for n, adj, colour in _random_trees(600, seed):
-        assert _centroids(adj, n) == ref._centroids(adj, n)
-        assert _tree_code(adj, n) == ref._tree_code(adj, n)
-        assert _tree_code(adj, n, colour) == ref._tree_code(adj, n, colour)
+        assert _centroids(adj) == ref._centroids(adj, n)
+        assert _tree_code(adj) == ref._tree_code(adj, n)
+        assert _tree_code(adj, colour) == ref._tree_code(adj, n, colour)
