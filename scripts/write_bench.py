@@ -65,13 +65,21 @@ def combined(runs: list[dict]) -> dict:
             "failed": sum(r["failed"] for r in runs), "metrics": metrics}
 
 
+def at_least_one(text: str) -> int:
+    """An argparse type: an int of 1 or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="a workload to run (repeatable; default: all four)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--runs", type=int, default=1,
+    ap.add_argument("--runs", type=at_least_one, default=1,
                     help="runs per workload and layer, summarised by their median")
     ap.add_argument("--trace", type=int, choices=(0, 1), action="append",
                     help="run only untraced (0) or traced (1); default: both")

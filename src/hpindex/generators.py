@@ -204,6 +204,10 @@ class FamilyParams:
     def __post_init__(self) -> None:
         # exactly int and bool: a bool or a float would be echoed into the
         # report body as given, or fail inside the generator
+        try:
+            iter(self.cycle_sizes)
+        except TypeError:
+            raise ValidationError("cycle sizes must be a tuple of int") from None
         ints = (self.max_vertices, self.seed, self.random_bases, *self.cycle_sizes)
         if any(type(v) is not int for v in ints) or type(self.include_bases) is not bool:
             raise ValidationError("max_vertices, seed, random_bases and cycle sizes "

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ValidationError
 
@@ -27,24 +27,25 @@ class Graph:
     __slots__ = ("labels", "adj", "edges", "_index", "_blocks", "_connected")
 
     def __init__(self, labels: Sequence[str], edge_pairs: Iterable[tuple[int, int]]):
-        labels = tuple(labels)
+        """Check and store a graph; pair (u, v) is the edge {u, v}.
+
+        Repeated and reversed pairs collapse into one edge. An ascending pair
+        given as a plain tuple is stored as it is, any other as a new tuple.
+        The checks run pair by pair, type, then range, then self-loop, and the
+        first failure raises ValidationError.
+        """
+        try:
+            labels = tuple(labels)
+            pairs = iter(edge_pairs)
+        except TypeError:
+            raise ValidationError("labels and edge pairs must be iterable") from None
         # exactly str: every reader sorts, joins and quotes labels as text
         if any(type(lab) is not str for lab in labels):
             raise ValidationError("vertex labels must be str")
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate vertex labels")
-        n = len(labels)
-        edges: set[tuple[int, int]] = set()
-        for u, v in edge_pairs:
-            # exactly int: bools and numpy integers would be stored as given
-            if type(u) is not int or type(v) is not int:
-                raise ValidationError("edge endpoints must be int indices")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError("edge endpoint out of range")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {labels[u]!r}")
-            edges.add((u, v) if u < v else (v, u))
-        self._fill(labels, tuple(sorted(edges)))
+        # the set is freed before `_fill` builds the adjacency
+        self._fill(labels, tuple(sorted(_edge_set(labels, pairs))))
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], edges: tuple[tuple[int, int], ...]) -> Graph:
@@ -69,7 +70,7 @@ class Graph:
         self.labels = labels
         self.adj = tuple(map(tuple, adj))
         self.edges = edges
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index = dict(zip(labels, range(len(labels))))
         self._blocks: BlockDecomposition | None = None
         self._connected: bool | None = None
 
@@ -118,6 +119,34 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _edge_set(labels: tuple[str, ...], pairs: Iterator) -> set[tuple[int, int]]:
+    """The pairs as ascending tuples, checked pair by pair for `Graph.__init__`."""
+    n = len(labels)
+    edges: set[tuple[int, int]] = set()
+    add = edges.add
+    for pair in pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise ValidationError("each edge must be a pair of endpoints") from None
+        # exactly int: bools and numpy integers would be stored as given
+        if type(u) is not int or type(v) is not int:
+            raise ValidationError("edge endpoints must be int indices")
+        if u < v:
+            if u < 0 or v >= n:
+                raise ValidationError("edge endpoint out of range")
+            add(pair if type(pair) is tuple else (u, v))
+        elif v < u:
+            if v < 0 or u >= n:
+                raise ValidationError("edge endpoint out of range")
+            add((v, u))
+        elif 0 <= u < n:
+            raise ValidationError(f"self-loop at vertex {labels[u]!r}")
+        else:
+            raise ValidationError("edge endpoint out of range")
+    return edges
 
 
 def graph_from_token_edges(edge_tokens: Iterable[tuple[str, str]],

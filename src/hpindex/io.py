@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .errors import EdgeListParseError, ValidationError
 from .graphs import Graph
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+# edge lines alone, two tokens each with spaces or tabs around them; the
+# possessive quantifiers never backtrack, as tokens and blanks do not overlap
+_PLAIN_LINE = r"[ \t]*+[A-Za-z0-9_.-]++[ \t]++[A-Za-z0-9_.-]++[ \t]*+"
+_PLAIN_RE = re.compile(rf"(?:{_PLAIN_LINE}\n)*+(?:{_PLAIN_LINE})?+")
 
 
 def from_edge_list(text: str) -> Graph:
@@ -16,7 +21,19 @@ def from_edge_list(text: str) -> Graph:
     One edge per line as two whitespace-separated tokens; ``v TOKEN`` declares
     an isolated vertex; ``#`` starts a comment. Duplicate edges collapse
     silently, self-loops are rejected. Vertices appear in first-mention order.
+
+    Plain text is read in one pass over all its tokens: text whose every
+    line holds two tokens of ``[A-Za-z0-9_.-]`` and no other characters than
+    spaces, tabs and line feeds, with no token ``v`` and no
+    self-loop. Every other text goes through the line loop below, and so
+    does every error, with the line it is on.
     """
+    if _PLAIN_RE.fullmatch(text) and (plain := _plain_ends(text)):
+        labels, ends = plain
+        try:
+            return Graph(labels, zip(ends, ends))
+        except ValidationError:
+            pass  # a self-loop: the line loop reports it with its line number
     order: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -45,6 +62,22 @@ def from_edge_list(text: str) -> Graph:
                       order.setdefault(b, len(order))))
 
     return Graph(tuple(order), pairs)
+
+
+def _plain_ends(text: str) -> tuple[tuple[str, ...], Iterator[int]] | None:
+    """Labels in first-mention order and the endpoint index of every token
+    of plain text, or None if a token is ``v``.
+
+    The tokens are freed on return, and the iterator drops its list once
+    read through, so neither is kept while the graph builds its adjacency.
+    """
+    tokens = text.split()
+    index = dict.fromkeys(tokens)
+    if "v" in index:
+        return None
+    labels = tuple(index)
+    index.update(zip(labels, range(len(labels))))
+    return labels, iter(list(map(index.__getitem__, tokens)))
 
 
 def to_edge_list(g: Graph) -> str:

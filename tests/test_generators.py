@@ -285,6 +285,7 @@ def test_family_params_validation():
     dict(cycle_sizes=(3.5,)),
     dict(cycle_sizes=(3, 4.0)),
     dict(cycle_sizes="3"),
+    dict(cycle_sizes=3),
 ], ids=repr)
 def test_family_params_refuse_other_types(bad):
     # a bool would be echoed into the explore report body, and a float or

@@ -4,16 +4,22 @@ Both constructors must leave the same labels, adjacency and edges, as equal
 tuples of the same shape, and raise the same first error on bad input.
 `Graph._trusted`, given the reference's labels and edges, must derive the
 same adjacency too: it and `__init__` share one adjacency builder.
+
+`checked_edges`, the checking loop that built one tuple per pair, is the
+reference for pairs of every kind, good or bad: the same edges, and the
+same first fault. A pair it could not unpack must now raise
+ValidationError in its place.
 """
 
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from hpindex.errors import ValidationError
 from hpindex.graphs import Graph
-from reference_graph import graph_fields
+from reference_graph import checked_edges, graph_fields
 
 LABELS = ("d", "a", "c", "b")
 
@@ -73,3 +79,59 @@ def test_the_first_fault_raises_the_same_error(n):
         assert (first_error(Graph, labels, [(0, 0)])
                 == first_error(graph_fields, labels, [(0, 0)])
                 == "duplicate vertex labels")
+
+
+MALFORMED = "each edge must be a pair of endpoints"
+
+
+def first_fault(build, labels, pairs):
+    """The edges `build` returns, or the message of its first error; a pair
+    that does not unpack counts as the ValidationError `Graph` raises."""
+    try:
+        return build(labels, pairs)
+    except ValidationError as exc:
+        return str(exc)
+    except (TypeError, ValueError):
+        return MALFORMED
+
+
+def fault(kind, n, rng):
+    if kind == "type":
+        return rng.choice([(False, 1), (0, True), (0.0, 1), (0, 1.0),
+                           (np.int64(0), 1), (0, np.int64(1)), ("0", "1"), "ab"])
+    if kind == "range":
+        return rng.choice([(-1, 0), (0, -1), (n, 0), (0, n), (n, n), (-1, -1),
+                           (n + 5, -3)])
+    if kind == "self-loop":
+        v = rng.randrange(n)
+        return rng.choice([(v, v), [v, v]])
+    return rng.choice([(0,), (0, 1, 1), [0], [0, 1, 1], (), 5, None, "abc"])
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_seeded_pairs_with_faults_of_every_kind(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    labels = [f"v{i}" for i in range(n)]
+    pairs = []
+    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        # ascending and descending, as tuples and as lists, with repeats
+        pairs.append(rng.choice([(u, v), [u, v]]))
+        if rng.random() < 0.3:
+            pairs.append(rng.choice([(v, u), [v, u], (u, v)]))
+    kinds = ["type", "range", "self-loop", "malformed"]
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        pairs.insert(rng.randint(0, len(pairs)), fault(rng.choice(kinds), n, rng))
+    want = first_fault(checked_edges, labels, pairs)
+    assert first_fault(lambda ls, ps: Graph(ls, iter(ps)).edges, labels, pairs) == want
+    if isinstance(want, str):
+        return
+    assert_same_graph(labels, pairs)
+    # an edge is stored as the pair that first gave it, if that was an
+    # ascending plain tuple
+    first = {}
+    for pair in pairs:
+        first.setdefault(tuple(sorted(pair)), pair)
+    for e in Graph(labels, pairs).edges:
+        assert (e is first[e]) == (type(first[e]) is tuple and e == first[e])

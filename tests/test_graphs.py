@@ -53,6 +53,20 @@ def test_labels_must_be_str(labels):
         Graph(labels, [(0, 1)])
 
 
+@pytest.mark.parametrize("labels,pairs,message", [
+    (("a", "b"), [(0,)], "each edge must be a pair of endpoints"),
+    (("a", "b"), [(0, 1, 1)], "each edge must be a pair of endpoints"),
+    (("a", "b"), [5], "each edge must be a pair of endpoints"),
+    (("a", "b"), [(0, 1), None], "each edge must be a pair of endpoints"),
+    (5, [], "labels and edge pairs must be iterable"),
+    (("a", "b"), 5, "labels and edge pairs must be iterable"),
+], ids=["one-endpoint", "three-endpoints", "int-pair", "none-pair", "int-labels",
+        "int-pairs"])
+def test_malformed_input_raises_validation_error(labels, pairs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Graph(labels, pairs)
+
+
 def test_label_lookup_roundtrip():
     g = graph_from_token_edges([("x", "y"), ("y", "z")])
     assert g.labels == ("x", "y", "z")

@@ -1,9 +1,11 @@
-"""scripts/write_bench.py, run twice on the cheapest workload."""
+"""scripts/write_bench.py, run twice on the cheapest workload, and its argument checks."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +26,13 @@ def test_write_bench_records_the_declared_metrics(tmp_path):
     for metric in bench["end_to_end"]["metrics"].values():
         assert list(metric) == ["value", "unit", "q1", "q3"]
         assert metric["q1"] <= metric["value"] <= metric["q3"]
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_write_bench_refuses_fewer_than_one_run(tmp_path, runs):
+    proc = subprocess.run([sys.executable, "scripts/write_bench.py", "--runs", runs,
+                           "--out", str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"argument --runs: must be at least 1, not {runs}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
