@@ -23,10 +23,10 @@ def from_edge_list(text: str) -> Graph:
     silently, self-loops are rejected. Vertices appear in first-mention order.
 
     Plain text is read in one pass over all its tokens: text whose every
-    line holds two tokens of ``[A-Za-z0-9_.-]`` and no other characters than
-    spaces, tabs and line feeds, with no token ``v`` and no
-    self-loop. Every other text goes through the line loop below, and so
-    does every error, with the line it is on.
+    line holds two tokens of ``[A-Za-z0-9_.-]`` and no other characters
+    than spaces, tabs and line feeds, with no token ``v`` and no self-loop.
+    Every other text goes through the line loop below, and so does every
+    error, with the line it is on.
     """
     if _PLAIN_RE.fullmatch(text) and (plain := _plain_ends(text)):
         labels, ends = plain
