@@ -35,10 +35,10 @@ class Graph:
         first failure raises ValidationError.
         """
         try:
-            labels = tuple(labels)
-            pairs = iter(edge_pairs)
+            labels, pairs = iter(labels), iter(edge_pairs)
         except TypeError:
             raise ValidationError("labels and edge pairs must be iterable") from None
+        labels = tuple(labels)
         # exactly str: every reader sorts, joins and quotes labels as text
         if any(type(lab) is not str for lab in labels):
             raise ValidationError("vertex labels must be str")

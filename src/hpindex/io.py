@@ -9,10 +9,12 @@ from .errors import EdgeListParseError, ValidationError
 from .graphs import Graph
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
-# edge lines alone, two tokens each with spaces or tabs around them; the
-# possessive quantifiers never backtrack, as tokens and blanks do not overlap
-_PLAIN_LINE = r"[ \t]*+[A-Za-z0-9_.-]++[ \t]++[A-Za-z0-9_.-]++[ \t]*+"
-_PLAIN_RE = re.compile(rf"(?:{_PLAIN_LINE}\n)*+(?:{_PLAIN_LINE})?+")
+# the start of a line that is not two tokens with spaces or tabs around
+# them; the text's end, after its last line feed, opens no line. Tokens and
+# blanks do not overlap, so a failed line backtracks in linear time, and no
+# repeated group holds a stack frame per line
+_NOT_PLAIN_LINE = re.compile(
+    r"^(?!\Z)(?![ \t]*[A-Za-z0-9_.-]+[ \t]+[A-Za-z0-9_.-]+[ \t]*$)", re.MULTILINE)
 
 
 def from_edge_list(text: str) -> Graph:
@@ -28,7 +30,7 @@ def from_edge_list(text: str) -> Graph:
     Every other text goes through the line loop below, and so does every
     error, with the line it is on.
     """
-    if _PLAIN_RE.fullmatch(text) and (plain := _plain_ends(text)):
+    if not _NOT_PLAIN_LINE.search(text) and (plain := _plain_ends(text)):
         labels, ends = plain
         try:
             return Graph(labels, zip(ends, ends))

@@ -109,7 +109,7 @@ def _rename(lines, old, new):
 @pytest.mark.parametrize("seeds", [[0], [1], [2, 3]], ids=["seed0", "seed1", "seeds2-3"])
 def test_big_trees_texts(seeds):
     texts = big_trees_texts(seeds)
-    assert all(io._PLAIN_RE.fullmatch(text) for text in texts)
+    assert not any(io._NOT_PLAIN_LINE.search(text) for text in texts)
     for text in texts:
         assert_same_outcome(text)
     rng = random.Random(f"io-reference:{seeds}")
@@ -145,4 +145,17 @@ def test_seeded_mutations_combined(monkeypatch):
         for name in rng.sample(sorted(MUTATIONS), rng.randint(1, 3)):
             text = MUTATIONS[name](text.splitlines(), rng)
         assert_same_outcome(text)
+        assert (io._NOT_PLAIN_LINE.search(text) is None) == is_plain(text), text
     assert 300 < sum(plain) < 3000
+
+
+PLAIN_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.- \t")
+
+
+def is_plain(text):
+    """Every line two tokens of [A-Za-z0-9_.-] with spaces or tabs around
+    them, lines ended by line feeds, the last one's optional."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return all(len(line.split()) == 2 and set(line) <= PLAIN_CHARS for line in lines)
