@@ -29,10 +29,9 @@ class Graph:
     def __init__(self, labels: Sequence[str], edge_pairs: Iterable[tuple[int, int]]):
         """Check and store a graph; pair (u, v) is the edge {u, v}.
 
-        Repeated and reversed pairs collapse into one edge. An ascending pair
-        given as a plain tuple is stored as it is, any other as a new tuple.
-        The checks run pair by pair, type, then range, then self-loop, and the
-        first failure raises ValidationError.
+        Repeated and reversed pairs collapse into one edge. The checks run
+        pair by pair, type, then range, then self-loop, and the first failure
+        raises ValidationError.
         """
         try:
             labels, pairs = iter(labels), iter(edge_pairs)
@@ -134,18 +133,11 @@ def _edge_set(labels: tuple[str, ...], pairs: Iterator) -> set[tuple[int, int]]:
         # exactly int: bools and numpy integers would be stored as given
         if type(u) is not int or type(v) is not int:
             raise ValidationError("edge endpoints must be int indices")
-        if u < v:
-            if u < 0 or v >= n:
-                raise ValidationError("edge endpoint out of range")
-            add(pair if type(pair) is tuple else (u, v))
-        elif v < u:
-            if v < 0 or u >= n:
-                raise ValidationError("edge endpoint out of range")
-            add((v, u))
-        elif 0 <= u < n:
-            raise ValidationError(f"self-loop at vertex {labels[u]!r}")
-        else:
+        if not (0 <= u < n and 0 <= v < n):
             raise ValidationError("edge endpoint out of range")
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {labels[u]!r}")
+        add((u, v) if u < v else (v, u))
     return edges
 
 

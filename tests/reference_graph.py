@@ -6,10 +6,9 @@ edges alone and derives the adjacency lists from their sorted tuple, as
 `Graph._trusted` does for line graphs; the differential tests compare the
 two field for field, and the first error on bad input.
 
-`checked_edges` is the checking loop that followed, which built one new
-tuple per pair. `Graph.__init__` now keeps an ascending plain tuple as it
-is given and reports a pair that does not unpack into two values as a
-ValidationError; the tests compare its edges and first error with it.
+`checked_edges` is the checking loop that followed. `Graph.__init__` now
+reports a pair that does not unpack into two values as a ValidationError;
+the tests compare its edges and first error with it.
 """
 
 from __future__ import annotations

@@ -67,6 +67,15 @@ def test_malformed_input_raises_validation_error(labels, pairs, message):
         Graph(labels, pairs)
 
 
+def test_errors_raised_while_reading_labels_propagate():
+    def labels():
+        yield "a"
+        raise TypeError("raised by the caller's generator")
+
+    with pytest.raises(TypeError, match="^raised by the caller's generator$"):
+        Graph(labels(), [])
+
+
 def test_label_lookup_roundtrip():
     g = graph_from_token_edges([("x", "y"), ("y", "z")])
     assert g.labels == ("x", "y", "z")
