@@ -11,8 +11,9 @@ from .graphs import Graph
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 # the start of a line that is not two tokens with spaces or tabs around
 # them; the text's end, after its last line feed, opens no line. Tokens and
-# blanks do not overlap, so a failed line backtracks in linear time, and no
-# repeated group holds a stack frame per line
+# blanks do not overlap, so a line that fails backtracks in linear time. A
+# search, not a fullmatch of the whole text: a repeated group keeps a frame
+# per line (334 MB at 10^6 lines) unless it is possessive, which needs 3.11
 _NOT_PLAIN_LINE = re.compile(
     r"^(?!\Z)(?![ \t]*[A-Za-z0-9_.-]+[ \t]+[A-Za-z0-9_.-]+[ \t]*$)", re.MULTILINE)
 
